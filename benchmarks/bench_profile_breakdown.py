@@ -1,9 +1,10 @@
 """SEC6C — §VI.C text claim: A_L/A_H matrix filtering is 35-40% of the
 sequential runtime.
 
-Instruments the fused sequential implementation (with the matrix split
-un-fused, matching the paper's task decomposition) and records the share
-of wall-clock per operation group as ``extra_info``.
+Records the fused sequential implementation (with the matrix split
+un-fused, matching the paper's task decomposition) and stores the share
+of wall-clock per operation group, summed from the stage spans, as
+``extra_info``.
 
 Run::
 
@@ -13,48 +14,41 @@ Run::
 
 from __future__ import annotations
 
-from repro.bench.figures import SEC6C_GROUPS
+from repro.bench.figures import SEC6C_GROUPS, sec6c_shares
+from repro.obs import Recorder
 from repro.sssp.fused import fused_delta_stepping
 from repro.sssp.graphblas_sssp import graphblas_delta_stepping
-from repro.obs.stage import StageTimer
-
-
-def _shares(profile: dict, groups: dict) -> dict:
-    timer = StageTimer()
-    for k, v in profile.items():
-        timer.add(k, v)
-    merged = timer.merged(groups)
-    total = sum(merged.values()) or 1.0
-    return {k: 100.0 * v / total for k, v in merged.items()}
 
 
 def bench_fused_instrumented(benchmark, workload):
-    """Instrumented fused run; stage shares in extra_info."""
+    """Recorded fused run; stage shares over all rounds in extra_info."""
     benchmark.group = f"sec6c:{workload.name}"
-    result = benchmark.pedantic(
+    rec = Recorder()
+    benchmark.pedantic(
         lambda: fused_delta_stepping(
             workload.graph,
             workload.source,
             workload.delta,
             fuse_matrix_split=False,
-            instrument=True,
+            recorder=rec,
         ),
         rounds=3,
         iterations=1,
     )
-    for k, v in _shares(result.profile, SEC6C_GROUPS["fused"]).items():
+    for k, v in sec6c_shares(rec, SEC6C_GROUPS["fused"]).items():
         benchmark.extra_info[f"{k}_pct"] = round(v, 1)
 
 
 def bench_unfused_instrumented(benchmark, workload):
     """Same breakdown on the unfused GraphBLAS implementation."""
     benchmark.group = f"sec6c:{workload.name}"
-    result = benchmark.pedantic(
+    rec = Recorder()
+    benchmark.pedantic(
         lambda: graphblas_delta_stepping(
-            workload.graph, workload.source, workload.delta, instrument=True
+            workload.graph, workload.source, workload.delta, recorder=rec
         ),
         rounds=2,
         iterations=1,
     )
-    for k, v in _shares(result.profile, SEC6C_GROUPS["unfused"]).items():
+    for k, v in sec6c_shares(rec, SEC6C_GROUPS["unfused"]).items():
         benchmark.extra_info[f"{k}_pct"] = round(v, 1)

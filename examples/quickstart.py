@@ -23,7 +23,7 @@ def main() -> None:
     print(f"  mimics: {graph.meta.get('mimics')}")
 
     # The paper's configuration: unit weights, delta = 1.
-    result = delta_stepping(graph, source=0, delta=1.0, method="fused")
+    result = delta_stepping(graph, source=0, delta=1.0, method="delta")
     print(f"\nresult: {result}")
     print(f"  reached      {result.num_reached} / {graph.num_vertices} vertices")
     print(f"  buckets      {result.buckets_processed}")
@@ -41,8 +41,8 @@ def main() -> None:
     print(f"\nvalidated: distances match Dijkstra exactly "
           f"(max |diff| = {result.max_abs_difference(oracle):g})")
 
-    # Each implementation from the paper is one keyword away:
-    for method in ("meyer-sanders", "graphblas", "capi", "fused", "parallel"):
+    # Each implementation from the paper is one registry name away:
+    for method in ("meyer-sanders", "graphblas", "capi", "delta", "parallel"):
         r = delta_stepping(graph, source=0, delta=1.0, method=method)
         assert r.same_distances(oracle)
     print("all five implementations agree")

@@ -37,7 +37,7 @@ def main() -> None:
     deltas = [0.05, 0.1, 0.25, 0.5, 1.0, bellman_ford_equivalent_delta(city)]
     print(f"\n{'delta':>10}  {'buckets':>8}  {'phases':>7}  {'relaxations':>12}")
     for delta in deltas:
-        r = delta_stepping(city, source, delta, method="fused")
+        r = delta_stepping(city, source, delta, method="delta")
         assert r.same_distances(oracle)
         label = f"{delta:10.2f}" if delta < 1e4 else "  BF-like "
         print(f"{label}  {r.buckets_processed:8d}  {r.phases:7d}  {r.relaxations:12d}")
@@ -47,7 +47,7 @@ def main() -> None:
     print(f"\nauto-selected delta (Meyer-Sanders Θ(1/d̄) heuristic): {auto:.4f}")
 
     # -- route reconstruction (tight-edge walk; see repro.sssp.paths) -------
-    result = delta_stepping(city, source, auto, method="fused")
+    result = delta_stepping(city, source, auto, method="delta")
     route = reconstruct_path(city, result, target)
     if route:
         assert np.isclose(path_weight(city, route), result.distances[target])

@@ -37,7 +37,7 @@ def main() -> None:
 
     # -- hop distances: delta-stepping at unit weights == BFS (§VII) -------
     seed = int(top[0])
-    hops = delta_stepping(social, seed, 1.0, method="fused")
+    hops = delta_stepping(social, seed, 1.0, method="delta")
     reached = hops.reached()
     hist = np.bincount(hops.distances[reached].astype(int))
     print(f"\nhop distances from user {seed} (delta-stepping, Δ=1):")

@@ -47,10 +47,6 @@ The rule catalog:
     ``__all__`` entries must be bound in their module, must not repeat,
     and every public name a package ``__init__`` imports from its own
     submodules (``from .mod import X``) must be listed in ``__all__``.
-
-``no-deprecated-import``
-    No imports of ``repro.sssp.instrument`` (a deprecated alias of
-    :mod:`repro.obs.stage`) outside the alias module itself.
 """
 
 from __future__ import annotations
@@ -90,7 +86,6 @@ RULES = {
     "recorder-guard": "optional-recorder telemetry calls must sit behind a falsy guard",
     "registry-spec": "registries, stepper specs, CLI help, tuner candidates, and tests agree",
     "export-hygiene": "__all__ matches the bound / re-exported public names",
-    "no-deprecated-import": "no imports of the deprecated repro.sssp.instrument alias",
 }
 
 
@@ -383,32 +378,6 @@ def _check_export_hygiene(path: Path, rel: str, tree: ast.Module,
                 ))
 
 
-# -- no-deprecated-import ----------------------------------------------------
-
-def _check_deprecated_import(path: Path, rel: str, tree: ast.Module,
-                             findings: list) -> None:
-    if path.name == "instrument.py" and path.parent.name == "sssp":
-        return  # the alias module itself
-    for node in ast.walk(tree):
-        hit = None
-        if isinstance(node, ast.ImportFrom):
-            mod = node.module or ""
-            if mod.endswith("sssp.instrument"):
-                hit = mod
-            elif mod == "instrument" and node.level >= 1 and path.parent.name == "sssp":
-                hit = ".instrument"
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.endswith("sssp.instrument"):
-                    hit = alias.name
-        if hit is not None:
-            findings.append(Finding(
-                "no-deprecated-import", rel, node.lineno,
-                f"import of deprecated {hit!r} — use repro.obs.stage "
-                "(StageTimer / NO_TIMER moved there)",
-            ))
-
-
 # -- registry-spec (imports the live registries) -----------------------------
 
 _SPEC_IN_TEXT = re.compile(r"['\"]([A-Za-z0-9_\-]+\([^'\"]*\))['\"]")
@@ -567,8 +536,6 @@ def run_lint(select=None, root: Path | None = None) -> list:
             _check_recorder_guard(rel, tree, parents, findings)
         if "export-hygiene" in selected:
             _check_export_hygiene(path, rel, tree, findings)
-        if "no-deprecated-import" in selected:
-            _check_deprecated_import(path, rel, tree, findings)
     if "hot-loop-alloc" in selected:
         _check_hot_markers_present(repo_root, pkg, hot_marker_counts, findings)
     if "registry-spec" in selected:

@@ -7,7 +7,8 @@
   sequential implementation at 2 and 4 threads (paper: 1.44× / 1.5×
   averages), real threads or simulated schedule.
 - :func:`sec6c_profile` — §VI.C: share of sequential runtime spent in the
-  A_L/A_H matrix filtering (paper: 35–40%).
+  A_L/A_H matrix filtering (paper: 35–40%), from a recorded run's
+  per-stage span totals (:func:`sec6c_shares`).
 
 Each returns plain dict-rows ready for
 :func:`repro.bench.reporting.format_table`; ``render_*`` wraps them in
@@ -16,6 +17,8 @@ the figure-shaped ASCII output the CLI prints.
 
 from __future__ import annotations
 
+from ..obs import Recorder
+from ..obs.report import build_span_tree, stage_attribution
 from ..sssp.fused import fused_delta_stepping
 from ..sssp.graphblas_sssp import graphblas_delta_stepping
 from ..sssp.parallel import parallel_delta_stepping
@@ -27,6 +30,7 @@ __all__ = [
     "fig3_series",
     "fig4_series",
     "sec6c_profile",
+    "sec6c_shares",
     "render_fig3",
     "render_fig4",
     "render_sec6c",
@@ -123,6 +127,22 @@ SEC6C_GROUPS = {
 }
 
 
+def sec6c_shares(recorder: Recorder, groups: dict[str, list[str]]) -> dict[str, float]:
+    """Percent of the grouped stage time spent in each group.
+
+    A stage's time is the sum of its span durations in *recorder*
+    (:func:`repro.obs.report.stage_attribution`); stages missing from the
+    run count 0.
+    """
+    totals = {
+        row["name"]: row["total_ms"]
+        for row in stage_attribution(build_span_tree(recorder.trace.spans()))
+    }
+    merged = {g: sum(totals.get(s, 0.0) for s in stages) for g, stages in groups.items()}
+    whole = sum(merged.values()) or 1.0
+    return {g: 100.0 * ms / whole for g, ms in merged.items()}
+
+
 def sec6c_profile(
     workloads: list[Workload] | None = None,
     implementation: str = "fused",
@@ -134,26 +154,20 @@ def sec6c_profile(
     separately, as the task decomposition requires); ``implementation``
     selects ``"fused"`` (default, matching the paper) or ``"unfused"``.
     """
-    from ..obs.stage import StageTimer
-
     workloads = workloads if workloads is not None else suite_workloads()
     groups = SEC6C_GROUPS[implementation]
     rows = []
     for wl in workloads:
+        rec = Recorder()
         if implementation == "fused":
-            r = fused_delta_stepping(
-                wl.graph, wl.source, wl.delta, fuse_matrix_split=False, instrument=True
+            fused_delta_stepping(
+                wl.graph, wl.source, wl.delta, fuse_matrix_split=False, recorder=rec
             )
         else:
-            r = graphblas_delta_stepping(wl.graph, wl.source, wl.delta, instrument=True)
-        timer = StageTimer()
-        for k, v in (r.profile or {}).items():
-            timer.add(k, v)
-        merged = timer.merged(groups)
-        total = sum(merged.values()) or 1.0
+            graphblas_delta_stepping(wl.graph, wl.source, wl.delta, recorder=rec)
         row = {"graph": wl.name, "nodes": wl.num_vertices}
-        for gname, secs in merged.items():
-            row[f"{gname}_pct"] = 100.0 * secs / total
+        for gname, pct in sec6c_shares(rec, groups).items():
+            row[f"{gname}_pct"] = pct
         rows.append(row)
     return rows
 

@@ -7,7 +7,7 @@ utilities:
 fig3        regenerate Figure 3 (unfused vs fused sequential runtime)
 fig4        regenerate Figure 4 (task-parallel speedup; simulated by default)
 profile     regenerate the §VI.C operation-share breakdown
-run         one SSSP run with any implementation or stepper, printing the summary
+run         one SSSP run with any registered stepper, printing the summary
 query       answer distance queries through the service layer (cache + batch)
 trace       record one traced run (solve + queries) as Chrome trace JSON
 report      render a recorded run (or a saved trace JSON) as a markdown/HTML report
@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="run one SSSP configuration")
     sp.add_argument("graph", help="dataset name (see `suite`)")
-    sp.add_argument("--method", default="fused")
     sp.add_argument("--source", type=int, default=None, help="default: largest-component vertex")
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--weights", default="unit")
@@ -332,44 +331,32 @@ def _cmd_fig(args) -> int:
 
 def _cmd_run(args) -> int:
     from .bench.workloads import workload_for
-    from .sssp import delta_stepping, check_against_dijkstra
+    from .sssp import check_against_dijkstra
+    from .stepping import best_stepper, resolve_stepper_spec
 
     wl = workload_for(args.graph, weights=args.weights)
     source = args.source if args.source is not None else wl.source
+    if args.stepper:
+        spec = args.stepper  # a pin beats the tuner
+    elif args.auto:
+        spec = best_stepper(wl.graph)
+        print(f"{'auto-tuned':14s} {spec}")
+    else:
+        spec = "delta"
+    stepper, kwargs = resolve_stepper_spec(spec)
+    if args.delta is not None:
+        # only steppers that advertise a Δ knob take one
+        if "delta" in stepper.default_params(wl.graph):
+            kwargs["delta"] = args.delta
+        else:
+            print(f"warning: stepper {stepper.name!r} takes no delta; --delta ignored",
+                  file=sys.stderr)
     rec = None
     if args.trace:
         from .obs import Recorder
 
-        rec = Recorder()
-    if args.auto or args.stepper:
-        from .stepping import best_stepper, resolve_stepper_spec
-
-        if args.stepper:
-            spec = args.stepper  # a pin beats the tuner
-        else:
-            spec = best_stepper(wl.graph)
-            print(f"{'auto-tuned':14s} {spec}")
-        stepper, kwargs = resolve_stepper_spec(spec)
-        if args.delta is not None:
-            # only steppers that advertise a Δ knob take one
-            if "delta" in stepper.default_params(wl.graph):
-                kwargs["delta"] = args.delta
-            else:
-                print(f"warning: stepper {stepper.name!r} takes no delta; --delta ignored",
-                      file=sys.stderr)
-        if rec is not None:
-            kwargs["recorder"] = rec
-        result = stepper.solve(wl.graph, source, **kwargs)
-    elif rec is not None and args.method == "fused":
-        result = delta_stepping(
-            wl.graph, source, args.delta, method=args.method, recorder=rec
-        )
-    elif rec is not None:
-        # methods without an internal recorder hook still get a whole-run span
-        with rec.span(f"run:{args.method}", graph=wl.name):
-            result = delta_stepping(wl.graph, source, args.delta, method=args.method)
-    else:
-        result = delta_stepping(wl.graph, source, args.delta, method=args.method)
+        rec = kwargs["recorder"] = Recorder()
+    result = stepper.solve(wl.graph, source, **kwargs)
     for k, v in result.summary().items():
         print(f"{k:14s} {v}")
     if args.verify:

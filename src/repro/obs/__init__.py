@@ -2,8 +2,10 @@
 
 One observability layer under every subsystem (steppers, kernels,
 shards, service, dynamic repair), replacing the fragmented telemetry
-that grew per PR (``StageTimer`` in the solvers, ``ExchangeStats`` in
-the exchange, bench-only JSON):
+that grew per PR (stage timers in the solvers, ``ExchangeStats`` in the
+exchange, bench-only JSON).  The solvers' §VI.C stages are spans too;
+their shares are per-label span totals
+(:func:`~repro.obs.report.stage_attribution`):
 
 =====================================  ====================================
 :mod:`~repro.obs.trace`                :class:`TraceRecorder` — span/
@@ -23,11 +25,6 @@ the exchange, bench-only JSON):
                                        ``repro trace`` / ``--trace``);
                                        :data:`NO_RECORDER` is the falsy
                                        disabled path
-:mod:`~repro.obs.stage`                :class:`StageTimer` — the original
-                                       per-stage accounting (§VI.C),
-                                       now bridging into the recorder;
-                                       ``repro.sssp.instrument`` is a
-                                       thin alias of this module
 :mod:`~repro.obs.report`               :func:`build_report` /
                                        :func:`render_markdown` /
                                        :func:`render_html` — a recorded
@@ -94,7 +91,6 @@ from .slo import (
     parse_slo_data,
     render_slo_text,
 )
-from .stage import NO_TIMER, NullTimer, StageTimer
 from .trace import NO_TRACE, NullTrace, Span, TraceRecorder
 
 __all__ = [
@@ -116,9 +112,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "LATENCY_MS_BUCKETS",
     "BUCKET_PRESETS",
-    "StageTimer",
-    "NullTimer",
-    "NO_TIMER",
     "RunReport",
     "build_report",
     "load_trace",

@@ -341,7 +341,7 @@ class MetricsRegistry:
         }
 
     def as_dict(self) -> dict[str, Any]:
-        """Alias of :meth:`snapshot` (the :class:`StageTimer` spelling)."""
+        """Alias of :meth:`snapshot`."""
         return self.snapshot()
 
     def reset(self) -> None:

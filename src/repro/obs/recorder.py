@@ -16,9 +16,11 @@ the repo takes ``recorder=None`` and guards with plain truthiness::
             ...
 
 so the disabled path (``None`` *or* :data:`NO_RECORDER`) costs one falsy
-check — the same contract the ``NO_TIMER`` null timer established, now
-CI-gated at <3% on the KERNEL bench smoke (``repro trace
---overhead-smoke``).  :data:`NO_RECORDER` exists for call sites that
+check, CI-gated at <3% on the KERNEL bench smoke (``repro trace
+--overhead-smoke``).  Stage sites that wrap a block use the
+conditional-expression form, ``with recorder.span("filter:AL") if
+recorder else _NO_SPAN:``, with ``_NO_SPAN`` a shared
+:func:`~contextlib.nullcontext`.  :data:`NO_RECORDER` exists for call sites that
 want an always-valid object to forward rather than a ``None`` sentinel;
 it is falsy, and every method is a no-op.
 """

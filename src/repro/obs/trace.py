@@ -1,13 +1,14 @@
 """Low-overhead span tracing with Chrome trace-event export.
 
-The paper's §VI.C argument ("where does phase time go?") was answered
-with stage *totals* (:mod:`repro.obs.stage`); a production serving tier
-needs the *timeline* — which shard step overlapped which exchange, how
-long each superstep's barrier was, where a p99 query spent its budget.
-:class:`TraceRecorder` is that timeline: begin/end spans and instant
-events on the monotonic clock (``time.perf_counter_ns``), tagged with
-the recording thread's id, appended to one in-memory list (an
-``list.append`` per event — safe to call from pool-transport worker
+The paper's §VI.C argument ("where does phase time go?") needs stage
+*totals*; a production serving tier needs the *timeline* — which shard
+step overlapped which exchange, how long each superstep's barrier was,
+where a p99 query spent its budget.  :class:`TraceRecorder` is that
+timeline, and the totals are its per-label span sums
+(:func:`repro.obs.report.stage_attribution`).  It records begin/end
+spans and instant events on the monotonic clock
+(``time.perf_counter_ns``), tagged with the recording thread's id,
+appended to one in-memory list (an ``list.append`` per event — safe to call from pool-transport worker
 threads under the GIL, which is exactly how the sharded stepper's
 per-shard spans land on distinct ``tid`` lanes).
 
@@ -15,7 +16,7 @@ Export is the Chrome trace-event JSON format (``"X"`` complete events
 plus ``"i"`` instants), so any recorded run opens directly in Perfetto
 or ``chrome://tracing`` with no post-processing.
 
-The disabled path follows the ``NO_TIMER`` null-object pattern:
+The disabled path follows the null-object pattern:
 :data:`NO_TRACE` hands back one shared no-op span, so code threaded with
 a recorder but running without one costs a falsy check per choke point.
 """
@@ -281,5 +282,5 @@ class NullTrace:
         return []
 
 
-#: shared disabled-trace singleton (the ``NO_TIMER`` pattern)
+#: shared disabled-trace singleton (the null-object pattern)
 NO_TRACE = NullTrace()

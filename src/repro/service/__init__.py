@@ -31,7 +31,6 @@ Entry points::
 from __future__ import annotations
 
 from .batch import (
-    BATCH_METHODS,
     BatchSSSPResult,
     batch_delta_stepping,
     batch_fused_delta_stepping,
@@ -52,7 +51,6 @@ __all__ = [
     "batch_delta_stepping",
     "batch_fused_delta_stepping",
     "batch_graphblas_delta_stepping",
-    "BATCH_METHODS",
     "DistanceCache",
     "CacheStats",
     "LandmarkIndex",

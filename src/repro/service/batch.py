@@ -10,22 +10,28 @@ amortization is where the batch throughput win comes from — the same
 bucket-fusion observation as Dong et al. 2021 ("Efficient Stepping
 Algorithms and Implementations for Parallel Shortest Paths").
 
-Two engines, mirroring the repo's single-source pair:
+Two native engines, each named by the
+:attr:`~repro.stepping.Stepper.batch_engine` of the stepper it batches:
 
-- ``method="fused"`` (default) — the throughput engine.  State is one
-  flattened dense array over the K×n key space (``key = k·n + v``); each
-  wave expands CSR rows for every (row, frontier-vertex) pair, offsets
-  targets into the owning source's row, and **scatter-mins** the
-  candidates into a reusable dense request buffer (``np.minimum.at`` —
-  an indexed ufunc loop, linear in candidates, no per-wave sort).  The
+- ``delta`` → :func:`batch_fused_delta_stepping` (default) — the
+  throughput engine.  State is one flattened dense array over the K×n
+  key space (``key = k·n + v``); each wave expands CSR rows for every
+  (row, frontier-vertex) pair, offsets targets into the owning source's
+  row, and **scatter-mins** the candidates into a reusable dense request
+  buffer (``np.minimum.at`` — an indexed ufunc loop, linear in
+  candidates, no per-wave sort).  The
   single-source fused kernel pays a sort per wave to group candidates;
   the batch engine replaces it with O(candidates) scatter against the
   dense key space that batching makes affordable.
-- ``method="graphblas"`` — the linear-algebraic form, written call-by-call
-  with :mod:`repro.graphblas.operations` matrix kernels (``mxm`` with the
+- ``graphblas`` → :func:`batch_graphblas_delta_stepping` — the
+  linear-algebraic form, written call-by-call with
+  :mod:`repro.graphblas.operations` matrix kernels (``mxm`` with the
   ``(min, +)`` semiring, masked ``apply``, ``ewise_add``).  Slower, but
   it *is* the paper's formulation lifted to matrices, and the tests pin
   both engines to per-source Dijkstra.
+
+Every other registered stepper batches as K independent solves
+(:func:`batch_stepper_loop`).
 
 Bucket synchronization: all K sources share the global bucket index
 ``i`` (bucket = ``[iΔ, (i+1)Δ)``).  Relaxations never cross rows, so each
@@ -52,7 +58,6 @@ __all__ = [
     "batch_fused_delta_stepping",
     "batch_graphblas_delta_stepping",
     "batch_stepper_loop",
-    "BATCH_METHODS",
 ]
 
 #: flattened K·n state-size guard — past this, chunk the sources instead
@@ -361,24 +366,14 @@ def batch_stepper_loop(
     )
 
 
-BATCH_METHODS = {
-    "fused": batch_fused_delta_stepping,
-    "graphblas": batch_graphblas_delta_stepping,
-}
-
-#: stepper names whose batched form *is* a native engine: classic
-#: delta-stepping batches through the shared-wave kernel, not a loop
-_STEPPER_BATCH_ALIASES = {"delta": "fused"}
-
-
 def batch_delta_stepping(
     graph: Graph,
     sources,
     delta: float | None = None,
-    method: str = "fused",
+    method: str = "delta",
     recorder=None,
 ) -> BatchSSSPResult:
-    """Run SSSP from all *sources*, batched where the method supports it.
+    """Run SSSP from all *sources*, batched where the stepper supports it.
 
     Parameters
     ----------
@@ -392,39 +387,38 @@ def batch_delta_stepping(
         (:func:`repro.sssp.delta.choose_delta`).  Ignored by
         stepper-dispatched methods (each stepper picks its own knobs).
     method:
-        ``"fused"`` (shared-wave throughput engine, default),
-        ``"graphblas"`` (matrix-kernel formulation), or any stepper
-        spec over the :data:`repro.stepping.STEPPERS` registry — a bare
+        A stepper spec over :data:`repro.stepping.STEPPERS` — a bare
         name or a parameterized form like ``"sharded(shards=4)"``.
-        ``"delta"`` maps to the native fused engine, the rest run
-        through :func:`batch_stepper_loop`.
+        Steppers with a native :attr:`~repro.stepping.Stepper.batch_engine`
+        (``"delta"``, the default, and ``"graphblas"``) run it and take
+        no spec params; the rest run through :func:`batch_stepper_loop`.
     recorder:
         A truthy :class:`repro.obs.Recorder` wraps the native batch
         engines in a ``batch:<method>`` span (sources count as an arg)
         and forwards into stepper-dispatched solves.  Recording never
         changes the distances.
     """
-    from ..stepping import STEPPERS, parse_stepper_spec
+    from ..stepping import resolve_stepper_spec
 
-    name, params = parse_stepper_spec(method)
-    name = _STEPPER_BATCH_ALIASES.get(name, name)
-    if name in BATCH_METHODS:
-        if params:
-            raise ValueError(
-                f"batch method {name!r} takes no spec params (got {method!r}); "
-                "pass delta= directly"
-            )
-        if delta is None:
-            delta = choose_delta(graph)
-        if recorder:
-            with recorder.span(
-                "batch:" + name, sources=int(np.size(np.asarray(sources)))
-            ) as sp:
-                result = BATCH_METHODS[name](graph, sources, delta)
-                sp.set(phases=result.phases, relaxations=result.relaxations)
-            return result
-        return BATCH_METHODS[name](graph, sources, delta)
-    if name in STEPPERS:
+    try:
+        stepper, params = resolve_stepper_spec(method)
+    except ValueError as exc:
+        raise ValueError(f"unknown batch method {method!r}: {exc}") from None
+    if stepper.batch_engine is None:
         return batch_stepper_loop(graph, sources, stepper=method, recorder=recorder)
-    known = ", ".join(dict.fromkeys([*sorted(BATCH_METHODS), *STEPPERS]))
-    raise ValueError(f"unknown batch method {method!r}; known: {known}")
+    if params:
+        raise ValueError(
+            f"batch method {stepper.name!r} takes no spec params (got {method!r}); "
+            "pass delta= directly"
+        )
+    engine = globals()[stepper.batch_engine]
+    if delta is None:
+        delta = choose_delta(graph)
+    if recorder:
+        with recorder.span(
+            "batch:" + stepper.name, sources=int(np.size(np.asarray(sources)))
+        ) as sp:
+            result = engine(graph, sources, delta)
+            sp.set(phases=result.phases, relaxations=result.relaxations)
+        return result
+    return engine(graph, sources, delta)

@@ -147,7 +147,9 @@ class QueryService:
     stepper:
         Pin exact solves to one stepping-registry algorithm (any name
         accepted by :func:`repro.service.batch.batch_delta_stepping`,
-        e.g. ``"rho"``).  Forwarded to the planner.
+        e.g. ``"rho"``).  Forwarded to the planner.  ``None`` leaves the
+        choice to the tuner when one is set, and otherwise solves with
+        ``"delta"`` (the shared-wave fused batch engine).
     autotune:
         Let the stepping auto-tuner pick the exact-solve algorithm per
         graph epoch: the first drain *that needs an exact solve* (and
@@ -216,7 +218,6 @@ class QueryService:
         planner: QueryPlanner | None = None,
         max_batch_size: int = 64,
         latency_budget_ms: float | None = None,
-        batch_method: str = "fused",
         stepper: str | None = None,
         autotune: bool = False,
         tuner=None,
@@ -261,7 +262,6 @@ class QueryService:
 
             tuner = AutoTuner()
         self.tuner = tuner
-        self.batch_method = batch_method
         self.breaker = breaker
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ValueError(
@@ -374,7 +374,7 @@ class QueryService:
             if plan is not None
             else {}
         )
-        stepper = (plan.stepper if plan is not None else None) or self.batch_method
+        stepper = (plan.stepper if plan is not None else None) or "delta"
         trace = rec.trace
         flight = (
             trace.snapshot(last=32) if isinstance(trace, FlightRecorder) else None
@@ -482,7 +482,7 @@ class QueryService:
         solved: dict[int, np.ndarray] = {}
         degraded: list[int] = []
         rec = self.recorder
-        method = plan.stepper or self.batch_method
+        method = plan.stepper or "delta"
         breaker = self.breaker
         for batch in plan.batches:
             if breaker is not None and not breaker.allow():

@@ -1,7 +1,8 @@
 """Single-source shortest paths: the paper's algorithm in all its forms.
 
 Five delta-stepping implementations spanning the paper's translation
-pipeline, plus two classical baselines:
+pipeline, plus two classical baselines, each registered under its name in
+the one solver registry, :data:`repro.stepping.STEPPERS`:
 
 ==========================  =================================================
 ``meyer-sanders``           canonical vertices/edges/buckets (Fig. 1 right)
@@ -9,16 +10,23 @@ pipeline, plus two classical baselines:
                             structured like the Fig. 2 listing)
 ``capi``                    line-by-line Fig. 2 transliteration on the
                             C-facade (``GrB_*`` + Info codes)
-``fused``                   direct fused kernels (the paper's fast C impl.)
+``delta``                   direct fused kernels (the paper's fast C impl.)
 ``parallel``                OpenMP-task-style chunked parallel fused
 ``dijkstra``                binary-heap oracle
 ``bellman-ford``            edge-centric label-correcting baseline
 ==========================  =================================================
 
+Known limitation: ``graphblas`` and ``capi`` (and the GraphBLAS batch
+engine) never relax the out-edges of a non-source vertex whose distance
+is exactly 0, so vertices reached only through it stay at ``inf``.
+Fig. 2's §V.B re-entry step ``eWiseAdd(LT, tReq, t)`` casts a ``0.0``
+stored only in ``tReq`` to false, so that vertex never re-enters its
+bucket.  Fixing it changes the paper's listing, so it is left as is.
+
 Entry point::
 
     from repro.sssp import delta_stepping
-    result = delta_stepping(graph, source=0, delta=1.0, method="fused")
+    result = delta_stepping(graph, source=0, delta=1.0, method="delta")
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .validate import (
 
 __all__ = [
     "delta_stepping",
-    "METHODS",
     "SSSPResult",
     "dijkstra",
     "bellman_ford",
@@ -59,22 +66,12 @@ __all__ = [
     "path_weight",
 ]
 
-#: method name → implementation (all share the ``(graph, source, delta)``
-#: leading signature and return :class:`SSSPResult`)
-METHODS = {
-    "meyer-sanders": meyer_sanders_delta_stepping,
-    "graphblas": graphblas_delta_stepping,
-    "capi": capi_delta_stepping,
-    "fused": fused_delta_stepping,
-    "parallel": parallel_delta_stepping,
-}
-
 
 def delta_stepping(
     graph: Graph,
     source: int = 0,
     delta: float | None = None,
-    method: str = "fused",
+    method: str = "delta",
     **kwargs,
 ) -> SSSPResult:
     """Run delta-stepping SSSP.
@@ -90,15 +87,16 @@ def delta_stepping(
         (:func:`repro.sssp.delta.choose_delta` — 1.0 on unit weights,
         matching the paper).
     method:
-        One of :data:`METHODS`.
+        A stepper spec over :data:`repro.stepping.STEPPERS` — a registry
+        name such as ``"delta"`` or ``"meyer-sanders"``, or a
+        parameterized form like ``"delta(kernel=scatter)"``.
     kwargs:
         Forwarded to the implementation (e.g. ``num_threads=4`` for
-        ``"parallel"``, ``instrument=True`` for ``"graphblas"``/``"fused"``,
-        ``strict=True`` for ``"meyer-sanders"``).
+        ``"parallel"``, ``recorder=`` for any stepper, ``strict=True``
+        for ``"meyer-sanders"``).
     """
-    if method not in METHODS:
-        known = ", ".join(sorted(METHODS))
-        raise ValueError(f"unknown method {method!r}; known: {known}")
-    if delta is None:
-        delta = choose_delta(graph)
-    return METHODS[method](graph, source, delta, **kwargs)
+    from ..stepping import solve_with
+
+    if delta is not None:
+        kwargs["delta"] = delta
+    return solve_with(method, graph, source, **kwargs)

@@ -40,9 +40,15 @@ Both paper fusions stay independently toggleable so the fusion ablation
 - ``fuse_matrix_split=False`` builds ``A_L``/``A_H`` GrB-style — boolean
   predicate pass, then masked-copy pass, per matrix (4 sweeps), instead
   of one shared-predicate pass (2 sweeps).
+
+A truthy ``recorder=`` (:mod:`repro.obs`) receives every §VI.C stage —
+``filter:*``, ``relax:*``, ``outer:check`` — as a span of that name; the
+``repro profile`` stage shares are the per-label span totals.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -56,7 +62,6 @@ from ..kernels import (
     min_by_target,
     workspace_for,
 )
-from ..obs.stage import NO_TIMER, StageTimer
 from .result import INF, SSSPResult
 
 __all__ = [
@@ -70,44 +75,50 @@ __all__ = [
 #: hot loop never constructs a fresh empty array (``hot-loop-alloc`` rule)
 _EMPTY_V = np.empty(0, dtype=np.int64)
 
+#: the disabled-recorder stage context (reentrant, stateless)
+_NO_SPAN = nullcontext()
 
-def _compact_csr(graph: Graph, keep: np.ndarray):
+
+def _compact_csr(graph: Graph, keep: np.ndarray, values: np.ndarray | None = None):
     """Compact the kept adjacency entries into a new CSR triple.
 
-    The row-id expansion is the per-graph cache
+    *values* (default: the graph's weights) supplies the kept entries'
+    weights.  The row-id expansion is the per-graph cache
     (:func:`repro.kernels.cached_row_ids`) — computed once per epoch and
     shared by the light and heavy builds instead of re-expanded per call.
     """
-    indices, weights = graph.indices, graph.weights
+    values = graph.weights if values is None else values
     n = graph.num_vertices
     counts = np.bincount(cached_row_ids(graph)[keep], minlength=n)
     sub_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return sub_indptr, indices[keep], weights[keep]
+    return sub_indptr, graph.indices[keep], values[keep]
 
 
-def split_csr_light_heavy(graph: Graph, delta: float, fused: bool = True, timer=NO_TIMER):
+def split_csr_light_heavy(graph: Graph, delta: float, fused: bool = True, recorder=None):
     """Split the CSR adjacency into light (≤Δ) and heavy (>Δ) CSR triples.
 
     ``fused=True``: one predicate pass shared by both outputs.
     ``fused=False``: mimics the GraphBLAS call sequence — each output
     recomputes its own predicate and materializes a masked intermediate.
+    Both compact by the predicate: compacting by nonzero value would drop
+    zero-weight edges.
     """
     weights = graph.weights
 
     if fused:
-        with timer.stage("filter:split"):
+        with recorder.span("filter:split") if recorder else _NO_SPAN:
             light = weights <= delta
             AL = _compact_csr(graph, light)
             AH = _compact_csr(graph, ~light)
     else:
-        with timer.stage("filter:AL"):
+        with recorder.span("filter:AL") if recorder else _NO_SPAN:
             pred_light = weights <= delta  # pass 1: predicate
             masked_light = np.where(pred_light, weights, 0.0)  # pass 2: Hadamard
-            AL = _compact_csr(graph, masked_light > 0)  # pass 3: compact
-        with timer.stage("filter:AH"):
+            AL = _compact_csr(graph, pred_light, masked_light)  # pass 3: compact
+        with recorder.span("filter:AH") if recorder else _NO_SPAN:
             pred_heavy = weights > delta
             masked_heavy = np.where(pred_heavy, weights, 0.0)
-            AH = _compact_csr(graph, masked_heavy > 0)
+            AH = _compact_csr(graph, pred_heavy, masked_heavy)
     return AL, AH
 
 
@@ -127,7 +138,6 @@ def fused_delta_stepping(
     delta: float = 1.0,
     fuse_relax: bool = True,
     fuse_matrix_split: bool = True,
-    instrument: bool = False,
     kernel: str = "auto",
     workspace: RelaxWorkspace | None = None,
     recorder=None,
@@ -137,11 +147,11 @@ def fused_delta_stepping(
     *kernel* picks the per-target min kernel (``auto``/``argsort``/
     ``scatter``, see :mod:`repro.kernels.minby`); *workspace* overrides
     the per-graph cached buffer arena (embedders that manage their own).
-    A truthy *recorder* (:mod:`repro.obs`) turns the :class:`StageTimer`
-    stages into trace spans and adds one ``bucket`` span per non-empty
-    bucket (index, frontier size, phase count) — the per-bucket timeline
-    the §VI.C stage totals can't show.  Recording never changes the
-    schedule or the distances.
+    A truthy *recorder* (:mod:`repro.obs`) receives the §VI.C stages as
+    trace spans plus one ``bucket`` span per non-empty bucket (index,
+    frontier size, phase count) — the per-bucket timeline the stage
+    totals can't show.  Recording never changes the schedule or the
+    distances.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -149,11 +159,10 @@ def fused_delta_stepping(
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
     check_kernel(kernel)
-    timer = StageTimer(recorder=recorder) if (instrument or recorder) else NO_TIMER
     ws = workspace if workspace is not None else workspace_for(graph)
 
     (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(
-        graph, delta, fused=fuse_matrix_split, timer=timer
+        graph, delta, fused=fuse_matrix_split, recorder=recorder
     )
 
     t = np.full(n, INF, dtype=np.float64)
@@ -173,20 +182,20 @@ def fused_delta_stepping(
             return np.empty(0, dtype=np.int64)
         counters["relaxations"] += len(targets)
         # tReq materialized densely (the vxm output temporary)
-        with timer.stage("relax:tReq"):
+        with recorder.span("relax:tReq") if recorder else _NO_SPAN:
             tReq = np.full(n, INF, dtype=np.float64)
             uts, ubest = min_by_target(targets, dists, workspace=ws, kernel=kernel)
             tReq[uts] = ubest
         # tless = tReq < t (full-vector pass)
-        with timer.stage("relax:tless"):
+        with recorder.span("relax:tless") if recorder else _NO_SPAN:
             tless = tReq < t
         # tBi = (lo <= tReq < hi) ∘ tless (full-vector pass)
-        with timer.stage("relax:tB"):
+        with recorder.span("relax:tB") if recorder else _NO_SPAN:
             if track_bucket:
                 np.logical_and(tReq >= lo, tReq < hi, out=in_bucket)
                 np.logical_and(in_bucket, tless, out=in_bucket)
         # t = min(t, tReq) (full-vector pass)
-        with timer.stage("relax:minmerge"):
+        with recorder.span("relax:minmerge") if recorder else _NO_SPAN:
             counters["updates"] += int(np.count_nonzero(tless))
             np.minimum(t, tReq, out=t)
         if track_bucket:
@@ -205,7 +214,8 @@ def fused_delta_stepping(
     def relax_fused(indptr, indices, weights, frontier, lo, hi, track_bucket):
         """Fused variant: candidates → per-target min → filtered scatter,
         one pass, no dense temporaries."""
-        with timer.stage("relax:fused", kernel=kernel, wave=int(len(frontier))):
+        with (recorder.span("relax:fused", kernel=kernel, wave=int(len(frontier)))
+              if recorder else _NO_SPAN):
             targets, dists = gather_candidates(indptr, indices, weights, frontier, t, ws)
             if targets is None:
                 return _EMPTY_V
@@ -229,7 +239,7 @@ def fused_delta_stepping(
     relax = relax_fused if fuse_relax else relax_unfused
 
     while True:
-        with timer.stage("outer:check"):
+        with recorder.span("outer:check") if recorder else _NO_SPAN:
             # the lazy bucket queue hands back the next non-empty bucket
             # (and its frontier) without rescanning the distance vector
             i, frontier = bq.pop_bucket(t)
@@ -253,7 +263,7 @@ def fused_delta_stepping(
             # vertices already settled this bucket do not re-enter the
             # frontier unless their distance actually dropped into range —
             # relax() guarantees improvement, so re-entry is correct.
-        with timer.stage("filter:settled"):
+        with recorder.span("filter:settled") if recorder else _NO_SPAN:
             if len(settled_chunks) <= 1:
                 # a phase frontier is already unique and ascending
                 settled = settled_chunks[0] if settled_chunks else np.empty(0, dtype=np.int64)
@@ -275,5 +285,4 @@ def fused_delta_stepping(
         phases=counters["phases"],
         relaxations=counters["relaxations"],
         updates=counters["updates"],
-        profile=timer.as_dict() if instrument else None,
     )

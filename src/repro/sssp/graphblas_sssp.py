@@ -26,9 +26,14 @@ Linear algebra                        Here
                                       (the §V.B workaround) + ``apply``
 ``t = min(t, tReq)``                  ``eWiseAdd`` with MIN
 ====================================  ======================================
+
+A truthy ``recorder=`` (:mod:`repro.obs`) receives each group of calls
+as a span labelled by its §VI.C stage (``filter:AL``, ``vxm:light`` …).
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -42,13 +47,15 @@ from ..graphblas.types import BOOL, FP64
 from ..graphblas.unaryop import IDENTITY, range_filter, threshold_geq, threshold_gt, threshold_leq
 from ..graphblas.vector import Vector
 from ..graphs.graph import Graph
-from ..obs.stage import NO_TIMER, StageTimer
 from .result import INF, SSSPResult
 
 __all__ = ["graphblas_delta_stepping", "build_light_heavy_matrices"]
 
+#: the disabled-recorder stage context (reentrant, stateless)
+_NO_SPAN = nullcontext()
 
-def build_light_heavy_matrices(A: Matrix, delta: float, timer=NO_TIMER):
+
+def build_light_heavy_matrices(A: Matrix, delta: float, recorder=None):
     """``A_L = A ∘ (0 < A ≤ Δ)`` and ``A_H = A ∘ (A > Δ)``.
 
     Each split is two ``GrB_apply`` calls — predicate, then masked
@@ -56,12 +63,12 @@ def build_light_heavy_matrices(A: Matrix, delta: float, timer=NO_TIMER):
     four whole-matrix passes are 35-40% of sequential runtime).
     """
     n, m = A.nrows, A.ncols
-    with timer.stage("filter:AL"):
+    with recorder.span("filter:AL") if recorder else _NO_SPAN:
         Ab = Matrix.new(BOOL, n, m)
         ops.apply(Ab, threshold_leq(delta), A)  # A .<= delta
         Al = Matrix.new(FP64, n, m)
         ops.apply(Al, IDENTITY, A, mask=Ab)  # A .* (A .<= delta)
-    with timer.stage("filter:AH"):
+    with recorder.span("filter:AH") if recorder else _NO_SPAN:
         ops.apply(Ab, threshold_gt(delta), A)  # A .> delta
         Ah = Matrix.new(FP64, n, m)
         ops.apply(Ah, IDENTITY, A, mask=Ab)  # A .* (A .> delta)
@@ -73,7 +80,7 @@ def graphblas_delta_stepping(
     source: int,
     delta: float = 1.0,
     skip_empty_buckets: bool = True,
-    instrument: bool = False,
+    recorder=None,
 ) -> SSSPResult:
     """Unfused GraphBLAS delta-stepping (the Fig. 3 baseline).
 
@@ -83,18 +90,19 @@ def graphblas_delta_stepping(
         When True, ``i`` jumps to the next non-empty bucket instead of
         incrementing by one (identical results; relevant only for
         non-unit weights where buckets can be sparse).
-    instrument:
-        Attach a per-stage time breakdown to ``result.profile``.
+    recorder:
+        A truthy :class:`repro.obs.Recorder` receives one span per stage
+        occurrence (the §VI.C breakdown); recording never changes the
+        result.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
-    timer = StageTimer() if instrument else NO_TIMER
 
     A = graph.to_matrix()
-    Al, Ah = build_light_heavy_matrices(A, delta, timer)
+    Al, Ah = build_light_heavy_matrices(A, delta, recorder)
 
     # t[src] = 0 — unstored entries are implicitly infinite (Fig. 2 l. 8)
     t = Vector.new(FP64, n)
@@ -113,7 +121,7 @@ def graphblas_delta_stepping(
 
     def active_count() -> int:
         """``(t ≥ iΔ) ≠ 0`` via filter + nvals (Fig. 2 ll. 27-30, 67-69)."""
-        with timer.stage("outer:check"):
+        with recorder.span("outer:check") if recorder else _NO_SPAN:
             ops.apply(tgeq, threshold_geq(i * delta), t)
             ops.apply(tcomp, IDENTITY, t, mask=tgeq, desc=REPLACE)
         return tcomp.nvals
@@ -124,9 +132,9 @@ def graphblas_delta_stepping(
             smallest = ops.reduce_vector_to_scalar(MIN_MONOID, tcomp)
             i = max(i, int(smallest // delta))
         counters["buckets"] += 1
-        with timer.stage("vector:clear"):
+        with recorder.span("vector:clear") if recorder else _NO_SPAN:
             s.clear()  # s = 0
-        with timer.stage("filter:bucket"):
+        with recorder.span("filter:bucket") if recorder else _NO_SPAN:
             # tBi = (iΔ .<= t .< (i+1)Δ)
             ops.apply(tB, range_filter(i * delta, (i + 1) * delta), t, desc=REPLACE)
             # t .* tBi
@@ -134,33 +142,33 @@ def graphblas_delta_stepping(
 
         while tmasked.nvals > 0:
             counters["phases"] += 1
-            with timer.stage("vxm:light"):
+            with recorder.span("vxm:light") if recorder else _NO_SPAN:
                 # tReq = A_L' (min.+) (t .* tBi)
                 ops.vxm(tReq, MIN_PLUS, tmasked, Al, desc=REPLACE)
             counters["relaxations"] += tReq.nvals
-            with timer.stage("vector:S"):
+            with recorder.span("vector:S") if recorder else _NO_SPAN:
                 # s = s + tBi
                 ops.ewise_add(s, LOR, s, tB)
-            with timer.stage("filter:reenter"):
+            with recorder.span("filter:reenter") if recorder else _NO_SPAN:
                 # tBi = (iΔ .<= tReq .< (i+1)Δ) .* (tReq .< t)
                 # tReq as output mask — the §V.B workaround for eWiseAdd's
                 # union semantics with the non-commutative LT
                 ops.ewise_add(tless, LT, tReq, t, mask=tReq, desc=REPLACE)
                 ops.apply(tB, range_filter(i * delta, (i + 1) * delta), tReq, mask=tless, desc=REPLACE)
             counters["updates"] += int(np.count_nonzero(tless.values))
-            with timer.stage("vector:minmerge"):
+            with recorder.span("vector:minmerge") if recorder else _NO_SPAN:
                 # t = min(t, tReq)
                 ops.ewise_add(t, MIN, t, tReq)
-            with timer.stage("filter:bucket"):
+            with recorder.span("filter:bucket") if recorder else _NO_SPAN:
                 ops.apply(tmasked, IDENTITY, t, mask=tB, desc=REPLACE)
 
-        with timer.stage("vxm:heavy"):
+        with recorder.span("vxm:heavy") if recorder else _NO_SPAN:
             # tReq = A_H' (min.+) (t .* s)
             ops.apply(tmasked, IDENTITY, t, mask=s, desc=REPLACE)
             ops.vxm(tReq, MIN_PLUS, tmasked, Ah, desc=REPLACE)
         counters["relaxations"] += tReq.nvals
         counters["phases"] += 1
-        with timer.stage("vector:minmerge"):
+        with recorder.span("vector:minmerge") if recorder else _NO_SPAN:
             # t = min(t, tReq)
             ops.ewise_add(t, MIN, t, tReq)
         i += 1
@@ -177,5 +185,4 @@ def graphblas_delta_stepping(
         phases=counters["phases"],
         relaxations=counters["relaxations"],
         updates=counters["updates"],
-        profile=timer.as_dict() if instrument else None,
     )

@@ -36,9 +36,6 @@ class SSSPResult:
         Relaxation requests generated (size of all ``Req`` sets).
     updates:
         Requests that improved a tentative distance.
-    profile:
-        Optional per-stage seconds (filled when instrumentation is on);
-        the §VI.C time-breakdown experiment reads this.
     """
 
     distances: np.ndarray
@@ -49,7 +46,6 @@ class SSSPResult:
     phases: int = 0
     relaxations: int = 0
     updates: int = 0
-    profile: dict[str, float] | None = None
     extra: dict = field(default_factory=dict)
 
     @property

@@ -38,16 +38,20 @@ Entry points::
     pick = AutoTuner().best_stepper(graph)            # tuned per graph
     res = solve_with(pick, graph, source=0)
 
-The legacy implementations are registered alongside the new steppers
-("delta" = the paper's fused kernel, "graphblas", "dijkstra",
-"bellman-ford"), so the portfolio spans the whole repo.
+The paper's five formulations are registered alongside the new steppers
+("meyer-sanders", "graphblas", "capi", "delta" = the fused kernel,
+"parallel"), as are the "dijkstra" and "bellman-ford" baselines, so
+:data:`STEPPERS` is the one solver registry: ``repro run --stepper``,
+:func:`repro.sssp.delta_stepping` and the batch engine all look up here.
 """
 
 from __future__ import annotations
 
+from ..sssp.capi_sssp import capi_delta_stepping
 from ..sssp.fused import fused_delta_stepping
 from ..sssp.graphblas_sssp import graphblas_delta_stepping
-from ..sssp.delta import choose_delta
+from ..sssp.meyer_sanders import meyer_sanders_delta_stepping
+from ..sssp.parallel import parallel_delta_stepping
 from ..sssp.reference import bellman_ford, dijkstra
 from ..sssp.result import SSSPResult
 from .autotune import DEFAULT_CANDIDATES, AutoTuner, ProbeRow, TuningReport, best_stepper
@@ -107,33 +111,41 @@ def solve_with(stepper: str, graph, source: int, **params) -> SSSPResult:
     return s.solve(graph, source, **{**spec_params, **params})
 
 
-def _fused_auto(graph, source, delta=None, **kw):
-    return fused_delta_stepping(
-        graph, source, delta if delta is not None else choose_delta(graph), **kw
-    )
-
-
-def _graphblas_auto(graph, source, delta=None, **kw):
-    return graphblas_delta_stepping(
-        graph, source, delta if delta is not None else choose_delta(graph), **kw
-    )
-
-
 # -- registry assembly: new framework members + adopted legacy solvers -------
 
 register_stepper(RhoStepper())
 register_stepper(RadiusStepper())
 register_stepper(DeltaStarStepper())
+# the paper's formulations advertise the Δ knob as defaults={"delta": None};
+# FunctionStepper resolves None through choose_delta
 register_stepper(FunctionStepper(
-    "delta", _fused_auto,
+    "delta", fused_delta_stepping,
     description="classic fixed-grid delta-stepping, fused kernel (the paper's fast impl.)",
-    defaults={"delta": None},  # None = choose_delta; advertises the Δ knob
+    defaults={"delta": None},
     kernel_capable=True,  # "delta(kernel=scatter)" pins the min-by-target kernel
-    recorder_capable=True,  # fused emits its own per-bucket/per-stage spans
+    recorder_capable=True,  # emits per-bucket spans and its §VI.C stages
+    batch_engine="batch_fused_delta_stepping",
 ))
 register_stepper(FunctionStepper(
-    "graphblas", _graphblas_auto,
+    "graphblas", graphblas_delta_stepping,
     description="classic delta-stepping, unfused GraphBLAS formulation (Fig. 2)",
+    defaults={"delta": None},
+    recorder_capable=True,
+    batch_engine="batch_graphblas_delta_stepping",
+))
+register_stepper(FunctionStepper(
+    "meyer-sanders", meyer_sanders_delta_stepping,
+    description="canonical vertices/edges/buckets delta-stepping (Fig. 1 right)",
+    defaults={"delta": None},
+))
+register_stepper(FunctionStepper(
+    "capi", capi_delta_stepping,
+    description="line-by-line Fig. 2 transliteration on the GrB_* C facade",
+    defaults={"delta": None},
+))
+register_stepper(FunctionStepper(
+    "parallel", parallel_delta_stepping,
+    description="OpenMP-task-style chunked parallel fused delta-stepping (Fig. 4)",
     defaults={"delta": None},
 ))
 register_stepper(FunctionStepper(

@@ -43,24 +43,16 @@ __all__ = ["DEFAULT_CANDIDATES", "ProbeRow", "TuningReport", "AutoTuner", "best_
 #: registered steppers but not default candidates: the first is the
 #: paper's deliberately-unfused formulation, the second a Python-loop
 #: oracle — both lose by construction, so probing them is pure overhead.
-#: The sharded backend races at two shard counts (partition-parallel is
-#: only worth picking when the exchange volume stays paid for); its specs
-#: pin ``transport=threads`` so a consumer executing the pick runs the
-#: same pooled configuration the probe measured — the probe's shared
-#: pool and the spec's transport resolve to the same ``get_pool`` pool.
-#: ``delta(kernel=scatter)`` races the classic stepper with the O(m)
-#: scatter-min kernel pinned, so the per-target-min kernel is one more
-#: knob the tuner settles per graph (the bare names use the density
-#: ``auto`` pick).
+#: The pinned-kernel ``delta(kernel=scatter)`` and the sharded specs are
+#: left out too: on every committed STEP graph they trail the best
+#: stepper (scatter 1.45–2.08×, sharded 2.7–7.3×).  Race them explicitly
+#: with ``AutoTuner(candidates=...)``.
 DEFAULT_CANDIDATES = (
     "delta",
-    "delta(kernel=scatter)",
     "delta-star",
     "rho",
     "radius",
     "bellman-ford",
-    "sharded(shards=2,transport=threads)",
-    "sharded(shards=4,partitioner=bfs,transport=threads)",
 )
 
 

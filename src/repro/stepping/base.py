@@ -16,9 +16,11 @@ seeded state* — tentative distances plus an active mask — to quiescence.
 ``solve`` (fresh single-source run) is just ``resolve`` seeded with
 ``{source: 0}``, and the dynamic layer's incremental repair is ``resolve``
 seeded with the dirty region, so one implementation serves both entry
-points.  Legacy solvers (the paper's fused kernel, the GraphBLAS form,
-Dijkstra, Bellman–Ford) are wrapped as steppers too, so the auto-tuner
-(:mod:`repro.stepping.autotune`) can race the whole portfolio.
+points.  The paper's five Δ-stepping formulations (Meyer–Sanders, the
+GraphBLAS form, its C-facade transliteration, the fused kernel, the
+task-parallel kernel) and the Dijkstra/Bellman–Ford baselines are wrapped
+as steppers too, so :data:`STEPPERS` is the repo's one solver registry
+and the auto-tuner (:mod:`repro.stepping.autotune`) can race any of it.
 
 Discovery follows the ``DELTA_STRATEGIES`` idiom of
 :mod:`repro.sssp.delta`: one module-level registry (:data:`STEPPERS`),
@@ -36,6 +38,7 @@ from numpy.typing import NDArray
 
 from ..graphs.graph import Graph
 from ..kernels import RelaxWorkspace, gather_candidates, min_by_target
+from ..sssp.delta import choose_delta
 from ..sssp.result import INF, SSSPResult
 
 __all__ = [
@@ -152,6 +155,12 @@ class Stepper(ABC):
         selecting the :mod:`repro.kernels` per-target-min kernel
         (``"rho(kernel=scatter)"`` in spec spelling); the kernel-
         equivalence tests race every capable stepper under both kernels.
+    batch_engine:
+        Name of the stepper's native multi-source engine in
+        :mod:`repro.service.batch` (``"batch_fused_delta_stepping"`` for
+        ``delta``), which runs K sources through shared relaxation
+        waves; ``None`` batches as K independent solves
+        (:func:`~repro.service.batch.batch_stepper_loop`).
 
     Every registry member additionally accepts ``recorder=`` on
     ``solve`` (and, where implemented, ``resolve``): a truthy
@@ -166,6 +175,7 @@ class Stepper(ABC):
     supports_resolve: bool = True
     parallel_capable: bool = False
     kernel_capable: bool = True
+    batch_engine: str | None = None
     #: short spec-parameter spellings → the solve() keyword they set
     #: (``"sharded(shards=4)"`` → ``num_shards=4``); consulted by
     #: :func:`resolve_stepper_spec`, empty for most steppers
@@ -173,8 +183,8 @@ class Stepper(ABC):
 
     @abstractmethod
     def solve(self, graph: Graph, source: int, **params: Any) -> SSSPResult:
-        """Fresh single-source run; implementations share the
-        ``(graph, source)`` leading signature of :data:`repro.sssp.METHODS`."""
+        """Fresh single-source run from *source*; *params* are the
+        stepper's own knobs (``delta``, ``kernel``, ``recorder`` …)."""
 
     def resolve(
         self,
@@ -231,10 +241,12 @@ class Stepper(ABC):
 class FunctionStepper(Stepper):
     """A pre-framework solver adopted into the registry.
 
-    Wraps any ``(graph, source, **kw) -> SSSPResult`` callable (the fused
-    Δ kernel, Dijkstra, Bellman–Ford …) so the auto-tuner and the CLI can
-    treat the whole portfolio uniformly.  ``resolve`` is unavailable:
-    these implementations own their seeding.
+    Wraps any ``(graph, source, **kw) -> SSSPResult`` callable (the
+    paper's formulations, Dijkstra, Bellman–Ford …) so the auto-tuner
+    and the CLI can treat the whole portfolio uniformly.  A ``delta`` of
+    ``None`` (the default of every Δ-stepping formulation) resolves
+    through :func:`repro.sssp.delta.choose_delta`.  ``resolve`` is
+    unavailable: these implementations own their seeding.
     """
 
     kind = "legacy"
@@ -249,34 +261,39 @@ class FunctionStepper(Stepper):
         defaults: dict[str, Any] | None = None,
         kernel_capable: bool = False,
         recorder_capable: bool = False,
+        batch_engine: str | None = None,
     ) -> None:
         self.name = name
         self.description = description
         self._fn = fn
         self._defaults = dict(defaults or {})
         self.kernel_capable = kernel_capable
-        #: whether the wrapped fn takes ``recorder=`` itself (the fused
-        #: kernel does, emitting per-bucket/per-stage spans); otherwise a
-        #: recording run still gets one whole-solve span from the wrapper
+        self.batch_engine = batch_engine
+        #: whether the wrapped fn takes ``recorder=`` itself (the fused and
+        #: GraphBLAS kernels do, emitting their §VI.C stages as spans);
+        #: either way a recording run gets one whole-solve span
         self.recorder_capable = recorder_capable
 
     def solve(self, graph: Graph, source: int, **params: Any) -> SSSPResult:
         kw = {**self._defaults, **params}
+        if "delta" in kw and kw["delta"] is None:
+            kw["delta"] = choose_delta(graph)
         recorder = kw.pop("recorder", None)
-        if recorder:
-            if self.recorder_capable:
-                return self._fn(graph, source, recorder=recorder, **kw)
-            with recorder.span(f"solve:{self.name}", stepper=self.name, source=int(source)):
-                return self._fn(graph, source, **kw)
-        return self._fn(graph, source, **kw)
+        if not recorder:
+            return self._fn(graph, source, **kw)
+        if self.recorder_capable:
+            kw["recorder"] = recorder
+        with recorder.span(f"solve:{self.name}", stepper=self.name, source=int(source)):
+            return self._fn(graph, source, **kw)
 
     def default_params(self, graph: Graph) -> dict[str, Any]:
         return dict(self._defaults)
 
 
-#: name → :class:`Stepper`; the one discovery surface shared by
-#: :func:`get_stepper`, the auto-tuner, ``repro steppers --list``, the
-#: STEP bench, and the service batch dispatch.
+#: name → :class:`Stepper`; the one solver registry, shared by
+#: :func:`get_stepper`, :func:`repro.sssp.delta_stepping`, the auto-tuner,
+#: ``repro run`` / ``repro steppers``, the STEP bench, and the service
+#: batch dispatch.
 STEPPERS: dict[str, Stepper] = {}
 
 

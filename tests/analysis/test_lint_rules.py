@@ -258,36 +258,6 @@ class TestExportHygiene:
         assert _on(run_lint(select=["export-hygiene"], root=root), "pkg/__init__.py") == []
 
 
-class TestNoDeprecatedImport:
-    def test_absolute_and_module_imports_caught(self, tmp_path):
-        root = _tree(tmp_path, {"bench/mod.py": """\
-            import repro.sssp.instrument
-            from repro.sssp.instrument import StageTimer
-            """})
-        found = _on(run_lint(select=["no-deprecated-import"], root=root), "bench/mod.py")
-        assert len(found) == 2
-        assert all("repro.obs.stage" in f.message for f in found)
-
-    def test_relative_import_within_sssp_caught(self, tmp_path):
-        root = _tree(tmp_path, {"sssp/mod.py": """\
-            from .instrument import NO_TIMER
-            """})
-        found = _on(run_lint(select=["no-deprecated-import"], root=root), "sssp/mod.py")
-        assert len(found) == 1
-
-    def test_alias_module_itself_and_new_home_pass(self, tmp_path):
-        root = _tree(tmp_path, {
-            "sssp/instrument.py": """\
-                from ..obs.stage import NO_TIMER, NullTimer, StageTimer
-                """,
-            "sssp/mod.py": """\
-                from ..obs.stage import StageTimer
-                from repro.obs import NO_TIMER
-                """,
-        })
-        assert run_lint(select=["no-deprecated-import"], root=root) == []
-
-
 class TestRegistrySpec:
     def test_repo_registries_and_specs_agree(self):
         found = run_lint(select=["registry-spec"])
@@ -379,7 +349,7 @@ class TestDriver:
     def test_rule_registry_matches_descriptions(self):
         assert set(RULES) == {
             "hot-loop-alloc", "recorder-guard", "registry-spec",
-            "export-hygiene", "no-deprecated-import",
+            "export-hygiene",
         }
         assert all(isinstance(v, str) and v for v in RULES.values())
 

@@ -4,7 +4,15 @@ reporting, registry) on miniature inputs."""
 import numpy as np
 import pytest
 
-from repro.bench.figures import fig3_series, fig4_series, render_fig3, render_fig4, render_sec6c, sec6c_profile
+from repro.bench.figures import (
+    fig3_series,
+    fig4_series,
+    render_fig3,
+    render_fig4,
+    render_sec6c,
+    sec6c_profile,
+    sec6c_shares,
+)
 from repro.bench.registry import EXPERIMENTS, run_experiment
 from repro.bench.reporting import ascii_bar_chart, format_table, geometric_mean
 from repro.bench.timing import time_callable
@@ -71,6 +79,24 @@ class TestFigureSeries:
         for row in rows:
             pct_total = sum(v for k, v in row.items() if k.endswith("_pct"))
             assert np.isclose(pct_total, 100.0, atol=0.5)
+
+    def test_sec6c_shares_are_span_totals(self):
+        from repro.obs import Recorder
+
+        rec = Recorder()
+        for name in ("filter:AL", "filter:AH", "relax:fused", "relax:fused", "bucket"):
+            with rec.span(name):
+                sum(range(2000))
+        groups = {"matrix": ["filter:AL", "filter:AH"], "relax": ["relax:fused"],
+                  "absent": ["vxm:light"]}
+        shares = sec6c_shares(rec, groups)
+        dur = {}
+        for span in rec.trace.spans():
+            dur[span["name"]] = dur.get(span["name"], 0.0) + span["dur_us"]
+        grouped = dur["filter:AL"] + dur["filter:AH"] + dur["relax:fused"]
+        assert shares["absent"] == 0.0
+        assert np.isclose(shares["relax"], 100.0 * dur["relax:fused"] / grouped)
+        assert np.isclose(sum(shares.values()), 100.0)
 
     def test_renderers_mention_paper_numbers(self, tiny_workloads):
         rows = fig3_series(tiny_workloads, repeats=1, verify=False)

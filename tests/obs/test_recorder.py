@@ -1,14 +1,10 @@
-"""Recorder facade, the NO_RECORDER null object, and the StageTimer bridge."""
-
-import pytest
+"""Recorder facade and the NO_RECORDER null object."""
 
 from repro.obs import (
     NO_RECORDER,
-    NO_TIMER,
     MetricsRegistry,
     NullRecorder,
     Recorder,
-    StageTimer,
     TraceRecorder,
 )
 
@@ -69,92 +65,3 @@ class TestNullRecorder:
         assert NO_RECORDER.write_trace(tmp_path / "never.json") is None
         assert not (tmp_path / "never.json").exists()
         assert NO_RECORDER.summary() == {}
-
-
-class TestStageTimerBridge:
-    def test_stages_mirror_as_spans(self):
-        rec = Recorder()
-        timer = StageTimer(recorder=rec)
-        with timer.stage("relax", wave=4):
-            pass
-        with timer.stage("relax"):
-            pass
-        with timer.stage("filter"):
-            pass
-        spans = rec.trace.spans("relax")
-        assert len(spans) == 2
-        assert spans[0]["args"] == {"wave": 4}
-        assert timer.counts["relax"] == 2
-        assert len(rec.trace.spans("filter")) == 1
-
-    def test_span_durations_cover_stage_totals(self):
-        rec = Recorder()
-        timer = StageTimer(recorder=rec)
-        with timer.stage("s"):
-            sum(range(2000))
-        (span,) = rec.trace.spans("s")
-        # the span opens before t0 and closes after the accumulation,
-        # so it can only be at least as long as the stage total
-        assert span["dur_us"] * 1e-6 >= timer.totals["s"] * 0.5
-
-    def test_no_recorder_means_no_spans(self):
-        timer = StageTimer()
-        with timer.stage("s", extra=1):
-            pass
-        assert timer.counts["s"] == 1
-
-    def test_null_recorder_disables_the_bridge(self):
-        timer = StageTimer(recorder=NO_RECORDER)
-        with timer.stage("s"):
-            pass
-        assert timer._recorder is None
-
-    def test_feed_pushes_totals_into_metrics(self):
-        rec = Recorder()
-        timer = StageTimer()
-        with timer.stage("relax"):
-            pass
-        with timer.stage("relax"):
-            pass
-        timer.feed(rec)
-        snap = rec.summary()
-        assert snap["counters"]["stage.relax.hits"] == 2
-        assert snap["gauges"]["stage.relax.seconds"] == pytest.approx(
-            timer.totals["relax"]
-        )
-
-    def test_feed_into_falsy_recorder_is_noop(self):
-        timer = StageTimer()
-        with timer.stage("s"):
-            pass
-        timer.feed(None)
-        timer.feed(NO_RECORDER)  # must not raise
-
-    def test_null_timer_accepts_span_args(self):
-        with NO_TIMER.stage("s", kernel="scatter", wave=9):
-            pass
-        assert NO_TIMER.as_dict() == {}
-
-
-class TestInstrumentAlias:
-    def test_sssp_instrument_reexports_obs_stage(self):
-        import warnings
-
-        from repro.obs import stage
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.sssp import instrument
-
-        assert instrument.StageTimer is stage.StageTimer
-        assert instrument.NullTimer is stage.NullTimer
-        assert instrument.NO_TIMER is stage.NO_TIMER
-
-    def test_sssp_instrument_import_emits_deprecation_warning(self):
-        import importlib
-        import sys
-
-        # evict so the module-level warning re-fires for this import
-        sys.modules.pop("repro.sssp.instrument", None)
-        with pytest.warns(DeprecationWarning, match="repro.obs.stage"):
-            importlib.import_module("repro.sssp.instrument")

@@ -1,4 +1,4 @@
-"""Unit tests for Δ heuristics, SSSPResult, and the stage timer."""
+"""Unit tests for Δ heuristics and SSSPResult."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro.sssp.delta import (
     dijkstra_equivalent_delta,
 )
 from repro.sssp.fused import fused_delta_stepping
-from repro.obs.stage import NO_TIMER, StageTimer
 from repro.sssp.result import SSSPResult
 
 
@@ -131,46 +130,3 @@ class TestSSSPResult:
 
     def test_distance_to(self):
         assert self._mk([0.0, 3.0]).distance_to(1) == 3.0
-
-
-class TestStageTimer:
-    def test_accumulates(self):
-        t = StageTimer()
-        with t.stage("a"):
-            pass
-        with t.stage("a"):
-            pass
-        with t.stage("b"):
-            pass
-        assert t.counts["a"] == 2
-        assert t.counts["b"] == 1
-        assert set(t.as_dict()) == {"a", "b"}
-
-    def test_fractions_sum_to_one(self):
-        t = StageTimer()
-        t.add("x", 0.3)
-        t.add("y", 0.7)
-        fr = t.fractions()
-        assert np.isclose(sum(fr.values()), 1.0)
-        assert np.isclose(fr["y"], 0.7)
-
-    def test_merged_groups(self):
-        t = StageTimer()
-        t.add("x", 1.0)
-        t.add("y", 2.0)
-        m = t.merged({"both": ["x", "y"], "none": ["z"]})
-        assert m == {"both": 3.0, "none": 0.0}
-
-    def test_null_timer_interface(self):
-        with NO_TIMER.stage("anything"):
-            pass
-        NO_TIMER.add("x", 1.0)
-        assert NO_TIMER.total == 0.0
-        assert NO_TIMER.fractions() == {}
-        assert NO_TIMER.merged({"g": ["x"]}) == {"g": 0.0}
-
-    def test_timer_preserves_insertion_order(self):
-        t = StageTimer()
-        for name in ("c", "a", "b"):
-            t.add(name, 1.0)
-        assert list(t.as_dict()) == ["c", "a", "b"]

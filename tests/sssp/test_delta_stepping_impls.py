@@ -5,7 +5,8 @@ import pytest
 
 from repro.graphs import datasets
 from repro.graphs.graph import Graph
-from repro.sssp import METHODS, delta_stepping, dijkstra
+from repro.obs import Recorder
+from repro.sssp import delta_stepping, dijkstra
 from repro.sssp.capi_sssp import capi_delta_stepping
 from repro.sssp.fused import fused_delta_stepping
 from repro.sssp.graphblas_sssp import graphblas_delta_stepping
@@ -13,7 +14,7 @@ from repro.sssp.meyer_sanders import meyer_sanders_delta_stepping
 from repro.sssp.parallel import parallel_delta_stepping
 
 
-@pytest.fixture(params=sorted(METHODS))
+@pytest.fixture(params=["capi", "delta", "graphblas", "meyer-sanders", "parallel"])
 def method(request):
     return request.param
 
@@ -62,7 +63,7 @@ class TestAllMethods:
 
 class TestDispatcher:
     def test_unknown_method(self, diamond_graph):
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ValueError, match="unknown stepper"):
             delta_stepping(diamond_graph, 0, 1.0, method="quantum")
 
     def test_auto_delta_unit_weights(self, grid_graph):
@@ -111,31 +112,35 @@ class TestStructuralAgreement:
 
 
 class TestInstrumentation:
+    """The §VI.C stages arrive as recorder spans named by stage."""
+
     def test_fused_profile_stages(self, grid_graph):
-        r = fused_delta_stepping(grid_graph, 0, 1.0, instrument=True)
-        assert r.profile
-        assert any(k.startswith("relax") for k in r.profile)
+        rec = Recorder()
+        fused_delta_stepping(grid_graph, 0, 1.0, recorder=rec)
+        names = {s["name"] for s in rec.trace.spans()}
+        assert {"filter:split", "outer:check", "relax:fused"} <= names
 
     def test_unfused_profile_includes_matrix_filters(self, grid_graph):
-        r = graphblas_delta_stepping(grid_graph, 0, 1.0, instrument=True)
-        assert "filter:AL" in r.profile
-        assert "filter:AH" in r.profile
-        assert r.profile["filter:AL"] > 0
-
-    def test_profile_off_by_default(self, grid_graph):
-        assert fused_delta_stepping(grid_graph, 0, 1.0).profile is None
+        rec = Recorder()
+        graphblas_delta_stepping(grid_graph, 0, 1.0, recorder=rec)
+        (al,) = rec.trace.spans("filter:AL")
+        (ah,) = rec.trace.spans("filter:AH")
+        assert al["dur_us"] > 0 and ah["dur_us"] > 0
+        assert rec.trace.spans("vxm:light")
 
 
 class TestFusionToggles:
     @pytest.mark.parametrize("fuse_relax", [False, True])
     @pytest.mark.parametrize("fuse_matrix_split", [False, True])
     def test_all_combos_correct(self, random_weighted_graph, fuse_relax, fuse_matrix_split):
-        oracle = dijkstra(random_weighted_graph, 0)
-        r = fused_delta_stepping(
-            random_weighted_graph, 0, 0.4,
-            fuse_relax=fuse_relax, fuse_matrix_split=fuse_matrix_split,
-        )
-        assert r.same_distances(oracle)
+        # a zero-weight light edge: the unfused split must keep 0 -> 1
+        zero_chain = Graph.from_edges([0, 1], [1, 2], [0.0, 0.5], n=3)
+        for g in (random_weighted_graph, zero_chain):
+            oracle = dijkstra(g, 0)
+            r = fused_delta_stepping(
+                g, 0, 0.4, fuse_relax=fuse_relax, fuse_matrix_split=fuse_matrix_split,
+            )
+            assert r.same_distances(oracle)
 
 
 class TestParallel:

@@ -1,5 +1,6 @@
-"""Property-based equivalence: every implementation ≡ Dijkstra on random
-graphs, across Δ — the repo's strongest correctness statement."""
+"""Property-based equivalence: every paper formulation, looked up in the
+stepper registry, is bit-identical to Dijkstra on random graphs across Δ
+— the repo's strongest correctness statement."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.graph import Graph
-from repro.sssp import METHODS, dijkstra
+from repro.sssp import dijkstra
 from repro.sssp.validate import check_against_dijkstra, check_optimality_conditions
+from repro.stepping import get_stepper
+
+
+def solve(name, g, src, delta, **kw):
+    return get_stepper(name).solve(g, src, delta=delta, **kw)
+
+
+def assert_bitwise_dijkstra(name, g, src, delta, **kw):
+    r = solve(name, g, src, delta, **kw)
+    assert np.array_equal(r.distances, dijkstra(g, src).distances), (name, delta)
 
 
 @st.composite
@@ -37,22 +48,19 @@ class TestEquivalenceProperties:
     @settings(max_examples=25, deadline=None)
     def test_fused_equals_dijkstra(self, gp):
         g, src, delta = gp
-        r = METHODS["fused"](g, src, delta)
-        check_against_dijkstra(g, r)
+        assert_bitwise_dijkstra("delta", g, src, delta)
 
     @given(graph_and_params())
     @settings(max_examples=15, deadline=None)
     def test_graphblas_equals_dijkstra(self, gp):
         g, src, delta = gp
-        r = METHODS["graphblas"](g, src, delta)
-        check_against_dijkstra(g, r)
+        assert_bitwise_dijkstra("graphblas", g, src, delta)
 
     @given(graph_and_params())
     @settings(max_examples=15, deadline=None)
     def test_meyer_sanders_equals_dijkstra(self, gp):
         g, src, delta = gp
-        r = METHODS["meyer-sanders"](g, src, delta)
-        check_against_dijkstra(g, r)
+        assert_bitwise_dijkstra("meyer-sanders", g, src, delta)
 
     @given(graph_and_params())
     @settings(max_examples=10, deadline=None)
@@ -61,21 +69,19 @@ class TestEquivalenceProperties:
         # the Fig. 2 listing steps i by 1; cap bucket count for tiny deltas
         if delta < 1.0:
             delta = 1.0
-        r = METHODS["capi"](g, src, delta)
-        check_against_dijkstra(g, r)
+        assert_bitwise_dijkstra("capi", g, src, delta)
 
     @given(graph_and_params())
     @settings(max_examples=12, deadline=None)
     def test_parallel_equals_dijkstra(self, gp):
         g, src, delta = gp
-        r = METHODS["parallel"](g, src, delta, num_threads=2, min_parallel_size=0)
-        check_against_dijkstra(g, r)
+        assert_bitwise_dijkstra("parallel", g, src, delta, num_threads=2, min_parallel_size=0)
 
     @given(graph_and_params())
     @settings(max_examples=20, deadline=None)
     def test_optimality_conditions_hold(self, gp):
         g, src, delta = gp
-        r = METHODS["fused"](g, src, delta)
+        r = solve("delta", g, src, delta)
         check_optimality_conditions(g, r)
 
     @given(random_graphs(), st.integers(0, 3))
@@ -83,9 +89,9 @@ class TestEquivalenceProperties:
     def test_delta_invariance(self, g, src_seed):
         """Distances must not depend on Δ."""
         src = src_seed % g.num_vertices
-        results = [METHODS["fused"](g, src, d) for d in (0.2, 1.0, 7.0)]
+        results = [solve("delta", g, src, d) for d in (0.2, 1.0, 7.0)]
         for r in results[1:]:
-            assert results[0].same_distances(r)
+            assert np.array_equal(results[0].distances, r.distances)
 
     @given(random_graphs())
     @settings(max_examples=15, deadline=None)
@@ -93,7 +99,7 @@ class TestEquivalenceProperties:
         """Adding an edge can only shorten distances."""
         if g.num_vertices < 3:
             return
-        before = METHODS["fused"](g, 0, 1.0).distances
+        before = solve("delta", g, 0, 1.0).distances
         src, dst, w = g.to_edges()
         g2 = Graph.from_edges(
             np.concatenate([src, [0]]),
@@ -101,7 +107,7 @@ class TestEquivalenceProperties:
             np.concatenate([w, [0.05]]),
             n=g.num_vertices,
         )
-        after = METHODS["fused"](g2, 0, 1.0).distances
+        after = solve("delta", g2, 0, 1.0).distances
         assert np.all(after <= before + 1e-9)
 
 
@@ -109,7 +115,7 @@ class TestValidateHelpers:
     def test_check_against_dijkstra_detects_corruption(self, diamond_graph):
         from repro.sssp.validate import ValidationError
 
-        r = METHODS["fused"](diamond_graph, 0, 1.0)
+        r = solve("delta", diamond_graph, 0, 1.0)
         r.distances[2] += 1.0
         with pytest.raises(ValidationError):
             check_against_dijkstra(diamond_graph, r)
@@ -117,7 +123,7 @@ class TestValidateHelpers:
     def test_optimality_detects_infeasible(self, diamond_graph):
         from repro.sssp.validate import ValidationError
 
-        r = METHODS["fused"](diamond_graph, 0, 1.0)
+        r = solve("delta", diamond_graph, 0, 1.0)
         r.distances[3] = 100.0
         with pytest.raises(ValidationError):
             check_optimality_conditions(diamond_graph, r)
@@ -125,7 +131,7 @@ class TestValidateHelpers:
     def test_optimality_detects_too_small(self, diamond_graph):
         from repro.sssp.validate import ValidationError
 
-        r = METHODS["fused"](diamond_graph, 0, 1.0)
+        r = solve("delta", diamond_graph, 0, 1.0)
         r.distances[3] = 0.5  # not achievable by any incoming edge
         with pytest.raises(ValidationError):
             check_optimality_conditions(diamond_graph, r)
@@ -133,5 +139,5 @@ class TestValidateHelpers:
     def test_networkx_crosscheck(self, random_weighted_graph):
         from repro.sssp.validate import check_against_networkx
 
-        r = METHODS["fused"](random_weighted_graph, 0, 0.5)
+        r = solve("delta", random_weighted_graph, 0, 0.5)
         check_against_networkx(random_weighted_graph, r)

@@ -19,7 +19,8 @@ def ws_graph():
 
 
 class TestBatchDispatch:
-    @pytest.mark.parametrize("method", ["rho", "radius", "delta-star", "bellman-ford"])
+    @pytest.mark.parametrize("method", ["rho", "radius", "delta-star", "bellman-ford",
+                                        "meyer-sanders", "capi", "parallel"])
     def test_batch_via_stepper_matches_dijkstra(self, ws_graph, method):
         sources = [0, 7, 42]
         res = batch_delta_stepping(ws_graph, sources, method=method)
@@ -37,7 +38,15 @@ class TestBatchDispatch:
         with pytest.raises(ValueError) as excinfo:
             batch_delta_stepping(ws_graph, [0], method="warp-drive")
         message = str(excinfo.value)
-        assert "fused" in message and "rho" in message and "radius" in message
+        assert "delta" in message and "rho" in message and "radius" in message
+
+    def test_graphblas_routes_to_native_matrix_engine(self, ws_graph):
+        res = batch_delta_stepping(ws_graph, [0, 7], method="graphblas")
+        assert res.method == "batch-graphblas"
+
+    def test_fused_spelling_is_retired(self, ws_graph):
+        with pytest.raises(ValueError, match="unknown batch method 'fused'"):
+            batch_delta_stepping(ws_graph, [0], method="fused")
 
     def test_stepper_loop_counters_aggregate(self, ws_graph):
         res = batch_stepper_loop(ws_graph, [0, 7], stepper="rho")

@@ -57,6 +57,31 @@ class TestRegistry:
         finally:
             del STEPPERS["test-probe"]
 
+    def test_one_registry_of_distinct_instances(self):
+        """Every formulation is registered once: the paper's five, the new
+        steppers, the baselines, and the sharded backend."""
+        assert len(STEPPERS) == 11
+        assert len({id(s) for s in STEPPERS.values()}) == 11
+        assert {"meyer-sanders", "capi", "parallel"} <= set(STEPPERS)
+
+    def test_batch_engines_name_native_engines(self):
+        from repro.service import batch
+
+        engines = {n: s.batch_engine for n, s in STEPPERS.items() if s.batch_engine}
+        assert engines == {
+            "delta": "batch_fused_delta_stepping",
+            "graphblas": "batch_graphblas_delta_stepping",
+        }
+        assert all(callable(getattr(batch, e)) for e in engines.values())
+
+    def test_function_stepper_resolves_auto_delta(self):
+        g = gen.grid_2d(4, 4)
+        for name in ("delta", "graphblas", "meyer-sanders", "capi", "parallel"):
+            stepper = get_stepper(name)
+            assert stepper.default_params(g) == {"delta": None}
+            assert stepper.solve(g, 0).delta == choose_delta(g), name
+            assert stepper.solve(g, 0, delta=None).delta == choose_delta(g), name
+
     def test_default_candidates_are_registered(self):
         for spec in DEFAULT_CANDIDATES:
             assert parse_stepper_spec(spec)[0] in STEPPERS

@@ -21,9 +21,9 @@ class TestParser:
         assert args.threads == [2, 4, 8]
 
     def test_run_arguments(self):
-        args = build_parser().parse_args(["run", "ci-ws", "--method", "capi", "--delta", "2.0"])
+        args = build_parser().parse_args(["run", "ci-ws", "--stepper", "capi", "--delta", "2.0"])
         assert args.graph == "ci-ws"
-        assert args.method == "capi"
+        assert args.stepper == "capi"
         assert args.delta == 2.0
 
     def test_query_arguments(self):
@@ -83,8 +83,13 @@ class TestCommands:
         assert "verified" in out
 
     def test_run_command_weighted(self, capsys):
-        assert main(["run", "ci-ws", "--weights", "uniform", "--method", "fused"]) == 0
+        assert main(["run", "ci-ws", "--weights", "uniform", "--stepper", "delta"]) == 0
         assert "method" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stepper", ["capi", "delta", "graphblas", "meyer-sanders", "parallel"])
+    def test_run_each_paper_formulation_verified(self, capsys, stepper):
+        assert main(["run", "ci-ws", "--stepper", stepper, "--verify"]) == 0
+        assert "verified" in capsys.readouterr().out
 
     def test_suite_command(self, capsys):
         assert main(["suite", "--suite", "ci"]) == 0
