@@ -1,4 +1,4 @@
-"""ABL-DELTA — Δ-sweep ablation on weighted graphs (DESIGN.md §5).
+"""ABL-DELTA — Δ-sweep ablation on weighted graphs.
 
 The paper fixes Δ=1 on unit weights; this sweep exposes the classic
 Meyer–Sanders trade-off on real-valued weights: small Δ ⇒ many buckets,

@@ -2,7 +2,7 @@
 
 Suite selection: ``REPRO_SUITE=ci`` (default, fast) or ``REPRO_SUITE=paper``
 (the full Fig. 3/Fig. 4 graph list; takes minutes).  Every benchmark file
-regenerates one paper artifact — see the module docstrings and DESIGN.md §4.
+regenerates one paper artifact — see the module docstrings.
 """
 
 from __future__ import annotations

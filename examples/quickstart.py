@@ -17,7 +17,7 @@ from repro.sssp import check_against_dijkstra, delta_stepping, dijkstra
 
 def main() -> None:
     # Every catalog graph documents which real SNAP/GraphChallenge dataset
-    # family it stands in for (no network access here — see DESIGN.md §2).
+    # family it stands in for (see repro.graphs.datasets).
     graph = datasets.load("roadgrid-small")
     print(f"graph: {graph}")
     print(f"  mimics: {graph.meta.get('mimics')}")

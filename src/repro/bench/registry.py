@@ -1,4 +1,4 @@
-"""Experiment registry: one entry per paper artifact (DESIGN.md §4).
+"""Experiment registry: one entry per paper artifact.
 
 Each experiment knows how to produce its rows and render its panel; the
 CLI and EXPERIMENTS.md generation iterate this table so no figure can be

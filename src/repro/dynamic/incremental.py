@@ -5,9 +5,10 @@ Given a distance vector solved against the *pre-mutation* graph and the
 :func:`repair_sssp` produces the distance vector of the *post-mutation*
 graph — bit-identical to a full :func:`repro.sssp.fused.fused_delta_stepping`
 recompute — while touching only the region the updates actually reach.
-The repair waves are the same light/heavy bucket machinery as the fused
-solver (the stepping-algorithm view of Dong et al. 2021); what changes is
-the seeding, following the dynamic-SSSP decomposition of SSSP-Del
+The repair waves are the fused solver's own Δ-bucket loop, reached as
+the ``delta`` stepper's :meth:`~repro.stepping.Stepper.resolve` (the
+stepping-algorithm view of Dong et al. 2021); what changes is the
+seeding, following the dynamic-SSSP decomposition of SSSP-Del
 (Javanrood & Ripeanu):
 
 - **decrease-only batches** (inserts, weight decreases): the cached
@@ -43,10 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import gather_candidates, min_by_target, workspace_for
 from ..sssp.delta import choose_delta
-from ..sssp.fused import split_csr_light_heavy
 from ..sssp.result import INF
+from ..stepping import resolve_stepper_spec
 from .mutations import AppliedUpdates
 
 __all__ = ["RepairResult", "repair_sssp", "affected_vertices"]
@@ -200,20 +200,22 @@ def repair_sssp(
     updates:
         The :class:`AppliedUpdates` record of the batch.
     delta:
-        Bucket width for the repair waves (``None``: auto-chosen on the
-        new graph).  Any positive Δ yields the same distances.
+        Bucket width for the ``delta`` stepper's repair waves (``None``:
+        auto-chosen on the new graph); other steppers pick their own
+        knobs.  Any positive Δ yields the same distances.
     validate:
         Also run the full recompute and raise ``RuntimeError`` on any
         mismatch (for tests and paranoid callers).
     stepper:
-        Run the repair waves on a :data:`repro.stepping.STEPPERS`
-        algorithm instead of the built-in Δ-bucket loop — any member
-        whose ``supports_resolve`` is true (``"rho"``, ``"radius"``,
-        ``"delta-star"``, ``"sharded"``; specs with params like
-        ``"sharded(shards=4)"`` are accepted).  The seeded state is
-        identical either way; only the re-relaxation schedule changes,
-        so the repaired distances do not.  ``None`` (and ``"delta"``)
-        keep the built-in loop.
+        The :data:`repro.stepping.STEPPERS` member whose
+        :meth:`~repro.stepping.Stepper.resolve` runs the repair waves —
+        any member whose ``supports_resolve`` is true (``"delta"``,
+        ``"rho"``, ``"radius"``, ``"delta-star"``, ``"sharded"``; specs
+        with params like ``"sharded(shards=4)"`` are accepted).
+        ``None`` means ``"delta"``, the fused solver's bucket loop, run
+        at this repair's *delta*.  The seeded state is identical for
+        every stepper; only the re-relaxation schedule changes, so the
+        repaired distances do not.
     recorder:
         A truthy :class:`repro.obs.Recorder` wraps the repair in a
         ``repair`` span (mode, affected, seeds, phases as args),
@@ -269,7 +271,7 @@ def _repair_sssp(
     if delta <= 0:
         raise ValueError("delta must be positive")
 
-    counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
+    work = {"steps": 0, "phases": 0, "relaxations": 0, "updates": 0}
     dirty = np.zeros(n, dtype=bool)
     mode = "noop"
     affected_count = 0
@@ -316,71 +318,18 @@ def _repair_sssp(
 
     seed_count = int(dirty.sum())
 
-    # -- repair waves: dirty-driven re-relaxation ---------------------------
-    if dirty.any() and stepper not in (None, "delta"):
-        # tuned-stepper repair: the seeded (d, dirty) state is exactly the
-        # resolve() contract of the stepping framework
-        from ..stepping import resolve_stepper_spec
-
-        s, params = resolve_stepper_spec(stepper)
-        if not s.supports_resolve:
+    # -- repair waves: (d, dirty) is exactly a stepper's resolve() input --
+    if dirty.any():
+        algo, params = resolve_stepper_spec(stepper or "delta")
+        if not algo.supports_resolve:
             raise ValueError(
                 f"stepper {stepper!r} cannot run seeded repair (no resolve support)"
             )
+        if algo.name == "delta":  # the other steppers pick their own knobs
+            params = {"delta": delta, **params}
         if recorder:
             params = {**params, "recorder": recorder}
-        c = s.resolve(graph, d, dirty, **params)
-        counters["buckets"] += c["steps"]
-        counters["phases"] += c["phases"]
-        counters["relaxations"] += c["relaxations"]
-        counters["updates"] += c["updates"]
-    elif dirty.any():
-        (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(graph, delta)
-        ws = workspace_for(graph)
-
-        def relax(indptr, indices, weights, frontier):
-            targets, dists = gather_candidates(indptr, indices, weights, frontier, d, ws)
-            if targets is None:
-                return np.empty(0, dtype=np.int64)
-            counters["relaxations"] += len(targets)
-            uts, ubest = min_by_target(targets, dists, workspace=ws)
-            improved = ubest < d[uts]
-            uts, ubest = uts[improved], ubest[improved]
-            counters["updates"] += len(uts)
-            d[uts] = ubest
-            return uts
-
-        settled_set = np.zeros(n, dtype=bool)
-        i = 0
-        while True:
-            rem = dirty & np.isfinite(d)
-            if not rem.any():
-                break
-            i = max(i, int(d[rem].min() // delta))
-            lo, hi = i * delta, (i + 1) * delta
-            counters["buckets"] += 1
-            in_bucket = rem & (d >= lo) & (d < hi)
-            frontier = np.nonzero(in_bucket)[0]
-            dirty[frontier] = False
-            settled_set[:] = False
-            while len(frontier):
-                counters["phases"] += 1
-                settled_set[frontier] = True
-                newly = relax(ALp, ALi, ALw, frontier)
-                if len(newly) == 0:
-                    break
-                in_cur = (d[newly] >= lo) & (d[newly] < hi)
-                frontier = newly[in_cur]
-                # re-entrants are being handled now — clear any pending
-                # dirty flag or the outer loop would wait on them forever
-                dirty[frontier] = False
-                dirty[newly[~in_cur]] = True
-            settled = np.nonzero(settled_set)[0]
-            if len(settled):
-                counters["phases"] += 1
-                newly = relax(AHp, AHi, AHw, settled)
-                dirty[newly] = True
-            i += 1
+        work = algo.resolve(graph, d, dirty, **params)
 
     if validate:
         from ..sssp.fused import fused_delta_stepping
@@ -400,8 +349,8 @@ def _repair_sssp(
         mode=mode,
         affected=affected_count,
         seeds=seed_count,
-        buckets=counters["buckets"],
-        phases=counters["phases"],
-        relaxations=counters["relaxations"],
-        updates=counters["updates"],
+        buckets=work["steps"],
+        phases=work["phases"],
+        relaxations=work["relaxations"],
+        updates=work["updates"],
     )

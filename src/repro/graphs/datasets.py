@@ -6,9 +6,9 @@ symmetric and undirected graphs with unit edge weights", spanning node
 counts over several orders of magnitude (Fig. 3's secondary axis).  This
 environment has no network access, so each catalog entry regenerates the
 *family* of a named SNAP/GraphChallenge dataset — degree distribution and
-scale — with a deterministic seeded generator (substitution documented in
-DESIGN.md §2).  Real files, when available, can be loaded with
-:mod:`repro.graphs.io` and used identically.
+scale — with a deterministic seeded generator from
+:mod:`repro.graphs.generators`.  Real files, when available, can be
+loaded with :mod:`repro.graphs.io` and used identically.
 
 Suites
 ------

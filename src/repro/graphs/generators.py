@@ -1,4 +1,4 @@
-"""Synthetic graph generators (the dataset substitute — see DESIGN.md §2).
+"""Synthetic graph generators: the dataset substitute behind :mod:`repro.graphs.datasets`.
 
 The paper evaluates on SNAP / GraphChallenge graphs: symmetric, undirected,
 unit weights, node counts spanning several orders of magnitude.  Without

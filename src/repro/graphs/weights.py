@@ -1,10 +1,11 @@
 """Edge-weight assignment.
 
 The paper's evaluation uses unit weights (and Δ=1); the Δ-sweep ablation
-(ABL-DELTA in DESIGN.md) needs real-valued weights.  Weights are derived
-from a *hash of the canonical edge key*, not from a sequential RNG stream,
-so that (a) an undirected edge gets the same weight in both stored
-orientations and (b) the assignment is independent of edge storage order.
+(ABL-DELTA, ``benchmarks/bench_delta_sweep.py``) needs real-valued
+weights.  Weights are derived from a *hash of the canonical edge key*,
+not from a sequential RNG stream, so that (a) an undirected edge gets
+the same weight in both stored orientations and (b) the assignment is
+independent of edge storage order.
 """
 
 from __future__ import annotations

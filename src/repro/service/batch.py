@@ -15,14 +15,14 @@ Two native engines, each named by the
 
 - ``delta`` → :func:`batch_fused_delta_stepping` (default) — the
   throughput engine.  State is one flattened dense array over the K×n
-  key space (``key = k·n + v``); each wave expands CSR rows for every
-  (row, frontier-vertex) pair, offsets targets into the owning source's
-  row, and **scatter-mins** the candidates into a reusable dense request
-  buffer (``np.minimum.at`` — an indexed ufunc loop, linear in
-  candidates, no per-wave sort).  The
-  single-source fused kernel pays a sort per wave to group candidates;
-  the batch engine replaces it with O(candidates) scatter against the
-  dense key space that batching makes affordable.
+  key space (``key = k·n + v``), and the engine runs the single-source
+  solver's own Δ-bucket loop (:func:`repro.sssp.fused.run_buckets`)
+  seeded with the K source keys ``k·n + s_k``.  The one batch-specific
+  piece is an int32 row-offset gather that expands each key's CSR row
+  and keeps its targets in the key's own row; the loop's per-target
+  min runs the ``scatter`` kernel over the K·n key space by default.
+  A one-source batch therefore walks exactly the single-source
+  schedule, counters included.
 - ``graphblas`` → :func:`batch_graphblas_delta_stepping` — the
   linear-algebraic form, written call-by-call with
   :mod:`repro.graphblas.operations` matrix kernels (``mxm`` with the
@@ -33,11 +33,12 @@ Two native engines, each named by the
 Every other registered stepper batches as K independent solves
 (:func:`batch_stepper_loop`).
 
-Bucket synchronization: all K sources share the global bucket index
-``i`` (bucket = ``[iΔ, (i+1)Δ)``).  Relaxations never cross rows, so each
-row's bucket sequence is identical to its own single-source run; sources
-with nothing in bucket ``i`` simply contribute no frontier entries and
-wait.  Distances are therefore *exactly* those of K independent runs.
+Bucket synchronization: all K sources share one bucket queue, so they
+share the global bucket index ``i`` (bucket = ``[iΔ, (i+1)Δ)``).
+Relaxations never cross rows, so each row's bucket sequence is identical
+to its own single-source run; sources with nothing in bucket ``i``
+simply contribute no frontier entries and wait.  Distances are therefore
+*exactly* those of K independent runs.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import RelaxWorkspace, check_kernel, min_by_target
+from ..kernels import RelaxWorkspace, check_kernel
 from ..sssp.delta import choose_delta
-from ..sssp.fused import split_csr_light_heavy
+from ..sssp.fused import run_buckets, split_csr_light_heavy
 from ..sssp.result import INF, SSSPResult
 
 __all__ = [
@@ -63,10 +64,6 @@ __all__ = [
 #: flattened K·n state-size guard — past this, chunk the sources instead
 #: (the service planner does; see :mod:`repro.service.planner`)
 MAX_STATE_ENTRIES = 1 << 27
-
-#: shared empty frontier for the batch relax's edgeless-wave return (the
-#: ``hot-loop-alloc`` rule's module-constant whitelist pattern)
-_EMPTY_V = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -128,20 +125,20 @@ def _check_sources(graph: Graph, sources) -> np.ndarray:
 def batch_fused_delta_stepping(
     graph: Graph, sources, delta: float = 1.0, kernel: str = "scatter"
 ) -> BatchSSSPResult:
-    """Fused batch engine: scatter-min relaxation waves on the K·n key space.
+    """Fused batch engine: the shared Δ-bucket loop on the K·n key space.
 
     All state lives in one flat ``float64`` array of length K·n indexed
-    by ``key = k·n + v``; relaxation targets stay inside the owning row
-    (``k·n + neighbor``), so one pass of the shared scatter-min kernel
-    (:func:`repro.kernels.min_by_target_scatter`, backed by a
-    :class:`~repro.kernels.RelaxWorkspace` sized to the flattened state)
-    resolves the requests of all K searches at once.  The workspace's
-    request buffer is allocated once and only its touched keys are reset
-    after each wave, keeping every wave linear in its candidate count;
-    the kernel's internal thin-wave compaction replaces a full-state
-    scan with a sorted-unique when a wave is sparse.  *kernel* defaults
-    to ``scatter`` (the batching win); ``argsort``/``auto`` are accepted
-    for parity with the single-source engines.
+    by ``key = k·n + v``.  The engine seeds :func:`repro.sssp.fused.run_buckets`
+    (the single-source solver's loop) with the K keys ``k·n + s_k`` and
+    hands it one thing of its own: an int32 row-offset gather that
+    expands each key's CSR row and offsets the targets into the owning
+    row (``k·n + neighbor``), so relaxations never cross rows.  One pass
+    of the shared per-target min kernel — by default
+    :func:`repro.kernels.min_by_target_scatter`, backed by a
+    :class:`~repro.kernels.RelaxWorkspace` sized to the flattened state —
+    then resolves the requests of all K searches at once.  *kernel*
+    defaults to ``scatter`` (the batching win); ``argsort``/``auto`` are
+    accepted for parity with the single-source engines.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -157,27 +154,20 @@ def batch_fused_delta_stepping(
     (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(graph, delta)
     # K·n ≤ MAX_STATE_ENTRIES < 2^31, so int32 keys are safe and halve the
     # index traffic of the expansion (the hot path's memory bound)
-    ALi32, AHi32 = ALi.astype(np.int32), AHi.astype(np.int32)
-
-    t = np.full(K * n, INF, dtype=np.float64)
-    t[np.arange(K, dtype=np.int64) * n + src] = 0.0
-    ws = RelaxWorkspace(K * n)  # request buffer + touched mask, reused per wave
-    in_bucket = np.zeros(K * n, dtype=bool)
-    settled_set = np.zeros(K * n, dtype=bool)
+    split = (ALp, ALi.astype(np.int32), ALw), (AHp, AHi.astype(np.int32), AHw)
     # shared 0..total ramp, grown on demand (a wave's total can reach K·E);
     # kept int32 here — half the index traffic of the workspace's int64 ramp
     iota = [np.arange(max(len(ALi), len(AHi), 1), dtype=np.int32)]
-    counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
 
     # repro: hot
-    def relax(indptr, indices, weights, frontier, lo, hi, track_bucket):
+    def gather(indptr, indices, weights, frontier, t, workspace):
         verts = frontier % n
         base = (frontier - verts).astype(np.int32)  # k·n offset of each entry's row
         starts = indptr[verts].astype(np.int32)
         lengths = (indptr[verts + 1] - indptr[verts]).astype(np.int32)
         total = int(lengths.sum())
         if total == 0:
-            return _EMPTY_V
+            return None, None
         if total >= 2**31:  # pragma: no cover - int32 expansion guard
             raise ValueError("relaxation wave too large; reduce the batch size")
         if total > len(iota[0]):
@@ -186,48 +176,21 @@ def batch_fused_delta_stepping(
         offsets = np.repeat(np.cumsum(lengths, dtype=np.int32) - lengths, lengths)
         flat = iota[0][:total] - offsets + np.repeat(starts, lengths)
         targets = np.repeat(base, lengths) + indices[flat]
-        dists = np.repeat(t[frontier], lengths) + weights[flat]
-        counters["relaxations"] += total
-        # tReq = A' (min.+) frontier — the shared per-target min kernel
-        # over the dense key space (batching makes the buffer pay rent)
-        uts, ubest = min_by_target(targets, dists, workspace=ws, kernel=kernel)
-        improved = ubest < t[uts]
-        uts, ubest = uts[improved], ubest[improved]
-        counters["updates"] += len(uts)
-        t[uts] = ubest
-        if track_bucket:
-            reenter = (ubest >= lo) & (ubest < hi)
-            return uts[reenter]
-        return uts
+        return targets, np.repeat(t[frontier], lengths) + weights[flat]
 
-    i = 0
-    while True:
-        finite = np.isfinite(t)
-        remaining = finite & (t >= i * delta)
-        if not remaining.any():
-            break
-        i = max(i, int(t[remaining].min() // delta))
-        lo, hi = i * delta, (i + 1) * delta
-        counters["buckets"] += 1
-        np.logical_and(t >= lo, t < hi, out=in_bucket)
-        frontier = np.nonzero(in_bucket)[0]
-        settled_set[:] = False
-        while len(frontier):
-            counters["phases"] += 1
-            settled_set[frontier] = True
-            frontier = relax(ALp, ALi32, ALw, frontier, lo, hi, track_bucket=True)
-        settled = np.nonzero(settled_set)[0]
-        if len(settled):
-            counters["phases"] += 1
-            relax(AHp, AHi32, AHw, settled, lo, hi, track_bucket=False)
-        i += 1
-
+    t = np.full(K * n, INF, dtype=np.float64)
+    keys = np.arange(K, dtype=np.int64) * n + src
+    t[keys] = 0.0
+    # request buffer + touched mask over the flattened state, reused per wave
+    counters = run_buckets(
+        split, t, keys, delta, kernel=kernel, workspace=RelaxWorkspace(K * n), gather=gather
+    )
     return BatchSSSPResult(
         distances=t.reshape(K, n),
         sources=src,
         delta=delta,
         method="batch-fused",
-        buckets_processed=counters["buckets"],
+        buckets_processed=counters["steps"],
         phases=counters["phases"],
         relaxations=counters["relaxations"],
         updates=counters["updates"],

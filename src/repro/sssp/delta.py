@@ -5,7 +5,8 @@ makes delta-stepping "analogous to the original Dijkstra's algorithm"
 (every bucket is a single distance level).  For weighted graphs the
 choice trades work against parallelism — Meyer & Sanders suggest
 Δ = Θ(1/d) for maximum degree d under random uniform weights.  These
-heuristics back the Δ-sweep ablation (ABL-DELTA in DESIGN.md).
+heuristics back the Δ-sweep ablation (ABL-DELTA,
+``benchmarks/bench_delta_sweep.py``).
 """
 
 from __future__ import annotations

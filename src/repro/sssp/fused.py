@@ -31,8 +31,12 @@ object from the hot loop.  The primitives themselves live in
   additionally count phantom empty buckets at misrounded float
   boundaries.)
 
+That loop, :func:`run_buckets`, is shared: the solve seeds ``{source}``,
+repair seeds a dirty set (through :func:`fused_resolve`) and the fused
+batch engine seeds ``k·n + s_k``.
+
 Both paper fusions stay independently toggleable so the fusion ablation
-(ABL-FUSE in DESIGN.md) can attribute the speedup:
+(``benchmarks/bench_fusion_ablation.py``) can attribute the speedup:
 
 - ``fuse_relax=False`` materializes ``tReq``/``tless``/``tB`` as full
   dense temporaries with one pass each (the unfused op sequence, minus
@@ -62,10 +66,13 @@ from ..kernels import (
     min_by_target,
     workspace_for,
 )
+from ..kernels.bucketq import sort_unique
 from .result import INF, SSSPResult
 
 __all__ = [
     "fused_delta_stepping",
+    "fused_resolve",
+    "run_buckets",
     "split_csr_light_heavy",
     "build_light_csr",
     "build_heavy_csr",
@@ -153,38 +160,87 @@ def fused_delta_stepping(
     totals can't show.  Recording never changes the schedule or the
     distances.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
-    check_kernel(kernel)
-    ws = workspace if workspace is not None else workspace_for(graph)
-
-    (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(
-        graph, delta, fused=fuse_matrix_split, recorder=recorder
-    )
-
     t = np.full(n, INF, dtype=np.float64)
     t[source] = 0.0
+    active = np.zeros(n, dtype=bool)
+    active[source] = True
+    c = fused_resolve(
+        graph, t, active, delta, fuse_relax, fuse_matrix_split, kernel, workspace, recorder
+    )
+    return SSSPResult(
+        distances=t,
+        source=source,
+        delta=delta,
+        method="fused",
+        buckets_processed=c["steps"],
+        phases=c["phases"],
+        relaxations=c["relaxations"],
+        updates=c["updates"],
+    )
+
+
+def fused_resolve(
+    graph: Graph, dist: np.ndarray, active: np.ndarray, delta: float = 1.0,
+    fuse_relax: bool = True, fuse_matrix_split: bool = True, kernel: str = "auto",
+    workspace: RelaxWorkspace | None = None, recorder=None,
+) -> dict[str, int]:
+    """The ``delta`` stepper's :meth:`~repro.stepping.Stepper.resolve`:
+    :func:`run_buckets` over *graph*'s light/heavy split, seeded with
+    every *active* vertex of finite *dist* (*active* is consumed)."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    check_kernel(kernel)
+    split = split_csr_light_heavy(graph, delta, fused=fuse_matrix_split, recorder=recorder)
+    seeds = np.flatnonzero(active & np.isfinite(dist))
+    active[:] = False
+    ws = workspace if workspace is not None else workspace_for(graph)
+    return run_buckets(
+        split, dist, seeds, delta, kernel, ws, fuse_relax=fuse_relax, recorder=recorder
+    )
+
+
+def run_buckets(
+    split, t: np.ndarray, seeds: np.ndarray, delta: float, kernel: str = "auto",
+    workspace: RelaxWorkspace | None = None, gather=None, fuse_relax: bool = True,
+    recorder=None,
+) -> dict[str, int]:
+    """The §VI.B light/heavy bucket loop, run from *seeds* to quiescence.
+
+    *split* is the ``(A_L, A_H)`` CSR pair and *t* the distances over
+    the key space (updated in place).  A :class:`~repro.kernels.BucketQueue`
+    hands out each non-empty bucket; light phases run until it is
+    quiescent, then one heavy phase relaxes its settled set.  Returns the
+    stepper counters (``steps`` are buckets).  *gather* replaces
+    :func:`~repro.kernels.gather_candidates` (the batch engine passes one
+    that maps ``k·n + v`` keys onto the CSR); ``fuse_relax=False`` is the
+    unfused ablation (dense full-length temporaries, one pass per op).
+    """
+    (ALp, ALi, ALw), (AHp, AHi, AHw) = split
+    # module globals resolved per call, so run-time wrappers (perf/tracer.py)
+    # see every wave
+    gather = gather_candidates if gather is None else gather
+    n = len(t)
     # dense scratch for the unfused ablation only; the fused relax needs
     # no full-length temporaries at all
     in_bucket = np.zeros(n, dtype=bool) if not fuse_relax else None
-    counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
+    counters = {"steps": 0, "phases": 0, "relaxations": 0, "updates": 0}
     bq = BucketQueue(delta)
-    bq.push(np.array([source], dtype=np.int64), np.array([0.0]))
+    bq.push(seeds, t[seeds])
 
     def relax_unfused(indptr, indices, weights, frontier, lo, hi, track_bucket):
         """Unfused variant: full-length dense temporaries, one op per pass
         (the op-by-op shape of Fig. 2, on dense storage)."""
-        targets, dists = gather_candidates(indptr, indices, weights, frontier, t, ws)
+        targets, dists = gather(indptr, indices, weights, frontier, t, workspace)
         if targets is None:
             return np.empty(0, dtype=np.int64)
         counters["relaxations"] += len(targets)
         # tReq materialized densely (the vxm output temporary)
         with recorder.span("relax:tReq") if recorder else _NO_SPAN:
             tReq = np.full(n, INF, dtype=np.float64)
-            uts, ubest = min_by_target(targets, dists, workspace=ws, kernel=kernel)
+            uts, ubest = min_by_target(targets, dists, workspace=workspace, kernel=kernel)
             tReq[uts] = ubest
         # tless = tReq < t (full-vector pass)
         with recorder.span("relax:tless") if recorder else _NO_SPAN:
@@ -216,11 +272,11 @@ def fused_delta_stepping(
         one pass, no dense temporaries."""
         with (recorder.span("relax:fused", kernel=kernel, wave=int(len(frontier)))
               if recorder else _NO_SPAN):
-            targets, dists = gather_candidates(indptr, indices, weights, frontier, t, ws)
+            targets, dists = gather(indptr, indices, weights, frontier, t, workspace)
             if targets is None:
                 return _EMPTY_V
             counters["relaxations"] += len(targets)
-            uts, ubest = min_by_target(targets, dists, workspace=ws, kernel=kernel)
+            uts, ubest = min_by_target(targets, dists, workspace=workspace, kernel=kernel)
             improved = ubest < t[uts]
             uts = uts[improved]
             ubest = ubest[improved]
@@ -246,7 +302,7 @@ def fused_delta_stepping(
             if i is None:
                 break
             lo, hi = i * delta, (i + 1) * delta
-        counters["buckets"] += 1
+        counters["steps"] += 1
         bspan = None
         if recorder:
             p0 = counters["phases"]
@@ -264,25 +320,15 @@ def fused_delta_stepping(
             # frontier unless their distance actually dropped into range —
             # relax() guarantees improvement, so re-entry is correct.
         with recorder.span("filter:settled") if recorder else _NO_SPAN:
-            if len(settled_chunks) <= 1:
+            if len(settled_chunks) == 1:
                 # a phase frontier is already unique and ascending
-                settled = settled_chunks[0] if settled_chunks else np.empty(0, dtype=np.int64)
+                settled = settled_chunks[0]
             else:
-                settled = np.unique(np.concatenate(settled_chunks))
-        if len(settled):
-            counters["phases"] += 1
-            relax(AHp, AHi, AHw, settled, lo, hi, track_bucket=False)
+                settled = sort_unique(np.concatenate(settled_chunks))
+        counters["phases"] += 1
+        relax(AHp, AHi, AHw, settled, lo, hi, track_bucket=False)
         if bspan is not None:
             bspan.set(phases=counters["phases"] - p0, settled=int(len(settled)))
             bspan.__exit__(None, None, None)
 
-    return SSSPResult(
-        distances=t,
-        source=source,
-        delta=delta,
-        method="fused",
-        buckets_processed=counters["buckets"],
-        phases=counters["phases"],
-        relaxations=counters["relaxations"],
-        updates=counters["updates"],
-    )
+    return counters

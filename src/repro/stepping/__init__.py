@@ -48,7 +48,7 @@ The paper's five formulations are registered alongside the new steppers
 from __future__ import annotations
 
 from ..sssp.capi_sssp import capi_delta_stepping
-from ..sssp.fused import fused_delta_stepping
+from ..sssp.fused import fused_delta_stepping, fused_resolve
 from ..sssp.graphblas_sssp import graphblas_delta_stepping
 from ..sssp.meyer_sanders import meyer_sanders_delta_stepping
 from ..sssp.parallel import parallel_delta_stepping
@@ -125,6 +125,7 @@ register_stepper(FunctionStepper(
     kernel_capable=True,  # "delta(kernel=scatter)" pins the min-by-target kernel
     recorder_capable=True,  # emits per-bucket spans and its §VI.C stages
     batch_engine="batch_fused_delta_stepping",
+    resolve=fused_resolve,  # the same bucket loop, seeded (incremental repair)
 ))
 register_stepper(FunctionStepper(
     "graphblas", graphblas_delta_stepping,

@@ -245,8 +245,10 @@ class FunctionStepper(Stepper):
     paper's formulations, Dijkstra, Bellman–Ford …) so the auto-tuner
     and the CLI can treat the whole portfolio uniformly.  A ``delta`` of
     ``None`` (the default of every Δ-stepping formulation) resolves
-    through :func:`repro.sssp.delta.choose_delta`.  ``resolve`` is
-    unavailable: these implementations own their seeding.
+    through :func:`repro.sssp.delta.choose_delta`.  ``resolve`` needs
+    a *resolve* callable with the :meth:`Stepper.resolve` signature
+    (``delta`` passes :func:`repro.sssp.fused.fused_resolve`); without
+    one the wrapped implementation owns its seeding.
     """
 
     kind = "legacy"
@@ -262,10 +264,13 @@ class FunctionStepper(Stepper):
         kernel_capable: bool = False,
         recorder_capable: bool = False,
         batch_engine: str | None = None,
+        resolve: Callable[..., dict[str, Any]] | None = None,
     ) -> None:
         self.name = name
         self.description = description
         self._fn = fn
+        self._resolve = resolve
+        self.supports_resolve = resolve is not None
         self._defaults = dict(defaults or {})
         self.kernel_capable = kernel_capable
         self.batch_engine = batch_engine
@@ -274,17 +279,29 @@ class FunctionStepper(Stepper):
         #: either way a recording run gets one whole-solve span
         self.recorder_capable = recorder_capable
 
-    def solve(self, graph: Graph, source: int, **params: Any) -> SSSPResult:
+    def _kwargs(self, graph: Graph, params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
+        """Call keywords (defaults, auto Δ, the recorder if capable) and the recorder."""
         kw = {**self._defaults, **params}
         if "delta" in kw and kw["delta"] is None:
             kw["delta"] = choose_delta(graph)
         recorder = kw.pop("recorder", None)
+        if recorder and self.recorder_capable:
+            kw["recorder"] = recorder
+        return kw, recorder
+
+    def solve(self, graph: Graph, source: int, **params: Any) -> SSSPResult:
+        kw, recorder = self._kwargs(graph, params)
         if not recorder:
             return self._fn(graph, source, **kw)
-        if self.recorder_capable:
-            kw["recorder"] = recorder
         with recorder.span(f"solve:{self.name}", stepper=self.name, source=int(source)):
             return self._fn(graph, source, **kw)
+
+    def resolve(
+        self, graph: Graph, dist: NDArray[np.float64], active: NDArray[np.bool_], **params: Any
+    ) -> dict[str, Any]:
+        if self._resolve is None:
+            return super().resolve(graph, dist, active, **params)
+        return self._resolve(graph, dist, active, **self._kwargs(graph, params)[0])
 
     def default_params(self, graph: Graph) -> dict[str, Any]:
         return dict(self._defaults)

@@ -96,6 +96,13 @@ class TestScenarios:
         rep = _check(g, 0, d0, applied)
         assert rep.mode == "general"
         assert not np.isfinite(rep.distances[1])
+        # the chain 0 -> 1 -> 2 puts vertex 1 at distance exactly 0
+        chain = Graph.from_edges([0, 1], [1, 2], [0.0, 0.5], n=3)
+        d0 = _solve(chain)
+        applied = apply_edge_updates(chain, reweights=[(1, 2, 2.0)])
+        rep = _check(chain, 0, d0, applied)
+        assert rep.mode == "general"
+        assert np.array_equal(rep.distances, [0.0, 0.0, 2.0])
 
     def test_noop_batch(self, diamond_graph):
         d0 = _solve(diamond_graph)

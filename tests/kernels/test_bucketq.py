@@ -10,6 +10,26 @@ def _arr(*xs):
     return np.asarray(xs, dtype=np.int64)
 
 
+def _batch_and_repair_match_dijkstra(g, delta, reweights):
+    """The other callers of the shared bucket loop, against Dijkstra: the
+    batch engine's rows over sources [0, 0, 3], then a repair from
+    source 0 after the *reweights* batch."""
+    from repro.dynamic import apply_edge_updates, repair_sssp
+    from repro.service.batch import batch_fused_delta_stepping
+    from repro.sssp.reference import dijkstra
+
+    sources = [0, 0, 3]
+    for kernel in ("argsort", "scatter"):
+        rows = batch_fused_delta_stepping(g, sources, delta, kernel=kernel).distances
+        for row, s in zip(rows, sources):
+            assert np.array_equal(row, dijkstra(g, s).distances), (delta, kernel, s)
+    g = g.copy()
+    d0 = dijkstra(g, 0).distances
+    applied = apply_edge_updates(g, reweights=reweights)
+    rep = repair_sssp(g, 0, d0, applied, delta=delta)
+    assert np.array_equal(rep.distances, dijkstra(g, 0).distances), (delta, reweights)
+
+
 class TestBasics:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
@@ -128,11 +148,13 @@ class TestUlpBoundaryRegression:
         from repro.sssp.fused import fused_delta_stepping
         from repro.sssp.reference import dijkstra
 
-        g = Graph.from_edges([0, 1], [1, 2], [1.455986969276348e17, 1.0], n=3)
+        # vertex 3 is isolated: a batch row whose search ends at its source
+        g = Graph.from_edges([0, 1], [1, 2], [1.455986969276348e17, 1.0], n=4)
         oracle = dijkstra(g, 0).distances
         for kernel in ("argsort", "scatter"):
             r = fused_delta_stepping(g, 0, 6.405920704482398, kernel=kernel)
             assert np.array_equal(r.distances, oracle)
+        _batch_and_repair_match_dijkstra(g, 6.405920704482398, [(1, 2, 64.0)])
 
     def test_queue_level_ulp_starved_push_pop(self):
         d = np.array([1.455986969276348e17])
@@ -170,6 +192,7 @@ class TestUlpBoundaryRegression:
         from repro.sssp.reference import dijkstra
 
         rng = np.random.default_rng(5)
+        pick_rng = np.random.default_rng(6)  # its own stream: rng draws the same 25 graphs
         for _ in range(25):
             m = 150
             g = Graph.from_edges(
@@ -181,6 +204,10 @@ class TestUlpBoundaryRegression:
             for kernel in ("argsort", "scatter"):
                 r = fused_delta_stepping(g, 0, delta, kernel=kernel)
                 assert np.array_equal(r.distances, oracle), (delta, kernel)
+            tails = g.row_sources()
+            pick = pick_rng.choice(g.num_edges, size=3, replace=False)
+            reweights = (tails[pick], g.indices[pick], pick_rng.uniform(0.0, 16.0, size=3))
+            _batch_and_repair_match_dijkstra(g, delta, reweights)
 
 
 class TestBoundaryPlacement:

@@ -15,6 +15,11 @@ from repro.sssp import dijkstra, fused_delta_stepping
 from repro.sssp.delta import choose_delta
 
 
+def _work(r):
+    """The work counters a batch and a single-source result share."""
+    return r.buckets_processed, r.phases, r.relaxations, r.updates
+
+
 class TestBatchMatchesDijkstra:
     @pytest.mark.parametrize("name", ["ci-ba", "ci-rmat", "ci-road", "ci-ws", "ci-er"])
     def test_ci_suite_unit_weights(self, name):
@@ -25,17 +30,19 @@ class TestBatchMatchesDijkstra:
         for k, s in enumerate(sources):
             oracle = dijkstra(g, int(s)).distances
             assert np.array_equal(res.distances[k], oracle), f"{name} row {k}"
+        one = batch_delta_stepping(g, sources[:1])
+        assert _work(one) == _work(fused_delta_stepping(g, int(sources[0]), one.delta))
 
     def test_weighted_graph(self, random_weighted_graph):
-        g = random_weighted_graph
-        sources = [0, 5, 17, 99]
-        res = batch_delta_stepping(g, sources, delta=0.3)
-        for k, s in enumerate(sources):
-            oracle = dijkstra(g, s).distances
-            assert np.allclose(res.distances[k], oracle)
-            assert np.array_equal(
-                np.isfinite(res.distances[k]), np.isfinite(oracle)
-            )
+        # the zero-weight chain 0 -> 1 -> 2 puts vertex 1 at distance exactly 0
+        chain = Graph.from_edges([0, 1], [1, 2], [0.0, 0.5], n=3)
+        for g, sources, delta in [
+            (random_weighted_graph, [0, 5, 17, 99], 0.3),
+            (chain, [0, 0, 1, 2], 0.25),
+        ]:
+            res = batch_delta_stepping(g, sources, delta=delta)
+            for k, s in enumerate(sources):
+                assert np.array_equal(res.distances[k], dijkstra(g, s).distances), (k, s)
 
     def test_graphblas_engine_matches(self, diamond_graph):
         res = batch_graphblas_delta_stepping(diamond_graph, [0, 1, 3], 1.0)
@@ -59,6 +66,9 @@ class TestBatchMatchesDijkstra:
         for k, s in enumerate(sources):
             single = fused_delta_stepping(grid_graph, s, 1.0)
             assert np.array_equal(res.distances[k], single.distances)
+            # a one-source batch runs the single-source loop's schedule
+            one = batch_delta_stepping(grid_graph, [s], delta=1.0)
+            assert _work(one) == _work(single), s
 
 
 class TestBatchShape:

@@ -135,7 +135,7 @@ class TestServiceStepping:
 
 
 class TestSteppedRepair:
-    @pytest.mark.parametrize("stepper", ["rho", "radius", "delta-star"])
+    @pytest.mark.parametrize("stepper", ["rho", "radius", "delta-star", "delta"])
     def test_repair_on_stepper_bit_identical(self, stepper):
         g = datasets.load("ci-ws", weights="uniform", seed=3).copy()
         d0 = fused_delta_stepping(g, 0, 1.0).distances
@@ -147,6 +147,13 @@ class TestSteppedRepair:
         repaired = repair_sssp(g, 0, d0, applied, stepper=stepper)
         oracle = fused_delta_stepping(g, 0, 1.0).distances
         assert np.array_equal(repaired.distances, oracle)
+        if stepper == "delta":
+            # the default repair is the delta stepper's resolve, work and all
+            default = repair_sssp(g, 0, d0, applied, stepper=None)
+            assert np.array_equal(repaired.distances, default.distances)
+            work = ("delta", "mode", "affected", "seeds", "buckets", "phases",
+                    "relaxations", "updates")
+            assert [getattr(repaired, f) for f in work] == [getattr(default, f) for f in work]
 
     def test_repair_rejects_resolve_free_stepper(self, diamond_graph):
         g = diamond_graph.copy()

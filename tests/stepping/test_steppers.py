@@ -170,7 +170,7 @@ class TestResolveContract:
         """resolve() continues from arbitrary seeded state — the dynamic
         repair entry point."""
         n = diamond_graph.num_vertices
-        for name in NEW_STEPPERS:
+        for name in (*NEW_STEPPERS, "delta"):
             d = np.full(n, np.inf)
             d[0] = 0.0
             active = np.zeros(n, dtype=bool)

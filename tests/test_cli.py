@@ -157,6 +157,9 @@ class TestCommands:
             assert name in out
         for name in ("auto", *DELTA_STRATEGIES):
             assert name in out
+        # delta's resolve is the seeded bucket loop incremental repair runs
+        row = next(line.split() for line in out.splitlines() if line.startswith("delta "))
+        assert row[:3] == ["delta", "legacy", "yes"]
 
     def test_run_pinned_stepper_beats_auto_flag(self, capsys):
         """--stepper with --auto: the pin wins and no tuned label is printed."""
