@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..kernels import expand_rows
 from ..sssp.delta import choose_delta
 from ..sssp.result import INF
 from ..stepping import resolve_stepper_spec
@@ -80,18 +81,6 @@ class RepairResult:
             f"RepairResult<{self.mode}: affected={self.affected}, "
             f"seeds={self.seeds}, buckets={self.buckets}, phases={self.phases}>"
         )
-
-
-def _expand_targets(indptr: np.ndarray, targets: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """All entries of *targets* in the rows of *frontier* (CSR expansion)."""
-    starts = indptr[frontier]
-    lengths = indptr[frontier + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, lengths)
-    return targets[flat]
 
 
 def affected_vertices(
@@ -151,7 +140,7 @@ def affected_vertices(
         frontier = roots[support[roots] == 0]
         aff[frontier] = True
         while len(frontier):
-            hit = _expand_targets(t_indptr, tdst, frontier)
+            hit = tdst[expand_rows(t_indptr, frontier)[0]]
             if len(hit) == 0:
                 break
             np.subtract.at(support, hit, 1)
@@ -166,7 +155,7 @@ def affected_vertices(
         aff[roots] = True
         frontier = roots
         while len(frontier):
-            hit = _expand_targets(t_indptr, tdst, frontier)
+            hit = tdst[expand_rows(t_indptr, frontier)[0]]
             newly = np.unique(hit)
             newly = newly[~aff[newly] & (newly != source)]
             aff[newly] = True

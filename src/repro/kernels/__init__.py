@@ -12,7 +12,8 @@ is built from, extracted from the per-solver copies that used to live in
                                        registry (:data:`KERNELS`), density
                                        ``auto`` pick, spec-overridable
                                        (``"delta(kernel=scatter)"``); plus
-                                       the shared CSR candidate gather
+                                       the shared CSR candidate gather and
+                                       row expansion
 :mod:`~repro.kernels.workspace`        :class:`RelaxWorkspace` — the
                                        reusable buffer arena (request
                                        vector + touched mask, wave
@@ -41,6 +42,7 @@ from .minby import (
     KERNELS,
     SCATTER_DENSITY,
     check_kernel,
+    expand_rows,
     gather_candidates,
     min_by_target,
     min_by_target_scatter,
@@ -53,6 +55,7 @@ __all__ = [
     "KERNELS",
     "SCATTER_DENSITY",
     "check_kernel",
+    "expand_rows",
     "gather_candidates",
     "min_by_target",
     "min_by_target_scatter",

@@ -49,6 +49,7 @@ __all__ = [
     "min_by_target",
     "min_by_target_sort",
     "min_by_target_scatter",
+    "expand_rows",
     "gather_candidates",
 ]
 
@@ -168,6 +169,30 @@ def min_by_target(
             raise ValueError("the scatter kernel needs a RelaxWorkspace")
         return min_by_target_scatter(targets, dists, workspace)
     return min_by_target_sort(targets, dists)
+
+
+def expand_rows(
+    indptr: NDArray[np.int64], rows: NDArray[np.int64]
+) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """CSR row expansion: ``(flat, lengths)`` for the given *rows*.
+
+    ``flat`` indexes every edge-array entry belonging to *rows*, in row
+    order; ``lengths`` is each row's edge count (so callers can
+    ``np.repeat`` per-row values across their edges).  The shared
+    expansion behind the partitioners, the shard slicer and incremental
+    repair's support walk; the relax wave's :func:`gather_candidates`
+    is its arena-backed hot twin.
+    """
+    starts = indptr[rows].astype(np.int64)
+    lengths = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), lengths
+    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    flat: NDArray[np.int64] = np.arange(total, dtype=np.int64) - offsets + np.repeat(
+        starts, lengths
+    )
+    return flat, lengths
 
 
 # repro: hot

@@ -1,10 +1,12 @@
 """Graph partitioning: vertex ownership maps and per-shard CSR slices.
 
 A *partition* assigns every vertex to exactly one shard (its **owner**);
-a shard's slice of the graph is the CSR rows of its owned vertices, with
-column ids kept **global** so a relaxation wave can tell internal targets
-(owned here) from boundary targets (owned elsewhere — these cross the
-frontier exchange, :mod:`repro.shard.exchange`).  Edge-cut quality is
+a shard's slice of the graph is a full-height CSR holding the rows of its
+owned vertices (every other row is empty), with column ids kept
+**global** — so the shared relax wave gathers out of a slice by global
+vertex id, and tells internal targets (owned here) from boundary targets
+(owned elsewhere — these cross the frontier exchange,
+:mod:`repro.shard.exchange`).  Edge-cut quality is
 what the sharded stepper pays for per step, so both partitioners balance
 *edge mass* (the CSR row costs), not vertex counts:
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import cached_row_ids
+from ..kernels import cached_row_ids, expand_rows
 from ..parallel.partition import chunk_by_cost
 
 __all__ = [
@@ -42,27 +44,7 @@ __all__ = [
     "bfs_locality_partition",
     "partition_graph",
     "shard_graph",
-    "expand_rows",
 ]
-
-
-def expand_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR row expansion: ``(flat, lengths)`` for the given *rows*.
-
-    ``flat`` indexes every edge-array entry belonging to *rows*, in row
-    order; ``lengths`` is each row's edge count (so callers can
-    ``np.repeat`` per-row values across their edges).  The one shared
-    implementation of the gather idiom this package's partitioners,
-    slicer, and stepper all run on.
-    """
-    starts = indptr[rows].astype(np.int64)
-    lengths = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), lengths
-    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, lengths)
-    return flat, lengths
 
 
 def contiguous_partition(graph: Graph, num_shards: int) -> np.ndarray:
@@ -142,11 +124,13 @@ PARTITIONERS = {
 class Shard:
     """One shard: its owned vertices and their CSR slice.
 
-    ``indptr``/``indices``/``weights`` are the CSR rows of ``owned`` (in
-    ``owned`` order) with **global** column ids; ``cut_mask`` flags the
-    slice entries whose target lives on another shard (the boundary /
-    halo edges), and ``halo`` is the sorted set of external vertices
-    those edges reach.
+    ``indptr``/``indices``/``weights`` are a full-height CSR (``indptr``
+    has ``n + 1`` entries) whose only non-empty rows are those of
+    ``owned``, with **global** column ids — the sharded step runs the
+    shared :func:`repro.stepping.base.relax_window` on it, indexing rows
+    by global vertex id.  ``cut_mask`` flags the slice entries whose
+    target lives on another shard (the boundary / halo edges), and
+    ``halo`` is the sorted set of external vertices those edges reach.
     """
 
     id: int
@@ -168,10 +152,6 @@ class Shard:
     @property
     def num_cut_edges(self) -> int:
         return int(self.cut_mask.sum())
-
-    def local_rows(self, vertices: np.ndarray) -> np.ndarray:
-        """Local row index of each (owned) global vertex id."""
-        return np.searchsorted(self.owned, vertices)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -242,11 +222,16 @@ def shard_graph(graph: Graph, owner: np.ndarray, partitioner: str = "custom") ->
         raise ValueError("owner ids must be non-negative")
     num_shards = int(owner.max()) + 1 if n else 1
     indptr, indices, weights = graph.csr()
+    deg = np.diff(indptr)
     shards = []
     for k in range(num_shards):
-        owned = np.nonzero(owner == k)[0]
-        flat, lengths = expand_rows(indptr, owned)
-        sub_indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        is_owned = owner == k
+        owned = np.nonzero(is_owned)[0]
+        flat, _ = expand_rows(indptr, owned)
+        # full height: rows of vertices owned elsewhere are empty
+        sub_indptr = np.concatenate([[0], np.cumsum(np.where(is_owned, deg, 0))]).astype(
+            np.int64
+        )
         if len(flat):
             sub_indices = indices[flat].astype(np.int64)
             sub_weights = weights[flat]

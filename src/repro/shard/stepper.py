@@ -8,10 +8,11 @@ stepping contract PR 3 fixed):
    tentative distance (the Δ*-style sliding window — every superstep is
    non-empty by construction);
 2. every shard pops its *owned* in-window frontier and runs the shared
-   relax wave over its CSR slice to local quiescence — in-window
-   improvements of internal targets re-relax immediately, out-of-window
-   ones re-activate for a later superstep, and boundary targets (owned
-   by another shard) accumulate into the shard's outbox;
+   relax core (:func:`repro.stepping.base.relax_window`) over its
+   full-height CSR slice to local quiescence — in-window improvements of
+   internal targets re-relax immediately, out-of-window ones re-activate
+   for a later superstep, and boundary targets (owned by another shard)
+   are routed into the shard's outbox;
 3. one frontier exchange per superstep routes the outboxes,
    min-combines candidates across senders, and re-activates the owners'
    improved vertices (:mod:`repro.shard.exchange`).
@@ -23,7 +24,9 @@ kernels overlap for real.  Distances still converge to the unique
 min-plus fixed point (every write is a min of ``d[u] ⊕ w`` terms, and
 IEEE min is order-independent), so the result is **bit-identical** to
 Dijkstra — the same exactness contract every other stepper carries, now
-held across partition boundaries.
+held across partition boundaries.  With one shard there is no
+boundary, and a superstep is exactly a Δ*-stepping step:
+``sharded(shards=1)`` walks Δ*'s schedule, counter for counter.
 
 ``resolve`` implements the full seeded contract, so incremental repair
 (:func:`repro.dynamic.repair_sssp`) and the batch engine dispatch to the
@@ -32,16 +35,26 @@ sharded backend unchanged.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from functools import partial
+
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import RelaxWorkspace, check_kernel, min_by_target
+from ..kernels import RelaxWorkspace, check_kernel
 from ..parallel.pool import BatchError
 from ..sssp.result import INF, SSSPResult
-from ..stepping.base import Stepper, new_counters, register_stepper
+from ..stepping.base import (
+    Stepper,
+    int_knob,
+    new_counters,
+    positive_knob,
+    register_stepper,
+    relax_window,
+)
 from ..stepping.delta_star import default_delta_star
 from .exchange import FrontierExchange, TransportFailure, make_transport
-from .partition import PARTITIONERS, ShardedGraph, expand_rows, partition_graph
+from .partition import PARTITIONERS, ShardedGraph, partition_graph
 
 __all__ = ["ShardedDeltaStepper", "sharded_delta_stepping", "default_num_shards", "sharded_view"]
 
@@ -49,6 +62,9 @@ __all__ = ["ShardedDeltaStepper", "sharded_delta_stepping", "default_num_shards"
 #: partitioner); entries are dropped when the graph's epoch moves past
 #: them, and the cache's lifetime is the graph's own
 _VIEW_CACHE_KEY = "_shard_views"
+
+#: the disabled-recorder stand-in for a ``recorder.span(...)`` context
+_NO_SPAN = nullcontext()
 
 
 def default_num_shards(graph: Graph) -> int:
@@ -71,17 +87,12 @@ def sharded_view(graph: Graph, num_shards: int, partitioner: str) -> ShardedGrap
     views = graph.meta.setdefault(_VIEW_CACHE_KEY, {})
     key = (num_shards, partitioner)
     hit = views.get(key)
-    # the identity check matters: Graph.copy() shallow-copies meta, so a
-    # copy arrives sharing the dict of views built for the *original*
+    # Graph.copy() and with_weights() drop `_`-prefixed meta keys, so a
+    # copy starts without views; the identity check only guards a Graph
+    # built by hand around another graph's meta dict
     if hit is not None and hit.graph is graph and not hit.is_stale():
         return hit
-    if any(v.graph is not graph for v in views.values()):
-        # inherited from another graph via copy(): rebind a fresh dict
-        # for *this* graph — clearing the shared one would evict the
-        # original's cache on every solve of the copy, and vice versa
-        views = {}
-        graph.meta[_VIEW_CACHE_KEY] = views
-    elif any(v.is_stale() for v in views.values()):
+    if any(v.is_stale() for v in views.values()):
         # a mutation bumped the epoch: every cached view is stale, not
         # just this key's — drop them all rather than leak one per epoch
         views.clear()
@@ -137,19 +148,15 @@ class ShardedDeltaStepper(Stepper):
         dist[source] = 0.0
         active = np.zeros(n, dtype=bool)
         active[source] = True
-        if recorder:
-            with recorder.span("solve:sharded", stepper=self.name, source=int(source)):
-                counters = self.resolve(
-                    graph, dist, active, delta=delta, num_shards=num_shards,
-                    partitioner=partitioner, transport=transport, pool=pool,
-                    sharded=sharded, kernel=kernel, recorder=recorder,
-                    checkpoint_every=checkpoint_every, max_restores=max_restores,
-                )
-        else:
+        with (
+            recorder.span("solve:sharded", stepper=self.name, source=int(source))
+            if recorder
+            else _NO_SPAN
+        ):
             counters = self.resolve(
                 graph, dist, active, delta=delta, num_shards=num_shards,
                 partitioner=partitioner, transport=transport, pool=pool,
-                sharded=sharded, kernel=kernel,
+                sharded=sharded, kernel=kernel, recorder=recorder,
                 checkpoint_every=checkpoint_every, max_restores=max_restores,
             )
         result = SSSPResult(
@@ -211,9 +218,7 @@ class ShardedDeltaStepper(Stepper):
         in the trace — and one ``exchange`` span carrying this round's
         :class:`~repro.shard.exchange.ExchangeStats` deltas.
         """
-        delta = delta if delta is not None else default_delta_star(graph)
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        delta = positive_knob("delta", delta if delta is not None else default_delta_star(graph))
         check_kernel(kernel)
         if partitioner not in PARTITIONERS:
             raise ValueError(
@@ -230,46 +235,25 @@ class ShardedDeltaStepper(Stepper):
             sg = sharded
         else:
             k = num_shards if num_shards is not None else default_num_shards(graph)
-            # validate here so a spec like "sharded(shards=2.0)" fails
-            # with the knob named, not a numpy TypeError ten frames down
-            if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-                raise ValueError(f"num_shards must be an integer, got {k!r}")
-            if k < 1:
-                raise ValueError("num_shards must be >= 1")
-            sg = sharded_view(graph, int(k), partitioner)
+            sg = sharded_view(graph, int_knob("num_shards", k), partitioner)
 
         if checkpoint_every is not None:
-            # same knob-naming contract as num_shards: a spec like
-            # "sharded(checkpoint=2.5)" must fail with the knob named
-            if not isinstance(checkpoint_every, (int, np.integer)) or isinstance(
-                checkpoint_every, bool
-            ):
-                raise ValueError(
-                    f"checkpoint_every must be an integer, got {checkpoint_every!r}"
-                )
-            if checkpoint_every < 1:
-                raise ValueError("checkpoint_every must be >= 1")
-            checkpoint_every = int(checkpoint_every)
-        if not isinstance(max_restores, (int, np.integer)) or isinstance(
-            max_restores, bool
-        ):
-            raise ValueError(f"max_restores must be an integer, got {max_restores!r}")
-        if max_restores < 0:
-            raise ValueError("max_restores must be >= 0")
+            checkpoint_every = int_knob("checkpoint_every", checkpoint_every)
+        max_restores = int_knob("max_restores", max_restores, minimum=0)
 
         tr = make_transport(transport, pool=pool)
         tr.bind_recorder(recorder if recorder else None)
         ex = FrontierExchange(sg.num_shards, graph.num_vertices)
         owner = sg.owner
         mask = active.astype(bool, copy=True)
-        active[:] = False  # ownership transferred, as with LazyFrontier
+        active[:] = False  # consumed: the supersteps work on the copy
         counters = new_counters()
         # one workspace per shard: steps run concurrently on pooled
-        # transports, and the scatter kernel's dense request vector must
-        # have a single writer (same ownership rule as the outboxes).
-        # The arenas are only material to the scatter kernel, so the
-        # argsort pin skips them entirely, and they are cached on the
-        # (already graph.meta-cached) view so repeated solves reuse them.
+        # transports, and the gather's wave buffers and the scatter
+        # kernel's dense request vector must have a single writer (same
+        # ownership rule as the outboxes).  The argsort pin skips the
+        # arenas (its gathers pay fresh buffers), and they are cached on
+        # the (already graph.meta-cached) view so repeated solves reuse them.
         if kernel == "argsort":
             shard_ws = None
         else:
@@ -277,6 +261,21 @@ class ShardedDeltaStepper(Stepper):
             if shard_ws is None or len(shard_ws) != sg.num_shards:
                 shard_ws = [RelaxWorkspace(graph.num_vertices) for _ in sg.shards]
                 sg.meta["_relax_workspaces"] = shard_ws
+
+        def route(shard_id, targets, cand):
+            """Keep the wave's owned targets; post the rest to the outbox."""
+            internal = owner[targets] == shard_id
+            external = ~internal
+            ext_t = targets[external]
+            if len(ext_t):
+                ext_d = cand[external]
+                # pre-filter against the owner's tentative distance: a
+                # concurrently-improving read only under-filters (the
+                # owner min-combines again on delivery), never drops a
+                # real improvement — distances are monotone
+                keep = ext_d < dist[ext_t]
+                ex.post(shard_id, ext_t[keep], ext_d[keep])
+            return targets[internal], cand[internal]
 
         def shard_step(shard, bound):
             """One shard's superstep: pop owned in-window work, relax its
@@ -291,40 +290,14 @@ class ShardedDeltaStepper(Stepper):
         # repro: hot
         def _shard_step(shard, bound):
             c = {"phases": 0, "relaxations": 0, "updates": 0}
-            ws = shard_ws[shard.id] if shard_ws is not None else None
             owned = shard.owned
-            take = mask[owned] & (dist[owned] <= bound)
-            batch = owned[take]
+            batch = owned[mask[owned] & (dist[owned] <= bound)]
             mask[batch] = False
-            while len(batch):
-                c["phases"] += 1
-                flat, lengths = expand_rows(shard.indptr, shard.local_rows(batch))
-                if len(flat) == 0:
-                    break
-                targets = shard.indices[flat]
-                cand = np.repeat(dist[batch], lengths) + shard.weights[flat]
-                c["relaxations"] += len(flat)
-                internal = owner[targets] == shard.id
-                ext_t, ext_d = targets[~internal], cand[~internal]
-                if len(ext_t):
-                    # pre-filter against the owner's tentative distance: a
-                    # concurrently-improving read only under-filters (the
-                    # owner min-combines again on delivery), never drops a
-                    # real improvement — distances are monotone
-                    keep = ext_d < dist[ext_t]
-                    ex.post(shard.id, ext_t[keep], ext_d[keep])
-                int_t, int_d = targets[internal], cand[internal]
-                if len(int_t) == 0:
-                    break
-                uts, ubest = min_by_target(int_t, int_d, workspace=ws, kernel=kernel)
-                improved = ubest < dist[uts]
-                uts, ubest = uts[improved], ubest[improved]
-                c["updates"] += len(uts)
-                dist[uts] = ubest
-                in_window = ubest <= bound
-                batch = uts[in_window]
-                mask[batch] = False  # re-relaxing now, not pending
-                mask[uts[~in_window]] = True
+            relax_window(
+                shard.indptr, shard.indices, shard.weights, batch, bound, dist, mask, c,
+                shard_ws[shard.id] if shard_ws is not None else None, kernel,
+                route=partial(route, shard.id),
+            )
             return c
 
         # superstep checkpointing: the snapshot is everything the loop

@@ -13,18 +13,20 @@ Module map
 ----------
 =====================================  =======================================
 :mod:`~repro.stepping.base`            the :class:`Stepper` contract
-                                       (solve/resolve), the shared relax
-                                       wave, and the :data:`STEPPERS`
-                                       registry every consumer enumerates
-:mod:`~repro.stepping.frontier`        :class:`LazyFrontier` — dense
-                                       lazy-batched priority frontier with
-                                       decrease-key-free updates
-:mod:`~repro.stepping.rho_stepping`    ρ-stepping: extract the ρ nearest
-                                       active vertices per step
-:mod:`~repro.stepping.radius_stepping` radius-stepping: per-vertex k-radius
-                                       precompute bounds each step
-:mod:`~repro.stepping.delta_star`      Δ*-stepping: sliding buckets with
-                                       lazy Bellman–Ford batching inside
+                                       (solve/resolve), the one windowed
+                                       step/relax loop
+                                       (:func:`window_resolve` over
+                                       :func:`relax_window`), and the
+                                       :data:`STEPPERS` registry every
+                                       consumer enumerates
+:mod:`~repro.stepping.rho_stepping`    ρ-stepping's select rule: the ρ
+                                       nearest active vertices per step
+:mod:`~repro.stepping.radius_stepping` radius-stepping's select rule:
+                                       per-vertex k-radius precompute
+                                       bounds each step
+:mod:`~repro.stepping.delta_star`      Δ*-stepping's select rule: a
+                                       sliding window with lazy
+                                       Bellman–Ford batching inside
 :mod:`~repro.stepping.autotune`        sampling auto-tuner: probe the
                                        portfolio, fit per-graph costs,
                                        expose the best pick
@@ -67,7 +69,6 @@ from .base import (
     stepper_names,
 )
 from .delta_star import DeltaStarStepper, default_delta_star, delta_star_stepping
-from .frontier import LazyFrontier
 from .radius_stepping import RadiusStepper, radius_stepping, vertex_radii
 from .rho_stepping import RhoStepper, default_rho, rho_stepping
 
@@ -82,7 +83,6 @@ __all__ = [
     "parse_stepper_spec",
     "resolve_stepper_spec",
     "solve_with",
-    "LazyFrontier",
     "rho_stepping",
     "default_rho",
     "RhoStepper",

@@ -45,13 +45,18 @@ __all__ = ["DEFAULT_CANDIDATES", "ProbeRow", "TuningReport", "AutoTuner", "best_
 #: oracle — both lose by construction, so probing them is pure overhead.
 #: The pinned-kernel ``delta(kernel=scatter)`` and the sharded specs are
 #: left out too: on every committed STEP graph they trail the best
-#: stepper (scatter 1.45–2.08×, sharded 2.7–7.3×).  Race them explicitly
-#: with ``AutoTuner(candidates=...)``.
+#: stepper (scatter 1.45–2.08×, sharded 2.7–7.3×).  So is ``radius``,
+#: which never wins: the committed STEP rows put it at 1.08–1.27× the
+#: best on all five CI graphs, and single-source solves at benchmark
+#: scale (uniform weights, 2-vCPU x86 host) put it far behind — 124 vs
+#: 17 ms on loc-brightkite-sim, 273 vs 27 ms on slashdot-sim, 104 vs
+#: 21 ms on roadgrid-medium — while costing ~185 of the ~415 ms of each
+#: loc-brightkite-sim tuner probe.  Race any of them explicitly with
+#: ``AutoTuner(candidates=...)``.
 DEFAULT_CANDIDATES = (
     "delta",
     "delta-star",
     "rho",
-    "radius",
     "bellman-ford",
 )
 

@@ -5,12 +5,18 @@ The paper treats Δ-stepping as a single algorithm; Dong, Gu, Sun & Zhang
 Paths", 2021) show it is one point in a *family*: every member repeats
 
 1. **step** — pick a batch of active vertices (a bucket, the ρ nearest,
-   a radius-bounded range …);
-2. **relax** — generate the batch's relaxation requests and min-merge
-   them into the tentative distances;
-3. re-activate whichever vertices improved.
+   a radius-bounded range …) and a bound;
+2. **relax** — generate the batch's relaxation requests, min-merge them
+   into the tentative distances, and re-relax improvements at or below
+   the bound until quiescent;
+3. park the improvements above the bound in the active mask.
 
-:class:`Stepper` pins that loop down as an interface.  The load-bearing
+:func:`window_resolve` is that loop, written once: ρ-, Δ*- and
+radius-stepping each hand it only a ``select(mask) -> (batch, bound)``
+rule, and every shard of the sharded stepper runs its inner half,
+:func:`relax_window`, on its own CSR slice.
+
+:class:`Stepper` pins the loop down as an interface.  The load-bearing
 method is :meth:`Stepper.resolve`: *run the schedule from an arbitrary
 seeded state* — tentative distances plus an active mask — to quiescence.
 ``solve`` (fresh single-source run) is just ``resolve`` seeded with
@@ -30,6 +36,7 @@ member, and one CLI (``repro steppers --list``) rendering the same table.
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable
 
@@ -37,7 +44,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..graphs.graph import Graph
-from ..kernels import RelaxWorkspace, gather_candidates, min_by_target
+from ..kernels import (
+    RelaxWorkspace,
+    check_kernel,
+    gather_candidates,
+    min_by_target,
+    workspace_for,
+)
 from ..sssp.delta import choose_delta
 from ..sssp.result import INF, SSSPResult
 
@@ -50,6 +63,10 @@ __all__ = [
     "stepper_names",
     "format_known",
     "relax_wave",
+    "relax_window",
+    "window_resolve",
+    "int_knob",
+    "positive_knob",
     "new_counters",
     "parse_stepper_spec",
     "resolve_stepper_spec",
@@ -69,6 +86,42 @@ def new_counters() -> dict[str, Any]:
     return {"steps": 0, "phases": 0, "relaxations": 0, "updates": 0}
 
 
+#: ``(targets, candidates) -> (targets, candidates)``: a relax wave's
+#: routing hook, applied between the gather and the per-target min (the
+#: sharded step keeps its owned targets and posts the rest to its outbox)
+Route = Callable[
+    [NDArray[np.int64], NDArray[np.float64]],
+    tuple[NDArray[np.int64], NDArray[np.float64]],
+]
+
+#: ``select(active mask) -> (batch, bound)``: the step rule a stepper
+#: hands :func:`window_resolve`
+Select = Callable[[NDArray[np.bool_]], tuple[NDArray[np.int64], float]]
+
+
+def int_knob(name: str, value: Any, minimum: int = 1) -> int:
+    """Validate an integer stepper knob, naming it in the ``ValueError``
+    (a spec like ``"rho(rho=2.5)"`` must not fail ten frames down in
+    NumPy)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    k = int(value)
+    if k < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return k
+
+
+def positive_knob(name: str, value: Any) -> float:
+    """Validate a positive real stepper knob (Δ), naming it in the
+    ``ValueError``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    x = float(value)
+    if not x > 0:
+        raise ValueError(f"{name} must be positive")
+    return x
+
+
 def relax_wave(
     indptr: NDArray[np.int64],
     indices: NDArray[np.int64],
@@ -79,6 +132,7 @@ def relax_wave(
     workspace: RelaxWorkspace | None = None,
     kernel: str = "auto",
     recorder: Any = None,
+    route: Route | None = None,
 ) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
     """One relaxation wave: all requests out of *frontier*, min-merged.
 
@@ -87,7 +141,9 @@ def relax_wave(
     (:func:`repro.sssp.fused.fused_delta_stepping`), operating in place
     on *dist*.  Both halves run on :mod:`repro.kernels`: *workspace*
     supplies the reusable wave buffers and *kernel* picks the per-target
-    min implementation (``auto``/``argsort``/``scatter``).  Returns
+    min implementation (``auto``/``argsort``/``scatter``).  A *route*
+    filters the gathered requests before the min (every request still
+    counts as a relaxation).  Returns
     ``(improved_targets, their_new_distances)``.
 
     This is also the observability choke point shared by every
@@ -100,11 +156,13 @@ def relax_wave(
         r0 = counters["relaxations"]
         with recorder.span("relax-wave", kernel=kernel, wave=int(len(frontier))) as sp:
             uts, ubest = _relax_wave(
-                indptr, indices, weights, frontier, dist, counters, workspace, kernel
+                indptr, indices, weights, frontier, dist, counters, workspace, kernel, route
             )
             sp.set(relaxations=counters["relaxations"] - r0, touched=int(len(uts)))
         return uts, ubest
-    return _relax_wave(indptr, indices, weights, frontier, dist, counters, workspace, kernel)
+    return _relax_wave(
+        indptr, indices, weights, frontier, dist, counters, workspace, kernel, route
+    )
 
 
 def _relax_wave(
@@ -116,17 +174,88 @@ def _relax_wave(
     counters: dict[str, Any],
     workspace: RelaxWorkspace | None,
     kernel: str,
+    route: Route | None,
 ) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
     targets, dists = gather_candidates(indptr, indices, weights, frontier, dist, workspace)
     if targets is None or dists is None:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     counters["relaxations"] += len(targets)
+    if route is not None:
+        targets, dists = route(targets, dists)
     uts, ubest = min_by_target(targets, dists, workspace=workspace, kernel=kernel)
     improved = ubest < dist[uts]
     uts, ubest = uts[improved], ubest[improved]
     counters["updates"] += len(uts)
     dist[uts] = ubest
     return uts, ubest
+
+
+def relax_window(
+    indptr: NDArray[np.int64],
+    indices: NDArray[np.int64],
+    weights: NDArray[np.float64],
+    batch: NDArray[np.int64],
+    bound: float,
+    dist: NDArray[np.float64],
+    active: NDArray[np.bool_],
+    counters: dict[str, Any],
+    workspace: RelaxWorkspace | None = None,
+    kernel: str = "auto",
+    recorder: Any = None,
+    route: Route | None = None,
+) -> None:
+    """Relax *batch*, then re-relax improvements at or below *bound*
+    until quiescent; improvements above it are parked in *active*.
+
+    The relax half of every windowed step: one :func:`relax_wave` per
+    phase.  ``bound = -inf`` makes it a single wave (ρ-stepping parks
+    every improvement for the next step).  *batch* must already be
+    cleared from *active*.
+    """
+    while len(batch):
+        counters["phases"] += 1
+        improved, new_d = relax_wave(
+            indptr, indices, weights, batch, dist, counters, workspace, kernel, recorder,
+            route,
+        )
+        batch = improved[new_d <= bound]
+        # park every improvement, then un-park the in-window ones: they
+        # re-relax in the next phase, not as pending active entries
+        active[improved] = True
+        active[batch] = False
+
+
+def window_resolve(
+    graph: Graph,
+    dist: NDArray[np.float64],
+    active: NDArray[np.bool_],
+    select: Select,
+    kernel: str = "auto",
+    recorder: Any = None,
+) -> dict[str, Any]:
+    """The step/relax loop from a seeded state to quiescence.
+
+    Each step asks *select* for a batch of active vertices and a bound
+    and runs :func:`relax_window` over the whole graph.  *dist* is
+    updated in place; *active* is consumed (the loop works on a copy and
+    clears it).  Returns the work counters.
+    """
+    if active.shape != dist.shape:
+        raise ValueError("active mask must match the distance array")
+    check_kernel(kernel)
+    ws = workspace_for(graph)
+    indptr, indices, weights = graph.csr()
+    mask = active.astype(bool, copy=True)
+    active[:] = False
+    counters = new_counters()
+    while mask.any():
+        counters["steps"] += 1
+        batch, bound = select(mask)
+        mask[batch] = False
+        relax_window(
+            indptr, indices, weights, batch, bound, dist, mask, counters, ws, kernel, recorder
+        )
+    return counters
 
 
 class Stepper(ABC):

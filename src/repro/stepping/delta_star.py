@@ -23,6 +23,13 @@ Dong et al. 2021's tuned Δ-variant.  Two changes over the paper's classic
 With the anchor sliding, Δ* tolerates a much larger Δ than the classic
 grid — the default is 4× the Meyer–Sanders choice — pushing it toward
 the Bellman–Ford end of the spectrum where fewer, fatter waves win.
+
+The step is a select rule over the shared loop
+(:func:`repro.stepping.base.window_resolve`): the batch is every active
+vertex at or below ``bound = min active + Δ`` (inclusive), and the
+loop's :func:`~repro.stepping.base.relax_window` re-relaxes in-window
+improvements.  The sharded stepper runs the same window per shard, so
+``sharded(shards=1)`` walks exactly this schedule.
 """
 
 from __future__ import annotations
@@ -30,11 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import check_kernel, workspace_for
 from ..sssp.delta import choose_delta
 from ..sssp.result import SSSPResult
-from .base import Stepper, new_counters, relax_wave
-from .frontier import LazyFrontier
+from .base import Stepper, positive_knob, window_resolve
 
 __all__ = ["delta_star_stepping", "default_delta_star", "DeltaStarStepper"]
 
@@ -77,34 +82,17 @@ class DeltaStarStepper(Stepper):
         kernel: str = "auto",
         recorder=None,
     ) -> dict:
-        delta = delta if delta is not None else default_delta_star(graph)
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        check_kernel(kernel)
-        ws = workspace_for(graph)
-        indptr, indices, weights = graph.csr()
-        frontier = LazyFrontier(dist, active)
-        active[:] = False  # ownership transferred to the frontier
-        counters = new_counters()
-        while frontier:
-            counters["steps"] += 1
+        delta = positive_knob("delta", delta if delta is not None else default_delta_star(graph))
+
+        def select(mask: np.ndarray) -> tuple[np.ndarray, float]:
             # the window anchors at the nearest active distance — every
             # step is non-empty by construction (no empty-bucket skipping)
-            bound = frontier.peek_min() + delta
-            batch = frontier.pop_below(bound)
-            while len(batch):
-                counters["phases"] += 1
-                improved, new_d = relax_wave(
-                    indptr, indices, weights, batch, dist, counters, workspace=ws,
-                    kernel=kernel, recorder=recorder,
-                )
-                in_window = new_d <= bound
-                frontier.push(improved[~in_window])
-                batch = improved[in_window]
-                # in-window improvements re-relax this phase loop, so they
-                # must not also wait as pending frontier entries
-                frontier.active[batch] = False
-        return counters
+            verts = np.nonzero(mask)[0]
+            d = dist[verts]
+            bound = float(d.min()) + delta
+            return verts[d <= bound], bound
+
+        return window_resolve(graph, dist, active, select, kernel, recorder)
 
     def default_params(self, graph: Graph) -> dict:
         return {"delta": default_delta_star(graph)}

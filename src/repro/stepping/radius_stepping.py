@@ -14,9 +14,10 @@ only vertices ≤ bound: a shortest path entering the range from outside
 would have to leave some active ``u`` through an edge shorter than
 ``r(u)``, which the bound already accounts for.  So one step settles the
 whole range after an inner substep loop reaches quiescence below the
-bound (re-relaxing only vertices that actually improve, exactly like a
-Δ-bucket's phase loop — correctness needs only ``bound ≥ min active
-distance``, which holds because ``r ≥ 0``).
+bound — the shared :func:`repro.stepping.base.relax_window`, fed by
+this module's select rule through
+:func:`~repro.stepping.base.window_resolve`.  Correctness needs only
+``bound ≥ min active distance``, which holds because ``r ≥ 0``.
 
 ``k`` trades precompute against step count: larger k → larger radii →
 fewer, fatter steps.  k = average degree makes ``r(v)`` the "full
@@ -28,10 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import cached_row_ids, check_kernel, workspace_for
+from ..kernels import cached_row_ids
 from ..sssp.result import SSSPResult
-from .base import Stepper, new_counters, relax_wave
-from .frontier import LazyFrontier
+from .base import Stepper, int_knob, window_resolve
 
 __all__ = ["radius_stepping", "vertex_radii", "default_k", "RadiusStepper"]
 
@@ -51,10 +51,7 @@ def vertex_radii(graph: Graph, k: int | None = None) -> np.ndarray:
     one wave).  One vectorized pass: sort weights *within* CSR rows, then
     gather each row's (k-1)-th entry.
     """
-    if k is None:
-        k = default_k(graph)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = int_knob("k", k if k is not None else default_k(graph))
     n = graph.num_vertices
     radii = np.full(n, np.inf, dtype=np.float64)
     if graph.num_edges == 0:
@@ -102,36 +99,17 @@ class RadiusStepper(Stepper):
         kernel: str = "auto",
         recorder=None,
     ) -> dict:
-        check_kernel(kernel)
-        ws = workspace_for(graph)
-        indptr, indices, weights = graph.csr()
         radii = vertex_radii(graph, k)
-        frontier = LazyFrontier(dist, active)
-        active[:] = False  # ownership transferred to the frontier
-        counters = new_counters()
-        while frontier:
-            counters["steps"] += 1
-            verts = frontier.vertices()
-            d_active = dist[verts]
+
+        def select(mask: np.ndarray) -> tuple[np.ndarray, float]:
+            verts = np.nonzero(mask)[0]
+            d = dist[verts]
             # the step bound; the max() keeps it >= the nearest active
             # vertex (all correctness needs) when every radius is infinite
-            bound = max(float(np.min(d_active + radii[verts])), float(d_active.min()))
-            batch = frontier.pop_below(bound)
-            while len(batch):
-                counters["phases"] += 1
-                improved, new_d = relax_wave(
-                    indptr, indices, weights, batch, dist, counters, workspace=ws,
-                    kernel=kernel, recorder=recorder,
-                )
-                # improvements inside the range re-relax this step; the
-                # rest wait in the frontier for a later step
-                in_range = new_d <= bound
-                frontier.push(improved[~in_range])
-                batch = improved[in_range]
-                # a pending frontier vertex pulled into range is handled
-                # by this substep loop now, not by a later extraction
-                frontier.active[batch] = False
-        return counters
+            bound = max(float(np.min(d + radii[verts])), float(d.min()))
+            return verts[d <= bound], bound
+
+        return window_resolve(graph, dist, active, select, kernel, recorder)
 
     def default_params(self, graph: Graph) -> dict:
         return {"k": default_k(graph)}

@@ -16,8 +16,13 @@ the degree mass of ρ vertices regardless of how distances cluster, so
 there is no Δ to mistune on graphs whose edge-weight scale varies across
 regions.  The price is that an extracted vertex may be re-extracted after
 a later improvement — the same label-correcting bet Δ-stepping makes
-inside a bucket, here made globally and paid for by the lazy frontier's
-O(active) batch extraction (:mod:`repro.stepping.frontier`).
+inside a bucket, here made globally.
+
+The step is a select rule over the shared loop
+(:func:`repro.stepping.base.window_resolve`): the batch is the ρ nearest
+active vertices plus every tie at the ρ-th distance (so the step count
+does not depend on tie-breaking order), and its bound is ``-inf`` — one
+wave per step, with every improvement parked for the next step.
 """
 
 from __future__ import annotations
@@ -25,10 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import check_kernel, workspace_for
 from ..sssp.result import SSSPResult
-from .base import Stepper, new_counters, relax_wave
-from .frontier import LazyFrontier
+from .base import Stepper, int_knob, window_resolve
 
 __all__ = ["rho_stepping", "default_rho", "RhoStepper"]
 
@@ -75,25 +78,17 @@ class RhoStepper(Stepper):
         kernel: str = "auto",
         recorder=None,
     ) -> dict:
-        rho = rho if rho is not None else default_rho(graph)
-        if rho < 1:
-            raise ValueError("rho must be >= 1")
-        check_kernel(kernel)
-        ws = workspace_for(graph)
-        indptr, indices, weights = graph.csr()
-        frontier = LazyFrontier(dist, active)
-        active[:] = False  # ownership transferred to the frontier
-        counters = new_counters()
-        while frontier:
-            counters["steps"] += 1
-            counters["phases"] += 1
-            batch = frontier.pop_nearest(rho)
-            improved, _ = relax_wave(
-                indptr, indices, weights, batch, dist, counters, workspace=ws, kernel=kernel,
-                recorder=recorder,
-            )
-            frontier.push(improved)
-        return counters
+        rho = int_knob("rho", rho if rho is not None else default_rho(graph))
+
+        def select(mask: np.ndarray) -> tuple[np.ndarray, float]:
+            verts = np.nonzero(mask)[0]
+            if len(verts) > rho:
+                d = dist[verts]
+                # the ρ-th smallest distance admits the batch, ties included
+                verts = verts[d <= np.partition(d, rho - 1)[rho - 1]]
+            return verts, -np.inf
+
+        return window_resolve(graph, dist, active, select, kernel, recorder)
 
     def default_params(self, graph: Graph) -> dict:
         return {"rho": default_rho(graph)}

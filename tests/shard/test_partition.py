@@ -101,14 +101,19 @@ class TestShardedGraph:
     )
     def test_slices_partition_the_edge_set(self, partitioner, graph):
         """Every stored edge appears in exactly one shard's CSR slice,
-        with its weight intact."""
+        with its weight intact; slices are full height, with empty rows
+        for vertices owned elsewhere."""
         sg = partition_graph(graph, 3, partitioner)
+        n = graph.num_vertices
         assert sum(s.num_edges for s in sg.shards) == graph.num_edges
         # reassemble (src, dst, w) triples from the slices and compare
         srcs, dsts, ws = [], [], []
         for s in sg.shards:
             assert np.array_equal(sg.owner[s.owned], np.full(len(s.owned), s.id))
-            srcs.append(np.repeat(s.owned, np.diff(s.indptr)))
+            assert len(s.indptr) == n + 1
+            lengths = np.diff(s.indptr)
+            assert not lengths[sg.owner != s.id].any()
+            srcs.append(np.repeat(np.arange(n), lengths))
             dsts.append(s.indices)
             ws.append(s.weights)
         got_s, got_d, got_w = map(np.concatenate, (srcs, dsts, ws))
@@ -141,12 +146,6 @@ class TestShardedGraph:
         assert sg.num_shards == 1
         assert sg.num_cut_edges == 0
         assert sg.shards[0].num_edges == sg.graph.num_edges
-
-    def test_local_rows_roundtrip(self):
-        sg = partition_graph(gen.grid_2d(5, 5), 4, "contiguous")
-        for s in sg.shards:
-            rows = s.local_rows(s.owned)
-            assert np.array_equal(rows, np.arange(s.num_owned))
 
     def test_staleness_tracks_epoch(self):
         g = gen.grid_2d(4, 4)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import datasets
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.shard import (
@@ -17,7 +18,7 @@ from repro.shard import (
     sharded_view,
 )
 from repro.sssp import dijkstra
-from repro.stepping import STEPPERS, get_stepper, solve_with
+from repro.stepping import STEPPERS, default_delta_star, get_stepper, solve_with
 
 
 @st.composite
@@ -109,10 +110,28 @@ class TestEdgeCaseGraphs:
             solve_with("sharded(shards=2.0)", g, 0)
         with pytest.raises(ValueError, match="num_shards must be an integer"):
             solve_with("sharded(shards=four)", g, 0)
+        with pytest.raises(ValueError, match="delta must be a number"):
+            solve_with("sharded(delta=abc)", g, 0)
 
     def test_default_num_shards_bounds(self):
         assert default_num_shards(Graph.empty(1)) == 1
         assert default_num_shards(gen.grid_2d(8, 8)) == 4
+
+
+class TestOneShardIsDeltaStar:
+    """With one shard there is no boundary, so a superstep is a Δ* step:
+    both run the shared relax window over the same batches."""
+
+    @pytest.mark.parametrize("weights", ["unit", "uniform"])
+    @pytest.mark.parametrize("name", datasets.suite_names("ci"))
+    def test_same_schedule_and_distances(self, name, weights):
+        g = datasets.load(name, weights=weights)
+        delta = default_delta_star(g)
+        star = solve_with("delta-star", g, 0, delta=delta)
+        one = solve_with("sharded(shards=1)", g, 0, delta=delta)
+        counters = ("buckets_processed", "phases", "relaxations", "updates")
+        assert [getattr(one, c) for c in counters] == [getattr(star, c) for c in counters]
+        assert np.array_equal(one.distances, star.distances)
 
 
 class TestRegistryIntegration:
@@ -212,8 +231,8 @@ class TestViewCache:
         assert all(not v.is_stale() for v in views.values())
 
     def test_graph_copy_does_not_inherit_views(self):
-        """Graph.copy() shallow-copies meta; the cache must notice the
-        views belong to the original graph and rebuild."""
+        """Graph.copy() drops the `_`-prefixed view cache, so a copy
+        builds its own views and the two caches stay independent."""
         g = gen.grid_2d(5, 5)
         view = sharded_view(g, 2, "contiguous")
         clone = g.copy()

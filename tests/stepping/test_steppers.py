@@ -127,6 +127,19 @@ class TestStepperParameters:
     def test_rho_rejects_nonpositive(self, diamond_graph):
         with pytest.raises(ValueError):
             solve_with("rho", diamond_graph, 0, rho=0)
+        # non-integer spellings name the knob instead of failing in numpy
+        with pytest.raises(ValueError, match="rho must be an integer"):
+            solve_with("rho(rho=2.5)", diamond_graph, 0)
+        with pytest.raises(ValueError, match="rho must be an integer"):
+            solve_with("rho(rho=abc)", diamond_graph, 0)
+
+    def test_rho_batch_takes_every_tie(self):
+        """The ρ-th distance admits all its ties: after the source step,
+        three vertices tie at distance 1 and ρ = 2 takes them together."""
+        g = Graph.from_edges([0, 0, 0], [1, 2, 3], [1.0, 1.0, 1.0], n=4)
+        r = solve_with("rho", g, 0, rho=2)
+        assert r.buckets_processed == 2
+        assert np.array_equal(r.distances, [0.0, 1.0, 1.0, 1.0])
 
     def test_default_rho_floor(self):
         assert default_rho(gen.grid_2d(2, 2)) == 64
@@ -134,6 +147,23 @@ class TestStepperParameters:
     def test_delta_star_rejects_nonpositive(self, diamond_graph):
         with pytest.raises(ValueError):
             solve_with("delta-star", diamond_graph, 0, delta=0.0)
+        with pytest.raises(ValueError, match="delta must be a number"):
+            solve_with("delta-star(delta=abc)", diamond_graph, 0)
+
+    def test_delta_star_window_is_inclusive(self):
+        """A vertex landing exactly on ``min + Δ`` belongs to the window:
+        vertex 1 (at 1.0 = 0 + Δ) re-relaxes inside step 1, and only
+        vertex 2 waits for step 2 — two steps, three phases."""
+        g = Graph.from_edges([0, 0], [1, 2], [1.0, 2.0], n=3)
+        r = solve_with("delta-star", g, 0, delta=1.0)
+        assert (r.buckets_processed, r.phases) == (2, 3)
+        # and at selection time: seeded at exactly the bound, it joins
+        # the first batch
+        d = np.array([0.0, 1.0, 5.0])
+        counters = get_stepper("delta-star").resolve(
+            Graph.empty(3), d, np.ones(3, dtype=bool), delta=1.0
+        )
+        assert counters["steps"] == 2
 
     def test_delta_star_explicit_delta(self, diamond_graph):
         r = solve_with("delta-star", diamond_graph, 0, delta=100.0)
@@ -163,6 +193,13 @@ class TestVertexRadii:
     def test_rejects_bad_k(self, diamond_graph):
         with pytest.raises(ValueError):
             vertex_radii(diamond_graph, 0)
+        for bad in (2.5, "abc"):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                vertex_radii(diamond_graph, bad)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve_with("radius(k=2.5)", diamond_graph, 0)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve_with("radius(k=abc)", diamond_graph, 0)
 
 
 class TestResolveContract:
@@ -178,6 +215,11 @@ class TestResolveContract:
             counters = get_stepper(name).resolve(diamond_graph, d, active)
             assert np.array_equal(d, [0.0, 2.0, 5.0, 6.0]), name
             assert counters["updates"] >= 3
+
+    def test_mismatched_mask_rejected(self, diamond_graph):
+        for name in NEW_STEPPERS:
+            with pytest.raises(ValueError, match="active mask must match"):
+                get_stepper(name).resolve(diamond_graph, np.zeros(4), np.zeros(5, dtype=bool))
 
     def test_legacy_steppers_reject_resolve(self, diamond_graph):
         s = get_stepper("dijkstra")
