@@ -197,7 +197,7 @@ def check_sharded_run(
     source: int,
     num_shards: int = 2,
     partitioner: str = "contiguous",
-    transport: str = "inline",
+    transport: Transport | str = "inline",
     delta: float | None = None,
     kernel: str = "auto",
     stepper: ShardedDeltaStepper | None = None,
@@ -211,9 +211,12 @@ def check_sharded_run(
     a corrupted arena poisons the *next* wave, which is exactly the
     cross-superstep leak this harness exists to catch).
 
-    *stepper* defaults to the registered :class:`ShardedDeltaStepper`;
-    the test harness passes an intentionally-broken subclass to prove
-    the checker fires on real violations.
+    *transport* is any :func:`~repro.shard.exchange.make_transport`
+    spec or instance (fault wrappers included); the report carries its
+    :attr:`~repro.shard.exchange.Transport.name`.  *stepper* defaults to
+    the registered :class:`ShardedDeltaStepper`; the test harness passes
+    an intentionally-broken subclass to prove the checker fires on real
+    violations.
     """
     n = graph.num_vertices
     dist = np.full(n, INF, dtype=np.float64)
@@ -221,7 +224,8 @@ def check_sharded_run(
     active = np.zeros(n, dtype=bool)
     active[source] = True
     sg = sharded_view(graph, num_shards, partitioner)
-    tracker = WriteTrackingTransport(make_transport(transport), dist, sg.owner)
+    inner = make_transport(transport)
+    tracker = WriteTrackingTransport(inner, dist, sg.owner)
     if stepper is None:
         stepper = ShardedDeltaStepper()
     stepper.resolve(
@@ -232,7 +236,7 @@ def check_sharded_run(
     report = RaceReport(
         num_shards=sg.num_shards,
         partitioner=partitioner,
-        transport=str(transport),
+        transport=inner.name,
         supersteps=tracker.supersteps,
         writes_checked=tracker.writes_checked,
         violations=tracker.violations,

@@ -418,25 +418,9 @@ def _cmd_trace(args) -> int:
 
     from collections import Counter
 
-    from .bench.workloads import workload_for
-    from .obs import Recorder
-    from .service import QueryService
-    from .stepping import solve_with
-
-    wl = workload_for(args.graph, weights=args.weights)
-    rec = Recorder()
-    result = solve_with(args.stepper, wl.graph, wl.source, recorder=rec)
-    print(f"solved {wl.name} with {args.stepper}: "
-          f"{result.phases} phases, {result.relaxations} relaxations")
-    if args.queries > 0:
-        svc = QueryService(wl.graph, weight_mode=args.weights, recorder=rec)
-        n = wl.graph.num_vertices
-        for i in range(args.queries):
-            # every source is asked twice, so the second round hits the cache
-            svc.query((wl.source + i // 2) % n)
-        stats = svc.stats()
-        print(f"served {stats.queries_served} queries, "
-              f"cache hit rate {stats.cache.hit_rate:.0%}")
+    _wl, rec, _slow_log = _recorded_run(
+        args.graph, args.stepper, args.weights, args.queries, sys.stdout
+    )
     path = rec.write_trace(args.out)
     counts = Counter(s["name"] for s in rec.trace.spans())
     print(f"wrote {path} ({len(rec.trace)} events)")
@@ -563,8 +547,8 @@ def _flight_overhead_smoke() -> int:
 def _recorded_run(graph: str, stepper: str, weights: str, queries: int, out,
                   slow_ms: float | None = None, flight: bool = False):
     """Solve + optionally serve queries with a live Recorder (the shared
-    setup behind ``report``, ``metrics``, and ``slo-check``); run info
-    goes to *out*.  *flight* backs the trace with a bounded
+    setup behind ``trace``, ``report``, ``metrics``, and ``slo-check``);
+    run info goes to *out*.  *flight* backs the trace with a bounded
     :class:`FlightRecorder`; *slow_ms* arms the service's slow-query log
     (returned as the third element, ``None`` when unarmed or no queries
     ran)."""

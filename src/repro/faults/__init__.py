@@ -6,11 +6,12 @@ failure a first-class, *deterministic* input and layers three
 recoveries on top — each verifiable bit-identically against Dijkstra:
 
 - :mod:`~repro.faults.plan` / :mod:`~repro.faults.chaos` — a seeded
-  :class:`FaultPlan` drives the ``chaos`` transport: injected shard-step
+  :class:`FaultPlan` drives :class:`ChaosTransport`: injected shard-step
   failures (fail-stop lost dispatches), straggler delays, duplicated
-  and reordered exchange deliveries.  Spec form:
-  ``chaos(inner=threads:4,seed=7,fail_rate=0.2)``.
-- :mod:`~repro.faults.retry` — the ``resilient`` transport re-runs only
+  and reordered exchange deliveries.  Built in code around an inner
+  transport spec: ``ChaosTransport(FaultPlan(seed=7, fail_rate=0.2),
+  inner="threads:4")``.
+- :mod:`~repro.faults.retry` — :class:`ResilientTransport` re-runs only
   the failed shard steps under a :class:`RetryPolicy` (capped
   exponential backoff, seeded jitter, per-superstep deadline); budget
   exhaustion raises :class:`RetryExhausted`, which the stepper's
@@ -20,6 +21,10 @@ recoveries on top — each verifiable bit-identically against Dijkstra:
   :class:`CircuitBreaker`: consecutive solver failures flip
   :class:`repro.service.QueryService` into degraded mode (landmark-bound
   answers, mutation shedding) until a half-open probe succeeds.
+
+Both wrappers are passed to the sharded stepper as objects
+(``transport=ResilientTransport(ChaosTransport(plan), policy)``); the
+string spellings stay ``inline`` and ``threads[:N]``.
 
 The chaos harness (:mod:`repro.faults.harness`, the ``repro chaos``
 command) proves the composition: every fault plan × transport cell must
@@ -34,14 +39,9 @@ from .breaker import (
     CircuitOpenError,
     MutationShedError,
 )
-from .chaos import ChaosTransport, chaos_from_params
+from .chaos import ChaosTransport
 from .plan import FaultInjected, FaultPlan
-from .retry import (
-    ResilientTransport,
-    RetryExhausted,
-    RetryPolicy,
-    resilient_from_params,
-)
+from .retry import ResilientTransport, RetryExhausted, RetryPolicy
 
 __all__ = [
     "BREAKER_STATE_CODES",
@@ -49,11 +49,9 @@ __all__ = [
     "CircuitOpenError",
     "MutationShedError",
     "ChaosTransport",
-    "chaos_from_params",
     "FaultInjected",
     "FaultPlan",
     "ResilientTransport",
     "RetryExhausted",
     "RetryPolicy",
-    "resilient_from_params",
 ]

@@ -1,4 +1,4 @@
-"""The ``chaos`` transport: seeded fault injection over any inner transport.
+"""The chaos transport: seeded fault injection over any inner transport.
 
 :class:`ChaosTransport` wraps a real transport and injects the failure
 modes a wire transport will eventually face, per the plan's seeded
@@ -30,17 +30,10 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Sequence
 
-from ..parallel.pool import WorkerPool
-from ..shard.exchange import (
-    FrontierExchange,
-    Transport,
-    make_transport,
-    spec_float,
-    spec_int,
-)
+from ..shard.exchange import FrontierExchange, Transport, make_transport
 from .plan import FaultInjected, FaultPlan
 
-__all__ = ["ChaosTransport", "chaos_from_params"]
+__all__ = ["ChaosTransport"]
 
 
 def _chaotic(
@@ -61,20 +54,20 @@ def _chaotic(
 class ChaosTransport(Transport):
     """Wrap *inner* with the fault schedule of *plan* (module docstring).
 
-    Spec form: ``chaos(inner=threads:4,seed=7,fail_rate=0.2,...)`` — see
-    :func:`chaos_from_params` for the accepted knobs.  A bound recorder
-    (via :meth:`bind_recorder`) counts every injection under
-    ``faults.injected`` plus per-kind breakdowns.
+    *inner* is any :func:`~repro.shard.exchange.make_transport` spec or
+    instance, e.g. ``ChaosTransport(FaultPlan(seed=7, fail_rate=0.2),
+    inner="threads:4")``; the plan's constructor validates every knob.
+    A bound recorder (via :meth:`bind_recorder`) counts every injection
+    under ``faults.injected`` plus per-kind breakdowns.
     """
 
     def __init__(
         self,
         plan: FaultPlan | None = None,
-        inner: Any = None,
-        pool: "WorkerPool | None" = None,
+        inner: Transport | str | None = None,
     ) -> None:
         self.plan = plan if plan is not None else FaultPlan()
-        self.inner = make_transport(inner, pool=pool)
+        self.inner = make_transport(inner)
         self.name = f"chaos[{self.inner.name}]"
         self._recorder: Any = None
 
@@ -130,43 +123,3 @@ class ChaosTransport(Transport):
                 rec.inc("faults.reorders")
         self.inner.before_flush(exchange)
 
-
-def chaos_from_params(
-    params: dict[str, str],
-    pool: "WorkerPool | None" = None,
-    spec: str = "chaos",
-) -> ChaosTransport:
-    """Build a :class:`ChaosTransport` from ``chaos(...)`` spec params.
-
-    Knobs (all optional): ``inner`` (any transport spec; values may
-    contain colons, e.g. ``threads:4``), ``seed``, ``fail_rate``,
-    ``delay_ms``, ``delay_rate``, ``dup_rate``, ``reorder_rate``,
-    ``max_failures``.  Bad values raise ``ValueError`` naming *spec*.
-    """
-    params = dict(params)
-    inner = params.pop("inner", None)
-    plan = FaultPlan(
-        seed=spec_int(params.pop("seed", "0"), spec, "seed"),
-        fail_rate=spec_float(
-            params.pop("fail_rate", "0"), spec, "fail_rate", lo=0.0, hi=1.0
-        ),
-        delay_ms=spec_float(params.pop("delay_ms", "0"), spec, "delay_ms", lo=0.0),
-        delay_rate=spec_float(
-            params.pop("delay_rate", "0.25"), spec, "delay_rate", lo=0.0, hi=1.0
-        ),
-        dup_rate=spec_float(
-            params.pop("dup_rate", "0"), spec, "dup_rate", lo=0.0, hi=1.0
-        ),
-        reorder_rate=spec_float(
-            params.pop("reorder_rate", "0"), spec, "reorder_rate", lo=0.0, hi=1.0
-        ),
-        max_failures=spec_int(
-            params.pop("max_failures", "64"), spec, "max_failures", minimum=0
-        ),
-    )
-    if params:
-        raise ValueError(
-            f"transport spec {spec!r}: unknown parameter(s): "
-            f"{', '.join(sorted(params))}"
-        )
-    return ChaosTransport(plan, inner=inner, pool=pool)

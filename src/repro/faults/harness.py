@@ -2,9 +2,9 @@
 
 This is the executable form of the robustness claim: for **every**
 named fault plan, over **every** inner transport, the sharded stepper
-behind a ``resilient(chaos(...))`` stack returns distances
-**bit-identical** to Dijkstra, with retry work bounded by the plan's
-failure budget.  :func:`run_chaos_matrix` runs the matrix (the
+behind a ``ResilientTransport(ChaosTransport(...))`` stack returns
+distances **bit-identical** to Dijkstra, with retry work bounded by the
+plan's failure budget.  :func:`run_chaos_matrix` runs the matrix (the
 ``repro chaos`` CLI command and the CI ``chaos`` job call it);
 :func:`run_breaker_drill` exercises the serving tier's degraded mode —
 breaker trip, landmark-bound answers, mutation shedding, half-open
@@ -133,7 +133,8 @@ def run_chaos_cell(
     seed: int = 7,
     fleet_metrics: MetricsRegistry | None = None,
 ) -> ChaosCell:
-    """Run one matrix cell: resilient(chaos(inner)) vs Dijkstra.
+    """Run one matrix cell: ``ResilientTransport(ChaosTransport(inner))``
+    vs Dijkstra.
 
     The retry budget bound is structural, not tuned: the chaos plan
     injects at most ``max_failures`` step failures total, and each can

@@ -1,4 +1,4 @@
-"""The ``resilient`` transport: retry/backoff over any inner transport.
+"""The resilient transport: retry/backoff over any inner transport.
 
 :class:`ResilientTransport` gives the sharded stepper its first
 recovery layer: when the inner transport reports per-step failures
@@ -31,17 +31,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..parallel.pool import BatchError, WorkerPool
+from ..parallel.pool import BatchError
 from ..shard.exchange import (
     FrontierExchange,
     Transport,
     TransportFailure,
     make_transport,
-    spec_float,
-    spec_int,
 )
 
-__all__ = ["RetryPolicy", "RetryExhausted", "ResilientTransport", "resilient_from_params"]
+__all__ = ["RetryPolicy", "RetryExhausted", "ResilientTransport"]
 
 
 @dataclass(frozen=True)
@@ -112,17 +110,18 @@ class RetryExhausted(TransportFailure):
 class ResilientTransport(Transport):
     """Retry failed shard steps on any inner transport (module docstring).
 
-    Spec form: ``resilient(inner=threads:4,attempts=4,...)`` — see
-    :func:`resilient_from_params`.
+    *inner* is any :func:`~repro.shard.exchange.make_transport` spec or
+    instance — a :class:`~repro.faults.ChaosTransport` included, e.g.
+    ``ResilientTransport(ChaosTransport(plan, inner="threads:4"),
+    RetryPolicy(max_attempts=4))``.
     """
 
     def __init__(
         self,
-        inner: Any = None,
+        inner: Transport | str | None = None,
         policy: RetryPolicy | None = None,
-        pool: "WorkerPool | None" = None,
     ) -> None:
-        self.inner = make_transport(inner, pool=pool)
+        self.inner = make_transport(inner)
         self.policy = policy if policy is not None else RetryPolicy()
         self.name = f"resilient[{self.inner.name}]"
         self._rng = random.Random(self.policy.seed)
@@ -178,37 +177,3 @@ class ResilientTransport(Transport):
             rec.inc("retry.exhausted")
         raise RetryExhausted(failures, attempt, deadline_hit=deadline_hit)
 
-
-def resilient_from_params(
-    params: dict[str, str],
-    pool: "WorkerPool | None" = None,
-    spec: str = "resilient",
-) -> ResilientTransport:
-    """Build a :class:`ResilientTransport` from ``resilient(...)`` params.
-
-    Knobs (all optional): ``inner`` (any transport spec, including a
-    ``chaos`` one constructed in code), ``attempts``, ``base_ms``,
-    ``max_ms``, ``jitter``, ``seed``, ``deadline_ms``.  Bad values raise
-    ``ValueError`` naming *spec*.
-    """
-    params = dict(params)
-    inner = params.pop("inner", None)
-    deadline_raw = params.pop("deadline_ms", None)
-    policy = RetryPolicy(
-        max_attempts=spec_int(params.pop("attempts", "4"), spec, "attempts", minimum=1),
-        base_delay_ms=spec_float(params.pop("base_ms", "1"), spec, "base_ms", lo=0.0),
-        max_delay_ms=spec_float(params.pop("max_ms", "50"), spec, "max_ms", lo=0.0),
-        jitter=spec_float(params.pop("jitter", "0.5"), spec, "jitter", lo=0.0, hi=1.0),
-        seed=spec_int(params.pop("seed", "0"), spec, "seed"),
-        deadline_ms=(
-            None
-            if deadline_raw is None
-            else spec_float(deadline_raw, spec, "deadline_ms", lo=0.0)
-        ),
-    )
-    if params:
-        raise ValueError(
-            f"transport spec {spec!r}: unknown parameter(s): "
-            f"{', '.join(sorted(params))}"
-        )
-    return ResilientTransport(inner=inner, policy=policy, pool=pool)

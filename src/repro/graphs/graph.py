@@ -81,9 +81,9 @@ class Graph:
     meta:
         Free-form metadata (dataset family, provenance).  Keys starting
         with ``_`` are derived caches owned by other layers (e.g. the
-        shard layer's partition views) and are dropped by :meth:`copy`
-        and :meth:`with_weights` — they describe *this* object, not the
-        graph's identity.
+        shard layer's partition views) and are dropped by :meth:`copy`,
+        :meth:`with_weights` and :meth:`drop_derived_caches` — they
+        describe *this* object's arrays, not the graph's identity.
     directed:
         Whether the graph was built from directed edges.  Undirected
         graphs are stored with both orientations present.
@@ -285,6 +285,16 @@ class Graph:
         return Graph.from_edges(
             dst, src, w, n=self.num_vertices, name=f"{self.name}-rev", directed=self.directed
         )
+
+    def drop_derived_caches(self) -> None:
+        """Delete the ``_``-prefixed derived caches from :attr:`meta`.
+
+        Partition views and workspaces are built against the CSR arrays
+        as they were; after the arrays are edited or swapped in place,
+        they must go (they rebuild on next use).
+        """
+        for key in [k for k in self.meta if isinstance(k, str) and k.startswith("_")]:
+            del self.meta[key]
 
     def _public_meta(self) -> dict:
         """Metadata minus the ``_``-prefixed derived caches (see class

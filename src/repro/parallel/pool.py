@@ -14,9 +14,9 @@ from __future__ import annotations
 import atexit
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-__all__ = ["BatchError", "WorkerPool", "get_pool", "parallel_map", "shutdown_all_pools"]
+__all__ = ["BatchError", "WorkerPool", "get_pool", "shutdown_all_pools"]
 
 _POOLS: dict[int, "WorkerPool"] = {}
 _POOLS_LOCK = threading.Lock()
@@ -117,10 +117,6 @@ class WorkerPool:
             raise BatchError(failures, results)
         return results
 
-    def map_chunks(self, fn: Callable, chunks: Iterable[tuple[int, int]]) -> list[object]:
-        """Run ``fn(lo, hi)`` for each chunk in parallel."""
-        return self.run_batch([_bind(fn, lo, hi) for lo, hi in chunks])
-
     def shutdown(self) -> None:
         """Tear down the executor.  Idempotent and thread-safe: the pool
         is shut down both explicitly (tests, embedders) and via ``atexit``,
@@ -137,10 +133,6 @@ class WorkerPool:
         return f"WorkerPool<threads={self.num_threads}>"
 
 
-def _bind(fn, lo, hi):
-    return lambda: fn(lo, hi)
-
-
 def get_pool(num_threads: int) -> WorkerPool:
     """Fetch (or lazily create) the persistent pool for *num_threads*.
 
@@ -154,11 +146,6 @@ def get_pool(num_threads: int) -> WorkerPool:
             pool = WorkerPool(num_threads)
             _POOLS[num_threads] = pool
         return pool
-
-
-def parallel_map(fn: Callable, chunks: Sequence[tuple[int, int]], num_threads: int) -> list[object]:
-    """One-shot helper: ``fn(lo, hi)`` over chunks on the shared pool."""
-    return get_pool(num_threads).map_chunks(fn, chunks)
 
 
 def shutdown_all_pools() -> None:

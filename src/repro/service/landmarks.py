@@ -116,11 +116,13 @@ class LandmarkIndex:
 
     Indexes built with :meth:`build` stay bound to their graph and
     support the *lazy rebuild* policy for dynamic graphs: a mutation
-    marks the index stale (:meth:`mark_stale`, an O(1) flag flip), and
-    the distance tables are re-solved only when the next approximate
-    answer actually needs them (:meth:`ensure_fresh`).  The landmark
-    *selection* is kept — re-selecting on every batch would churn the
-    tables for marginal quality — only the two batch solves repeat.
+    makes the index stale — the bound graph's epoch moves past the one
+    the tables were solved at, or a caller flips the flag with
+    :meth:`mark_stale` — and the distance tables are re-solved only
+    when the next approximate answer actually needs them
+    (:meth:`ensure_fresh`).  The landmark *selection* is kept —
+    re-selecting on every batch would churn the tables for marginal
+    quality — only the two batch solves repeat.
     """
 
     def __init__(
@@ -137,6 +139,8 @@ class LandmarkIndex:
         self._graph = graph
         self._delta = delta
         self._stale = False
+        #: the bound graph's epoch when the tables were last solved
+        self._epoch = graph.epoch if graph is not None else 0
         self.rebuilds = 0
 
     @classmethod
@@ -165,8 +169,11 @@ class LandmarkIndex:
 
     @property
     def stale(self) -> bool:
-        """True when the bound graph mutated after the last table solve."""
-        return self._stale
+        """True when the bound graph mutated after the last table solve:
+        the index was marked stale, or the graph's epoch moved."""
+        return self._stale or (
+            self._graph is not None and self._graph.epoch != self._epoch
+        )
 
     def mark_stale(self) -> None:
         """Note a graph mutation; tables rebuild lazily on next use."""
@@ -181,7 +188,7 @@ class LandmarkIndex:
         ``RuntimeError`` for a stale index that was constructed directly
         without a bound graph — it has nothing to rebuild from.
         """
-        if not self._stale:
+        if not self.stale:
             return False
         if self._graph is None:
             raise RuntimeError(
@@ -196,6 +203,7 @@ class LandmarkIndex:
         else:
             self.dist_to = self.dist_from
         self._stale = False
+        self._epoch = self._graph.epoch
         self.rebuilds += 1
         return True
 

@@ -23,6 +23,7 @@ surface.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +45,9 @@ from .landmarks import LandmarkIndex
 from .planner import Query, QueryPlan, QueryPlanner
 
 __all__ = ["QueryResponse", "MutationReport", "ServiceStats", "QueryService"]
+
+#: the disabled-recorder stand-in for a ``recorder.span(...)`` context
+_NO_SPAN = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -400,21 +404,9 @@ class QueryService:
         """One planning/execution round (:meth:`drain` adds the spans)."""
         rec = self.recorder
         t0 = time.perf_counter()
-        if rec is not None:
-            with rec.span("service:plan", queries=len(queries)) as sp:
-                plan = self.planner.plan(
-                    queries,
-                    cache=self.cache,
-                    graph=self.graph,
-                    weight_mode=self.weight_mode,
-                    has_landmarks=self.landmarks is not None,
-                )
-                sp.set(
-                    batches=len(plan.batches),
-                    cached=len(plan.cached),
-                    approximate=len(plan.approximate),
-                )
-        else:
+        with (
+            rec.span("service:plan", queries=len(queries)) if rec is not None else _NO_SPAN
+        ) as sp:
             plan = self.planner.plan(
                 queries,
                 cache=self.cache,
@@ -422,6 +414,12 @@ class QueryService:
                 weight_mode=self.weight_mode,
                 has_landmarks=self.landmarks is not None,
             )
+            if sp is not None:
+                sp.set(
+                    batches=len(plan.batches),
+                    cached=len(plan.cached),
+                    approximate=len(plan.approximate),
+                )
         self._last_plan = plan
         if self.tuner is not None and plan.batches and plan.stepper is None:
             # tuned routing: probe once per graph epoch (the tuner caches),
@@ -497,17 +495,13 @@ class QueryService:
                 continue
             t0 = time.perf_counter()
             try:
-                if rec is not None:
-                    with rec.span(
-                        "service:batch-solve", batch=len(batch), method=str(method)
-                    ):
-                        result = self._solver(
-                            self.graph, batch, delta=self.delta, method=method,
-                            recorder=rec,
-                        )
-                else:
+                with (
+                    rec.span("service:batch-solve", batch=len(batch), method=str(method))
+                    if rec is not None
+                    else _NO_SPAN
+                ):
                     result = self._solver(
-                        self.graph, batch, delta=self.delta, method=method
+                        self.graph, batch, delta=self.delta, method=method, recorder=rec
                     )
             except Exception:
                 if breaker is None:
@@ -711,19 +705,25 @@ class QueryService:
         g.weights = weights
         g.epoch = epoch
         self.delta = delta
-        for key in [k for k in g.meta if isinstance(k, str) and k.startswith("_")]:
-            del g.meta[key]
+        g.drop_derived_caches()
         for (source, wmode), dist in harvested.items():
             self.cache.put(g, source, wmode, dist)
 
     # -- maintenance & reporting -------------------------------------------
 
     def invalidate(self) -> int:
-        """Drop cached answers after a *raw* in-place graph mutation.
+        """Forget everything derived from the graph after a *raw*
+        in-place edit of its arrays; returns the cache entries dropped.
 
-        Batches applied through :meth:`mutate` never need this — the
-        epoch keying retires old entries automatically.
+        Empties the distance cache, deletes the graph's derived ``meta``
+        caches (partition views, workspaces) and marks the landmark
+        index stale.  Batches applied through :meth:`mutate` or
+        :func:`repro.dynamic.apply_edge_updates` never need this — they
+        bump ``graph.epoch``, which retires all of those automatically.
         """
+        self.graph.drop_derived_caches()
+        if self.landmarks is not None:
+            self.landmarks.mark_stale()
         return self.cache.invalidate(self.graph)
 
     def stats(self) -> ServiceStats:

@@ -55,7 +55,6 @@ from .exchange import (
     Transport,
     TransportFailure,
     make_transport,
-    parse_transport_spec,
 )
 from .partition import (
     PARTITIONERS,
@@ -90,7 +89,6 @@ __all__ = [
     "PoolTransport",
     "TRANSPORTS",
     "make_transport",
-    "parse_transport_spec",
     "ShardedDeltaStepper",
     "sharded_delta_stepping",
     "default_num_shards",

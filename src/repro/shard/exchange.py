@@ -21,15 +21,17 @@ Two cost-model pieces live here:
   applied improvements, and an estimated byte volume — the SHARD bench's
   communication-volume column.
 
-Transports decide *where* the per-shard step functions run:
-:class:`InProcessTransport` runs them inline (deterministic, zero
-dependencies), :class:`PoolTransport` fans them out on a
-:class:`repro.parallel.pool.WorkerPool` (NumPy kernels release the GIL,
-so shard steps genuinely overlap).  A multi-machine transport slots in
-by implementing the same surface — and the :mod:`repro.faults` wrapper
-transports (``chaos`` fault injection, ``resilient`` retry/backoff)
-compose over any of them, which is how crash/retry correctness is
-proven before real sockets arrive.
+Transports decide *where* the per-shard step functions run, and both
+run them through the one barrier primitive,
+:meth:`repro.parallel.pool.WorkerPool.run_batch`:
+:class:`InProcessTransport` (spec ``inline``) on a one-thread pool that
+executes inline (deterministic, zero dependencies), :class:`PoolTransport`
+(spec ``threads[:N]``) on a shared multi-thread pool (NumPy kernels
+release the GIL, so shard steps genuinely overlap).  The
+:mod:`repro.faults` wrappers (:class:`~repro.faults.ChaosTransport`
+fault injection, :class:`~repro.faults.ResilientTransport`
+retry/backoff) are built in code around either, which is how
+crash/retry correctness is proven.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..kernels import min_by_target
-from ..parallel.pool import BatchError, WorkerPool, get_pool
+from ..parallel.pool import WorkerPool, get_pool
 from ..sssp.result import INF
 
 __all__ = [
@@ -55,9 +57,6 @@ __all__ = [
     "PoolTransport",
     "TRANSPORTS",
     "make_transport",
-    "parse_transport_spec",
-    "spec_int",
-    "spec_float",
 ]
 
 #: bytes a wire transport would pay per delivered entry: one int64
@@ -299,10 +298,10 @@ class TransportFailure(RuntimeError):
 
     The transport-level failure signal (as opposed to
     :class:`repro.parallel.pool.BatchError`, which attributes individual
-    task exceptions): retry exhaustion, a lost remote peer, a
-    superstep-deadline miss.  The sharded stepper treats both the same
-    way — restore the last checkpoint and re-execute, or abort when no
-    checkpoint (or no restore budget) remains.
+    task exceptions): retry exhaustion or a superstep-deadline miss.
+    The sharded stepper treats both the same way — restore the last
+    checkpoint and re-execute, or abort when no checkpoint (or no
+    restore budget) remains.
     """
 
 
@@ -345,8 +344,9 @@ class Transport(ABC):
 class InProcessTransport(Transport):
     """Sequential in-process execution — the deterministic reference.
 
-    Carries the same failure contract as the pool: every fn runs to the
-    (trivial) barrier, and failures aggregate into one
+    Runs the batch on a one-thread :class:`~repro.parallel.pool.WorkerPool`,
+    which executes inline and carries the pool's failure contract: every
+    fn runs to the (trivial) barrier, and failures aggregate into one
     :class:`~repro.parallel.pool.BatchError` instead of the first
     exception aborting the batch mid-way — so retry wrappers see
     identical semantics on every transport.
@@ -354,27 +354,21 @@ class InProcessTransport(Transport):
 
     name = "inline"
 
+    def __init__(self) -> None:
+        self.pool = WorkerPool(1)
+
     def run(self, fns: Sequence[Callable[[], Any]]) -> list[Any]:
-        results: list[Any] = []
-        failures: list[tuple[int, BaseException]] = []
-        for i, fn in enumerate(fns):
-            try:
-                results.append(fn())
-            except Exception as exc:
-                results.append(None)
-                failures.append((i, exc))
-        if failures:
-            raise BatchError(failures, results)
-        return results
+        result: list[Any] = self.pool.run_batch(fns)
+        return result
 
 
 class PoolTransport(Transport):
     """Shard steps on a shared :class:`~repro.parallel.pool.WorkerPool`.
 
-    The pool comes from :func:`repro.parallel.pool.get_pool` (or is
-    handed in by the caller — the auto-tuner passes one shared pool so
-    probe runs never spawn per-probe workers) and is **not** owned:
-    shutdown stays with the pool registry.
+    The pool comes from :func:`repro.parallel.pool.get_pool`, or is
+    handed in by an embedder that manages its own workers
+    (``transport=PoolTransport(pool)``), and is **not** owned: shutdown
+    stays with whoever created it.
     """
 
     def __init__(self, pool: WorkerPool | None = None, num_threads: int = 4) -> None:
@@ -386,169 +380,55 @@ class PoolTransport(Transport):
         return result
 
 
-def spec_int(
-    value: Any, spec: str, knob: str, minimum: int | None = None
-) -> int:
-    """Parse an integer knob from a transport spec, naming the offending
-    spec string on failure (a bare ``invalid literal`` ten frames down
-    is useless when the spec came from a CLI flag or a stepper spec)."""
-    try:
-        parsed = int(str(value).strip())
-    except ValueError:
-        raise ValueError(
-            f"transport spec {spec!r}: {knob} must be an integer, got {value!r}"
-        ) from None
-    if minimum is not None and parsed < minimum:
-        raise ValueError(
-            f"transport spec {spec!r}: {knob} must be >= {minimum}, got {parsed}"
-        )
-    return parsed
-
-
-def spec_float(
-    value: Any,
-    spec: str,
-    knob: str,
-    lo: float | None = None,
-    hi: float | None = None,
-) -> float:
-    """Parse a float knob from a transport spec; same naming contract as
-    :func:`spec_int`, with an optional inclusive ``[lo, hi]`` range."""
-    try:
-        parsed = float(str(value).strip())
-    except ValueError:
-        raise ValueError(
-            f"transport spec {spec!r}: {knob} must be a number, got {value!r}"
-        ) from None
-    if (lo is not None and parsed < lo) or (hi is not None and parsed > hi):
-        bounds = f"[{lo if lo is not None else '-inf'}, {hi if hi is not None else 'inf'}]"
-        raise ValueError(
-            f"transport spec {spec!r}: {knob} must be in {bounds}, got {parsed}"
-        )
-    return parsed
-
-
-def parse_transport_spec(spec: str) -> tuple[str, str | None, dict[str, str]]:
-    """Split a transport spec into ``(name, positional arg, params)``.
-
-    Three accepted shapes: bare ``"name"``, colon ``"name:arg"``, and
-    parameterized ``"name(key=value,...)"`` — the last is what wrapper
-    transports use, and values may themselves contain colons
-    (``chaos(inner=threads:4,seed=7)``) but not commas or parentheses
-    (one nesting level: wrap a wrapper by constructing it in code).
-    """
-    text = str(spec).strip()
-    if "(" in text:
-        name, _, rest = text.partition("(")
-        if not rest.endswith(")"):
-            raise ValueError(f"malformed transport spec {spec!r}: missing ')'")
-        params: dict[str, str] = {}
-        body = rest[:-1].strip()
-        if body:
-            for item in body.split(","):
-                key, eq, value = item.partition("=")
-                if not eq or not key.strip() or not value.strip():
-                    raise ValueError(
-                        f"malformed transport spec {spec!r}: "
-                        f"expected key=value, got {item.strip()!r}"
-                    )
-                params[key.strip()] = value.strip()
-        return name.strip(), None, params
-    name, sep, arg = text.partition(":")
-    return name.strip(), (arg.strip() if sep else None), {}
-
-
-def _reject_unknown_params(spec: str, params: dict[str, str]) -> None:
-    if params:
-        raise ValueError(
-            f"transport spec {spec!r}: unknown parameter(s): "
-            f"{', '.join(sorted(params))}"
-        )
-
-
-def _make_inline(
-    arg: str | None, pool: WorkerPool | None, spec: str, params: dict[str, str]
-) -> Transport:
+def _make_inline(arg: str | None, spec: str) -> Transport:
     if arg is not None:
         raise ValueError(f"transport spec {spec!r}: 'inline' takes no argument")
-    _reject_unknown_params(spec, params)
     return InProcessTransport()
 
 
-def _make_threads(
-    arg: str | None, pool: WorkerPool | None, spec: str, params: dict[str, str]
-) -> Transport:
-    raw = arg if arg is not None else params.pop("n", None)
-    _reject_unknown_params(spec, params)
-    n = spec_int(raw, spec, "thread count", minimum=1) if raw is not None else 4
-    return PoolTransport(pool=pool, num_threads=n)
-
-
-def _make_chaos(
-    arg: str | None, pool: WorkerPool | None, spec: str, params: dict[str, str]
-) -> Transport:
-    if arg is not None:
+def _make_threads(arg: str | None, spec: str) -> Transport:
+    if arg is None:
+        return PoolTransport()
+    try:
+        n = int(arg)
+    except ValueError:
         raise ValueError(
-            f"transport spec {spec!r}: 'chaos' takes key=value parameters, "
-            f"e.g. chaos(inner=threads:4,seed=7,fail_rate=0.2)"
-        )
-    from ..faults.chaos import chaos_from_params
-
-    transport: Transport = chaos_from_params(params, pool=pool, spec=spec)
-    return transport
+            f"transport spec {spec!r}: thread count must be an integer, got {arg!r}"
+        ) from None
+    if n < 1:
+        raise ValueError(f"transport spec {spec!r}: thread count must be >= 1, got {n}")
+    return PoolTransport(num_threads=n)
 
 
-def _make_resilient(
-    arg: str | None, pool: WorkerPool | None, spec: str, params: dict[str, str]
-) -> Transport:
-    if arg is not None:
-        raise ValueError(
-            f"transport spec {spec!r}: 'resilient' takes key=value parameters, "
-            f"e.g. resilient(inner=threads:4,attempts=4)"
-        )
-    from ..faults.retry import resilient_from_params
-
-    transport: Transport = resilient_from_params(params, pool=pool, spec=spec)
-    return transport
-
-
-#: transport spec → factory; the discovery surface of
-#: :func:`make_transport`.  ``threads`` takes an optional thread count
-#: (``"threads:8"``); ``chaos`` and ``resilient`` are the
-#: :mod:`repro.faults` wrappers (seeded fault injection / retry with
-#: backoff) in parameterized ``name(key=value,...)`` form — their
-#: factories import the faults package on first use, so the registry
-#: names them without a circular import.
-TRANSPORTS: dict[
-    str, Callable[[str | None, "WorkerPool | None", str, dict[str, str]], Transport]
-] = {
+#: transport name → factory taking the optional ``:N`` argument; the
+#: discovery surface of :func:`make_transport`.  ``threads`` takes an
+#: optional thread count (``"threads:8"``).  Wrapper transports
+#: (:mod:`repro.faults`) are built in code around an inner spec.
+TRANSPORTS: dict[str, Callable[[str | None, str], Transport]] = {
     "inline": _make_inline,
     "threads": _make_threads,
-    "chaos": _make_chaos,
-    "resilient": _make_resilient,
 }
 
 
-def make_transport(spec: Any = None, pool: WorkerPool | None = None) -> Transport:
-    """Resolve a transport from a spec string, instance, or pool.
+def make_transport(spec: Transport | str | None = None) -> Transport:
+    """Resolve a transport from a spec string or instance.
 
-    ``None`` picks :class:`PoolTransport` when a *pool* is supplied and
-    :class:`InProcessTransport` otherwise; strings are ``"inline"``,
-    ``"threads[:N]"``, or the parameterized wrapper forms (see
-    :data:`TRANSPORTS` and :func:`parse_transport_spec`).  Raises
-    ``ValueError`` naming every registered transport on an unknown name,
-    and naming the offending spec string on a bad knob value.
+    ``None`` and ``"inline"`` give :class:`InProcessTransport`;
+    ``"threads"`` / ``"threads:N"`` give :class:`PoolTransport`; a
+    :class:`Transport` instance passes through.  Raises ``ValueError``
+    naming every registered transport on an unknown name, and naming the
+    offending spec string on a bad thread count.
     """
     if isinstance(spec, Transport):
         return spec
     if spec is None:
-        return PoolTransport(pool=pool) if pool is not None else InProcessTransport()
+        return InProcessTransport()
     text = str(spec)
-    name, arg, params = parse_transport_spec(text)
+    name, sep, arg = text.partition(":")
     try:
-        factory = TRANSPORTS[name]
+        factory = TRANSPORTS[name.strip()]
     except KeyError:
         raise ValueError(
             f"unknown transport {text!r}; known: {', '.join(TRANSPORTS)}"
         ) from None
-    return factory(arg, pool, text, dict(params))
+    return factory(arg.strip() if sep else None, text)

@@ -123,7 +123,6 @@ class ShardedDeltaStepper(Stepper):
     name = "sharded"
     kind = "sharded"
     description = "partition-parallel delta-stepping, per-step frontier exchange"
-    parallel_capable = True
     spec_param_aliases = {"shards": "num_shards", "checkpoint": "checkpoint_every"}
 
     def solve(
@@ -134,7 +133,6 @@ class ShardedDeltaStepper(Stepper):
         num_shards: int | None = None,
         partitioner: str = "contiguous",
         transport=None,
-        pool=None,
         sharded: ShardedGraph | None = None,
         kernel: str = "auto",
         recorder=None,
@@ -155,8 +153,8 @@ class ShardedDeltaStepper(Stepper):
         ):
             counters = self.resolve(
                 graph, dist, active, delta=delta, num_shards=num_shards,
-                partitioner=partitioner, transport=transport, pool=pool,
-                sharded=sharded, kernel=kernel, recorder=recorder,
+                partitioner=partitioner, transport=transport, sharded=sharded,
+                kernel=kernel, recorder=recorder,
                 checkpoint_every=checkpoint_every, max_restores=max_restores,
             )
         result = SSSPResult(
@@ -182,7 +180,6 @@ class ShardedDeltaStepper(Stepper):
         num_shards: int | None = None,
         partitioner: str = "contiguous",
         transport=None,
-        pool=None,
         sharded: ShardedGraph | None = None,
         kernel: str = "auto",
         recorder=None,
@@ -241,7 +238,7 @@ class ShardedDeltaStepper(Stepper):
             checkpoint_every = int_knob("checkpoint_every", checkpoint_every)
         max_restores = int_knob("max_restores", max_restores, minimum=0)
 
-        tr = make_transport(transport, pool=pool)
+        tr = make_transport(transport)
         tr.bind_recorder(recorder if recorder else None)
         ex = FrontierExchange(sg.num_shards, graph.num_vertices)
         owner = sg.owner

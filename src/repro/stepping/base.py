@@ -273,12 +273,6 @@ class Stepper(ABC):
     supports_resolve:
         Whether :meth:`resolve` is implemented (the dynamic layer's
         repair path requires it).
-    parallel_capable:
-        Whether ``solve``/``resolve`` accept a ``pool=`` keyword
-        (a :class:`repro.parallel.pool.WorkerPool`) for embedders that
-        manage their own worker pool; transport specs resolved without
-        one fall back to the shared :func:`repro.parallel.pool.get_pool`
-        pools.
     kernel_capable:
         Whether ``solve``/``resolve`` accept a ``kernel=`` keyword
         selecting the :mod:`repro.kernels` per-target-min kernel
@@ -302,7 +296,6 @@ class Stepper(ABC):
     kind: str = "stepping"
     description: str = ""
     supports_resolve: bool = True
-    parallel_capable: bool = False
     kernel_capable: bool = True
     batch_engine: str | None = None
     #: short spec-parameter spellings → the solve() keyword they set

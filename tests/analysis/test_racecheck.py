@@ -10,13 +10,24 @@ from repro.analysis import (
     WriteTrackingTransport,
     check_sharded_run,
 )
+from repro.faults import ChaosTransport, FaultPlan, ResilientTransport
 from repro.graphs.graph import Graph
-from repro.shard.exchange import TRANSPORTS, Transport, make_transport
+from repro.shard.exchange import Transport, make_transport
 from repro.shard.partition import PARTITIONERS
 from repro.shard.stepper import ShardedDeltaStepper, sharded_view
 from repro.sssp import dijkstra
 
 SHARD_COUNTS = (1, 2, 3)
+
+#: one cell per way shard steps run: the two registered spellings, and
+#: both fault wrappers, built in code and fresh per cell (chaos over
+#: inline, retry over a two-thread pool)
+TRANSPORT_CELLS = {
+    "chaos": lambda: ChaosTransport(FaultPlan(), inner="inline"),
+    "inline": lambda: "inline",
+    "resilient": lambda: ResilientTransport(inner="threads:2"),
+    "threads": lambda: "threads",
+}
 
 
 @pytest.fixture(scope="module")
@@ -31,16 +42,18 @@ def harness_graph():
 
 
 class TestContractHolds:
-    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+    @pytest.mark.parametrize("transport", sorted(TRANSPORT_CELLS))
     @pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_every_registered_config(self, harness_graph, num_shards,
                                      partitioner, transport):
+        cell = TRANSPORT_CELLS[transport]()
         report = check_sharded_run(
             harness_graph, 0, num_shards=num_shards,
-            partitioner=partitioner, transport=transport,
+            partitioner=partitioner, transport=cell,
         )
         assert report.ok, report.render()
+        assert report.transport == make_transport(cell).name
         assert report.supersteps > 0 and report.writes_checked > 0
         # the tracker must observe, never perturb: the tracked solve
         # still lands on the exact Dijkstra fixed point

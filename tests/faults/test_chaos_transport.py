@@ -7,7 +7,6 @@ from repro.faults import ChaosTransport, FaultInjected, FaultPlan
 from repro.graphs.generators import watts_strogatz
 from repro.obs import Recorder
 from repro.parallel.pool import BatchError
-from repro.shard.exchange import make_transport
 from repro.shard.stepper import ShardedDeltaStepper
 from repro.sssp.reference import dijkstra
 
@@ -35,17 +34,6 @@ class TestInjection:
     def test_name_nests_inner(self):
         tr = ChaosTransport(FaultPlan(), inner="threads:2")
         assert tr.name == "chaos[threads[2]]"
-
-    def test_spec_form_via_registry(self):
-        tr = make_transport("chaos(inner=threads:2,seed=3,fail_rate=0.5)")
-        assert isinstance(tr, ChaosTransport)
-        assert tr.plan.seed == 3
-        assert tr.plan.fail_rate == 0.5
-        assert tr.inner.name == "threads[2]"
-
-    def test_spec_rejects_unknown_knob(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
-            make_transport("chaos(frobnicate=1)")
 
 
 class TestDeterminismAcrossInnerTransports:

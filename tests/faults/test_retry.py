@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults import ResilientTransport, RetryExhausted, RetryPolicy
 from repro.obs import Recorder
-from repro.shard.exchange import TransportFailure, make_transport
+from repro.shard.exchange import TransportFailure
 
 
 class TestPolicy:
@@ -98,23 +98,8 @@ class TestResilientTransport:
             tr.run([_flaky(10**9)])
         assert rec.metrics.snapshot()["counters"]["retry.exhausted"] == 1
 
-    def test_spec_form_via_registry(self):
-        tr = make_transport("resilient(inner=threads:2,attempts=2,seed=5)")
-        assert isinstance(tr, ResilientTransport)
-        assert tr.policy.max_attempts == 2
-        assert tr.policy.seed == 5
-        assert tr.inner.name == "threads[2]"
-        assert tr.name == "resilient[threads[2]]"
-
-    def test_spec_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="attempts"):
-            make_transport("resilient(attempts=0)")
-        with pytest.raises(ValueError, match="unknown parameter"):
-            make_transport("resilient(bogus=1)")
-
     def test_stacks_over_chaos_in_code(self):
-        # paren specs allow one nesting level; wrapper-over-wrapper
-        # stacks are built in code (the documented contract)
+        # wrapper stacks are built in code (the documented contract)
         from repro.faults import ChaosTransport, FaultPlan
 
         tr = ResilientTransport(

@@ -1,16 +1,13 @@
-"""Unit tests for the parallel runtime: partitioning, pool, task graph,
-simulator."""
+"""Unit tests for the parallel runtime: partitioning, pool, simulator."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.parallel.partition import balanced_partition, chunk_by_cost, chunk_ranges
-from repro.parallel.pool import WorkerPool, get_pool, parallel_map, shutdown_all_pools
+from repro.parallel.pool import WorkerPool, get_pool, shutdown_all_pools
 from repro.parallel.simulate import SimulatedExecutor, simulate_makespan
-from repro.parallel.tasks import Task, TaskGraph, run_task_graph
 
 
 class TestChunkRanges:
@@ -123,14 +120,6 @@ class TestWorkerPool:
         )
         assert any("repro-worker" in n for n in names)
 
-    def test_map_chunks(self):
-        pool = get_pool(2)
-        out = pool.map_chunks(lambda lo, hi: hi - lo, [(0, 3), (3, 10)])
-        assert out == [3, 7]
-
-    def test_parallel_map_helper(self):
-        assert parallel_map(lambda lo, hi: lo, [(0, 1), (5, 6)], 2) == [0, 5]
-
     def test_get_pool_caches(self):
         assert get_pool(3) is get_pool(3)
 
@@ -195,40 +184,6 @@ class TestPoolLifecycle:
         for t in threads:
             t.join()
         assert pool.closed
-
-
-class TestTaskGraph:
-    def test_waves_respect_dependencies(self):
-        g = TaskGraph()
-        g.spawn("a", lambda: "a")
-        g.spawn("b", lambda: "b", after=["a"])
-        g.spawn("c", lambda: "c", after=["a"])
-        g.spawn("d", lambda: "d", after=["b", "c"])
-        waves = g.waves()
-        assert [sorted(t.name for t in w) for w in waves] == [["a"], ["b", "c"], ["d"]]
-
-    def test_run_collects_results(self):
-        g = TaskGraph()
-        g.spawn("x", lambda: 41)
-        g.spawn("y", lambda: 1, after=["x"])
-        results = run_task_graph(g, num_threads=2)
-        assert results == {"x": 41, "y": 1}
-
-    def test_duplicate_name_rejected(self):
-        g = TaskGraph()
-        g.spawn("a", lambda: 1)
-        with pytest.raises(ValueError):
-            g.spawn("a", lambda: 2)
-
-    def test_unknown_dependency_rejected(self):
-        g = TaskGraph()
-        with pytest.raises(ValueError):
-            g.spawn("b", lambda: 1, after=["ghost"])
-
-    def test_task_measures_duration(self):
-        t = Task("sleepy", lambda: time.sleep(0.01))
-        t.run()
-        assert t.measured >= 0.005
 
 
 class TestSimulator:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.dynamic import apply_edge_updates
 from repro.graphs import datasets
+from repro.graphs.graph import Graph
 from repro.service import (
     DistanceCache,
     LandmarkIndex,
@@ -162,3 +164,55 @@ class TestService:
         assert stats.queries_served == 6
         assert stats.latency_p50_ms <= stats.latency_p99_ms
         assert stats.throughput_qps > 0
+
+
+def _path_with_detour(cut: bool = False) -> Graph:
+    """0-1-2-3-4-5 at weight 1 plus a detour 0-5 at weight 19: d(0, 4)
+    is 4 through edge 2-3, and 20 once *cut* removes that edge."""
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5)] + ([] if cut else [(2, 3)])
+    src, dst = zip(*edges, (0, 5))
+    w = [1.0] * len(edges) + [19.0]
+    return Graph.from_edges(src, dst, w, n=6, directed=False)
+
+
+class TestDerivedStateAfterEdits:
+    """Edits made outside :meth:`QueryService.mutate` must not leave
+    derived per-graph state answering for the old graph."""
+
+    @staticmethod
+    def _landmark_service(g):
+        lm = LandmarkIndex.build(g, num_landmarks=2)
+        svc = QueryService(g, landmarks=lm, latency_budget_ms=0.0)
+        svc.query(1)  # calibrates the planner: later misses go to landmarks
+        return svc, lm
+
+    def test_invalidate_drops_partition_views(self):
+        g = datasets.load("ci-road")
+        svc = QueryService(g, stepper="sharded(shards=2)")
+        svc.query(0)
+        g.weights[:] = g.weights * 3.0
+        svc.invalidate()
+        assert np.array_equal(svc.query(0).distances, dijkstra(g, 0).distances)
+
+    def test_invalidate_marks_landmarks_stale(self):
+        g = _path_with_detour()
+        svc, _ = self._landmark_service(g)
+        cut = _path_with_detour(cut=True)
+        g.indptr, g.indices, g.weights = cut.indptr, cut.indices, cut.weights
+        svc.invalidate()
+        resp = svc.query(0, 4)
+        assert not resp.exact
+        assert dijkstra(g, 0).distances[4] == 20.0
+        assert resp.distance >= 20.0  # an upper bound, not the deleted walk's 4
+
+    def test_epoch_move_outside_the_service_makes_landmarks_stale(self):
+        g = _path_with_detour()
+        svc, lm = self._landmark_service(g)
+        assert not lm.stale
+        apply_edge_updates(g, deletes=[(2, 3)])
+        assert lm.stale
+        resp = svc.query(0, 4)
+        assert not resp.exact
+        assert dijkstra(g, 0).distances[4] == 20.0
+        assert resp.distance >= 20.0
+        assert not lm.stale and lm.rebuilds == 1

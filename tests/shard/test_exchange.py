@@ -167,11 +167,6 @@ class TestTransports:
         assert isinstance(tr, PoolTransport)
         assert tr.pool.num_threads == 3
 
-    def test_make_transport_defaults_to_pool_when_given_one(self):
-        pool = get_pool(2)
-        tr = make_transport(None, pool=pool)
-        assert isinstance(tr, PoolTransport) and tr.pool is pool
-
     def test_make_transport_passes_instances_through(self):
         tr = InProcessTransport()
         assert make_transport(tr) is tr

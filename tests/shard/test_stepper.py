@@ -139,7 +139,6 @@ class TestRegistryIntegration:
         s = get_stepper("sharded")
         assert isinstance(s, ShardedDeltaStepper)
         assert s.supports_resolve
-        assert s.parallel_capable
         assert s.kind == "sharded"
         assert "sharded" in STEPPERS
 
