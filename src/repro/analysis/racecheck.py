@@ -25,9 +25,8 @@ interleaving:
   disjoint; failures become :class:`RaceViolation` rows naming the shard
   pair, the superstep, and the overlapping vertex ids.
 - :func:`check_sharded_run` drives a full seeded resolve under the
-  tracker and folds in the :meth:`RelaxWorkspace.check` steady-state
-  invariant (all-inf requests / all-False touched after every wave), so
-  the race harness exercises both PR 4's and PR 5's contracts at once.
+  tracker.  The per-shard relaxation arenas live and die inside that
+  resolve, so no arena can leak state into a later run.
 
 Two honest limitations, both inherent to diff-based attribution: a write
 that stores the value already present is invisible (benign for the
@@ -205,14 +204,10 @@ def check_sharded_run(
     """Run one seeded sharded resolve under the write tracker.
 
     Returns the :class:`RaceReport`; ``report.ok`` means the ownership
-    contract held on every superstep *and* every per-shard
-    :class:`~repro.kernels.workspace.RelaxWorkspace` came back in its
-    all-inf/all-False steady state (:meth:`RelaxWorkspace.check` —
-    a corrupted arena poisons the *next* wave, which is exactly the
-    cross-superstep leak this harness exists to catch).
+    contract held on every superstep.
 
     *transport* is any :func:`~repro.shard.exchange.make_transport`
-    spec or instance (fault wrappers included); the report carries its
+    spec or instance; the report carries its
     :attr:`~repro.shard.exchange.Transport.name`.  *stepper* defaults to
     the registered :class:`ShardedDeltaStepper`; the test harness passes
     an intentionally-broken subclass to prove the checker fires on real
@@ -233,7 +228,7 @@ def check_sharded_run(
         delta=delta, num_shards=num_shards, partitioner=partitioner,
         transport=tracker, sharded=sg, kernel=kernel,
     )
-    report = RaceReport(
+    return RaceReport(
         num_shards=sg.num_shards,
         partitioner=partitioner,
         transport=inner.name,
@@ -242,6 +237,3 @@ def check_sharded_run(
         violations=tracker.violations,
         distances=dist,
     )
-    for ws in sg.meta.get("_relax_workspaces") or ():
-        ws.check()
-    return report

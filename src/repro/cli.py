@@ -22,7 +22,7 @@ steppers    list the stepping-algorithm registry and Δ strategies
 suite       list the dataset suite with structural statistics
 translate   show the IR translation pipeline + fusion report
 lint        run the repo's static-analysis rules (repro.analysis.lint)
-chaos       run the fault-tolerance matrix + serving-tier breaker drill
+chaos       run the serving-tier breaker drill
 ==========  ==================================================================
 
 ``run``, ``query``, and ``serve-bench`` take ``--stepper SPEC`` to pin a
@@ -291,27 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "chaos",
-        help="run the fault-tolerance matrix: every fault plan over every "
-             "transport must match Dijkstra bit-for-bit (exit 1 otherwise)",
+        help="run the serving-tier breaker drill: degrade, trip, shed, "
+             "probe, recover (exit 1 on any failed check)",
     )
-    sp.add_argument("--smoke", action="store_true",
-                    help="fast CI gate: the two smallest suite graphs only")
-    sp.add_argument("--suite", default="ci", choices=["ci", "paper"],
-                    help="graph suite for the matrix (default: ci)")
     sp.add_argument("--seed", type=int, default=7,
-                    help="fault-plan / retry-jitter seed (default: 7)")
-    sp.add_argument("--transports", nargs="+", default=None,
-                    help="inner transports under the chaos layer "
-                         "(default: inline threads:2)")
-    sp.add_argument("--shards", type=int, default=4,
-                    help="shard count for every cell (default: 4)")
-    sp.add_argument("--checkpoint-every", type=int, default=2,
-                    help="superstep checkpoint cadence (default: 2)")
-    sp.add_argument("--max-attempts", type=int, default=4,
-                    help="retry attempts per shard step (default: 4)")
+                    help="landmark seed for the drill (default: 7)")
     sp.add_argument("--metrics-out", metavar="PATH", default=None,
-                    help="write the fleet-wide OpenMetrics exposition (merged "
-                         "per-cell registries: faults/retry/checkpoint counters)")
+                    help="write the drill's OpenMetrics exposition "
+                         "(degraded answers, shed mutations, breaker state)")
     return p
 
 
@@ -928,61 +915,27 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from .bench.reporting import format_table
-    from .faults.harness import DEFAULT_TRANSPORTS, run_chaos_matrix
+    from .faults.harness import run_breaker_drill
     from .obs import render_openmetrics
 
-    transports = tuple(args.transports) if args.transports else DEFAULT_TRANSPORTS
-    report = run_chaos_matrix(
-        smoke=args.smoke,
-        seed=args.seed,
-        transports=transports,
-        num_shards=args.shards,
-        checkpoint_every=args.checkpoint_every,
-        max_attempts=args.max_attempts,
-        suite=args.suite,
-    )
-    rows = [
-        {
-            "workload": c.workload,
-            "plan": c.plan,
-            "transport": c.transport,
-            "identical": "yes" if c.identical else "NO",
-            "injected": c.faults_injected,
-            "retries": f"{c.retry_attempts}/{c.retry_bound}",
-            "restores": c.restores,
-            "supersteps": c.supersteps,
-        }
-        for c in report.cells
-    ]
-    print(format_table(rows))
-    drill = report.breaker
+    drill = run_breaker_drill(args.seed)
     failed_checks = [k for k, v in drill["checks"].items() if not v]
     print(
-        f"\nbreaker drill [{drill['workload']}]: "
+        f"breaker drill [{drill['workload']}]: "
         + ("all checks passed" if drill["ok"]
            else f"FAILED: {', '.join(failed_checks)}")
         + f" (degraded={drill['degraded_answers']}, "
           f"shed={drill['mutations_shed']}, "
           f"trips={drill['breaker']['trips']})"
     )
-    counters = report.metrics.snapshot()["counters"]
-    fleet = {
-        k: v for k, v in sorted(counters.items())
-        if k.startswith(("faults.", "retry.", "checkpoint."))
-    }
-    print("fleet totals: " + ", ".join(f"{k}={v}" for k, v in fleet.items()))
     if args.metrics_out:
-        text = render_openmetrics(report.metrics)
+        text = render_openmetrics(drill["metrics"])
         with open(args.metrics_out, "w") as fh:
             fh.write(text)
         print(f"wrote {args.metrics_out} ({len(text.splitlines())} lines)")
-    bad = [c for c in report.cells if not c.ok]
-    if bad or not drill["ok"]:
-        print(f"\nCHAOS FAIL: {len(bad)} bad cell(s), drill ok={drill['ok']}",
-              file=sys.stderr)
+    if not drill["ok"]:
+        print("\nCHAOS FAIL: breaker drill", file=sys.stderr)
         return 1
-    print(f"\nchaos ok: {len(report.cells)} cells bit-identical, retries bounded")
     return 0
 
 

@@ -9,7 +9,7 @@ because a repair that fails mid-flight is strictly worse than a stale
 answer the epoch snapshot can still serve.
 
 The clock is injectable (``clock=time.monotonic`` by default) so tests
-and the chaos harness drive state transitions without sleeping.  All
+and the breaker drill drive state transitions without sleeping.  All
 transitions are lock-guarded; the service calls :meth:`allow` /
 :meth:`record_success` / :meth:`record_failure` around each batch solve.
 """
@@ -76,7 +76,8 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probing = False
-        #: total closed→open transitions (monotone; surfaced in stats)
+        #: total transitions into open — closed→open trips plus failed
+        #: half-open probes (monotone; surfaced in stats)
         self.trips = 0
 
     def _state_locked(self) -> str:

@@ -78,6 +78,7 @@ from .operations import (
     assign_vector,
     ewise_add,
     ewise_mult,
+    ewise_union,
     extract_submatrix,
     extract_subvector,
     kronecker,
@@ -180,6 +181,7 @@ __all__ = [
     "select",
     "ewise_add",
     "ewise_mult",
+    "ewise_union",
     "vxm",
     "mxv",
     "mxm",

@@ -38,7 +38,7 @@ from .binaryop import (
     SECOND as GrB_SECOND,
     TIMES as GrB_TIMES_op,
 )
-from .descriptor import NULL_DESC, REPLACE
+from .descriptor import NULL_DESC, REPLACE, REPLACE_STRUCTURE
 from .info import Info, NoValue, info_of
 from .matrix import Matrix
 from .monoid import MIN_MONOID, PLUS_MONOID
@@ -79,6 +79,7 @@ __all__ = [
     "GrB_MIN_PLUS_SEMIRING_FP64",
     "GrB_PLUS_TIMES_SEMIRING_FP64",
     "GrB_DESC_R",
+    "GrB_DESC_RS",
     # functions
     "GrB_Vector_new",
     "GrB_Matrix_new",
@@ -105,6 +106,7 @@ __all__ = [
     "GrB_Matrix_apply",
     "GrB_eWiseAdd",
     "GrB_eWiseMult",
+    "GxB_eWiseUnion",
     "GrB_vxm",
     "GrB_mxv",
     "GrB_mxm",
@@ -163,6 +165,9 @@ GrB_MIN_PLUS_SEMIRING_FP64 = MIN_PLUS
 GrB_PLUS_TIMES_SEMIRING_FP64 = PLUS_TIMES
 #: descriptor with OUTP=REPLACE — the paper's ``clear_desc``
 GrB_DESC_R = REPLACE
+#: OUTP=REPLACE with a structural mask (stored entries count, whatever
+#: their value)
+GrB_DESC_RS = REPLACE_STRUCTURE
 
 
 def _guard(fn):
@@ -339,6 +344,14 @@ def GrB_eWiseAdd(out, mask, accum, op, a, b, desc=GrB_NULL) -> Info:
 
 def GrB_eWiseMult(out, mask, accum, op, a, b, desc=GrB_NULL) -> Info:
     return _guard(lambda: ops.ewise_mult(out, op, a, b, mask=mask, accum=accum, desc=desc or NULL_DESC))
+
+
+def GxB_eWiseUnion(out, mask, accum, op, a, alpha, b, beta, desc=GrB_NULL) -> Info:
+    """SuiteSparse's ``GxB_eWiseUnion``: *alpha*/*beta* stand in for the
+    operand missing an entry (see :func:`repro.graphblas.operations.ewise_union`)."""
+    return _guard(
+        lambda: ops.ewise_union(out, op, a, alpha, b, beta, mask=mask, accum=accum, desc=desc or NULL_DESC)
+    )
 
 
 def GrB_vxm(w, mask, accum, semiring, u, a, desc=GrB_NULL) -> Info:

@@ -14,6 +14,7 @@ extension algorithms need — which is the full working set of the C API 1.x):
 ``select``                index-unary filtering (vector & matrix)
 ``ewise_add``             union element-wise combine (vector & matrix)
 ``ewise_mult``            intersection element-wise combine (vector & matrix)
+``ewise_union``           union combine with fill values (``GxB_eWiseUnion``)
 ``vxm`` / ``mxv``         vector-matrix / matrix-vector over a semiring
 ``mxm``                   matrix-matrix over a semiring (masked, chunked)
 ``reduce_*``              monoid reductions (to vector / to scalar)
@@ -178,6 +179,31 @@ def ewise_add(out, op, a, b, mask=None, accum=None, desc: Descriptor | None = No
     out_dtype = binop.result_type(a.dtype, b.dtype)
     t_keys, t_vals = _ewise_add_kernel(binop, a, b, out_dtype)
     finalize_write(out, t_keys, t_vals, mask, accum, desc)
+    return out
+
+
+def ewise_union(out, op, a, alpha, b, beta, mask=None, accum=None, desc: Descriptor | None = None):
+    """``GxB_eWiseUnion``: :func:`ewise_add` with fill values for lone entries.
+
+    Where only *a* holds an entry the result is ``op(a, beta)``; where
+    only *b* does, ``op(alpha, b)``.  *op* is applied over the whole
+    union instead of passing lone values through, so a comparison stays
+    a comparison: ``eWiseUnion(LT, tReq, ∞, t, ∞)`` reads an unstored
+    ``t`` as ∞.
+    """
+    desc = desc or NULL_DESC
+    a = _resolve_input(a, desc, 0)
+    b = _resolve_input(b, desc, 1)
+    a._check_same_shape(b, "eWiseUnion operand")
+    _check_out_shape(out, a)
+    binop = _as_binaryop(op)
+    merged, in_a, in_b, a_pos, b_pos = union_merge(a._keys(), b._keys())
+    left = np.full(len(merged), alpha, dtype=a.values.dtype)
+    left[in_a] = a.values[a_pos[in_a]]
+    right = np.full(len(merged), beta, dtype=b.values.dtype)
+    right[in_b] = b.values[b_pos[in_b]]
+    t_vals = binop.result_type(a.dtype, b.dtype).cast_array(binop(left, right))
+    finalize_write(out, merged, t_vals, mask, accum, desc)
     return out
 
 

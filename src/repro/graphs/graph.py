@@ -289,9 +289,9 @@ class Graph:
     def drop_derived_caches(self) -> None:
         """Delete the ``_``-prefixed derived caches from :attr:`meta`.
 
-        Partition views and workspaces are built against the CSR arrays
-        as they were; after the arrays are edited or swapped in place,
-        they must go (they rebuild on next use).
+        Partition views and the CSR row-id expansion are built against
+        the CSR arrays as they were; after the arrays are edited or
+        swapped in place, they must go (they rebuild on next use).
         """
         for key in [k for k in self.meta if isinstance(k, str) and k.startswith("_")]:
             del self.meta[key]

@@ -18,6 +18,7 @@ from .nodes import (
     Declare,
     EWiseAdd,
     EWiseMult,
+    EWiseUnion,
     Expr,
     MxM,
     MxV,
@@ -54,6 +55,7 @@ __all__ = [
     "ApplyUnary",
     "EWiseAdd",
     "EWiseMult",
+    "EWiseUnion",
     "VxM",
     "MxV",
     "MxM",

@@ -142,14 +142,18 @@ class Interpreter:
             a = self._obj(call.args["in0"])
             out = self._ensure_out(call.out, a, a.dtype)
             ops.select(out, op, a, call.args.get("thunk"), mask=self._mask(call), accum=call.accum, desc=self._desc(call))
-        elif fn in ("ewise_add", "ewise_mult"):
+        elif fn in ("ewise_add", "ewise_mult", "ewise_union"):
             op = self._resolve_op(call.args["op"])
             a = self._obj(call.args["in0"])
             b = self._obj(call.args["in1"])
             binop = op.binaryop if isinstance(op, Monoid) else op
             out = self._ensure_out(call.out, a, binop.result_type(a.dtype, b.dtype))
-            impl = ops.ewise_add if fn == "ewise_add" else ops.ewise_mult
-            impl(out, op, a, b, mask=self._mask(call), accum=call.accum, desc=self._desc(call))
+            kw = dict(mask=self._mask(call), accum=call.accum, desc=self._desc(call))
+            if fn == "ewise_union":
+                ops.ewise_union(out, op, a, call.args["alpha"], b, call.args["beta"], **kw)
+            else:
+                impl = ops.ewise_add if fn == "ewise_add" else ops.ewise_mult
+                impl(out, op, a, b, **kw)
         elif fn == "vxm":
             sr = self._resolve_op(call.args["semiring"])
             v = self._obj(call.args["in0"])

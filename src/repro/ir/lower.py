@@ -23,6 +23,7 @@ from .nodes import (
     Declare,
     EWiseAdd,
     EWiseMult,
+    EWiseUnion,
     Expr,
     MxM,
     MxV,
@@ -117,6 +118,11 @@ class _Lowerer:
             a = self._operand(expr.a, calls)
             b = self._operand(expr.b, calls)
             calls.append(GrBCall("ewise_mult", out, {"op": expr.op, "in0": a, "in1": b}, **kw))
+        elif isinstance(expr, EWiseUnion):
+            a = self._operand(expr.a, calls)
+            b = self._operand(expr.b, calls)
+            args = {"op": expr.op, "in0": a, "alpha": expr.alpha, "in1": b, "beta": expr.beta}
+            calls.append(GrBCall("ewise_union", out, args, **kw))
         elif isinstance(expr, VxM):
             v = self._operand(expr.v, calls)
             m = self._operand(expr.m, calls)

@@ -6,8 +6,8 @@ GraphBLAS calls.  This module defines the intermediate form between the
 two — a small expression/statement language over named sparse objects:
 
 Expressions (evaluate to a Vector/Matrix/Scalar):
-    ``Ref``, ``ApplyUnary``, ``EWiseAdd``, ``EWiseMult``, ``VxM``, ``MxV``,
-    ``MxM``, ``Reduce``, ``TransposeExpr``, ``SelectExpr``
+    ``Ref``, ``ApplyUnary``, ``EWiseAdd``, ``EWiseMult``, ``EWiseUnion``,
+    ``VxM``, ``MxV``, ``MxM``, ``Reduce``, ``TransposeExpr``, ``SelectExpr``
 
 Statements (mutate the environment):
     ``Declare``, ``Assign``, ``SetElement``, ``Clear``, ``SetScalar``,
@@ -30,6 +30,7 @@ __all__ = [
     "ApplyUnary",
     "EWiseAdd",
     "EWiseMult",
+    "EWiseUnion",
     "VxM",
     "MxV",
     "MxM",
@@ -99,6 +100,21 @@ class EWiseMult(Expr):
     op: object
     a: Expr
     b: Expr
+
+    def children(self):
+        return (self.a, self.b)
+
+
+@dataclass(frozen=True)
+class EWiseUnion(Expr):
+    """Union combine with fill values: *alpha* stands in for a missing
+    *a* entry and *beta* for a missing *b* entry."""
+
+    op: object
+    a: Expr
+    alpha: float
+    b: Expr
+    beta: float
 
     def children(self):
         return (self.a, self.b)

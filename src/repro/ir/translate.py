@@ -32,7 +32,7 @@ from .nodes import (
     Assign,
     Clear,
     Declare,
-    EWiseAdd,
+    EWiseUnion,
     NvalsNonzero,
     Program,
     Ref,
@@ -105,7 +105,10 @@ def delta_stepping_program(name: str = "delta-stepping") -> Program:
                         # S = (S + tBi) > 0
                         set_union("s", "s", "tB"),
                         # tBi = (iΔ ≤ tReq < (i+1)Δ) ∘ (tReq < t)
-                        Assign("tless", EWiseAdd(LT, Ref("tReq"), Ref("t")), mask="tReq", replace=True),
+                        Assign(
+                            "tless", EWiseUnion(LT, Ref("tReq"), INF, Ref("t"), INF),
+                            mask="tReq", replace=True, structural=True,
+                        ),
                         Assign("tB", ApplyUnary(in_bucket, Ref("tReq")), mask="tless", replace=True),
                         # t = min(t, tReq)
                         min_merge("t", "tReq"),

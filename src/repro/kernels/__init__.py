@@ -18,10 +18,9 @@ is built from, extracted from the per-solver copies that used to live in
                                        reusable buffer arena (request
                                        vector + touched mask, wave
                                        buffers, iota ramp) that makes
-                                       steady-state phases allocation-free;
-                                       per-graph caching helpers
-                                       (:func:`workspace_for`,
-                                       :func:`cached_row_ids`)
+                                       steady-state phases allocation-free,
+                                       one per solve; the per-graph row-id
+                                       cache (:func:`cached_row_ids`)
 :mod:`~repro.kernels.bucketq`          :class:`BucketQueue` — the lazy
                                        bucket index that replaces the
                                        per-bucket full-``t`` scans in the
@@ -48,7 +47,7 @@ from .minby import (
     min_by_target_scatter,
     min_by_target_sort,
 )
-from .workspace import RelaxWorkspace, cached_row_ids, workspace_for
+from .workspace import RelaxWorkspace, cached_row_ids
 
 __all__ = [
     "BucketQueue",
@@ -62,5 +61,4 @@ __all__ = [
     "min_by_target_sort",
     "RelaxWorkspace",
     "cached_row_ids",
-    "workspace_for",
 ]

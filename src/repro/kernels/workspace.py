@@ -10,8 +10,9 @@ split.  At CI graph sizes the allocator overhead rivals the kernels
 themselves; at scale it is pure waste (Dong et al. 2021 report the same
 observation for their LAB-PQ batches: the buffers must persist).
 
-:class:`RelaxWorkspace` owns those buffers once per solver (or once per
-graph, via :func:`workspace_for`):
+:class:`RelaxWorkspace` owns those buffers once per solve: every resolve
+allocates its own, so concurrent solves on one graph never share
+scratch:
 
 - ``req``/``touched`` — the dense per-target request vector and its
   touched mask, the state behind the O(m) scatter-min kernel
@@ -42,13 +43,10 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
-__all__ = ["RelaxWorkspace", "workspace_for", "cached_row_ids"]
+__all__ = ["RelaxWorkspace", "cached_row_ids"]
 
 INF: float = float(np.inf)
 
-#: ``graph.meta`` key of the per-graph workspace (underscore-prefixed:
-#: a derived cache, dropped by ``Graph.copy``/``with_weights``)
-_WORKSPACE_KEY = "_relax_workspace"
 #: ``graph.meta`` key of the ``(epoch, row_ids)`` expansion cache
 _ROW_IDS_KEY = "_row_ids"
 
@@ -159,25 +157,6 @@ class RelaxWorkspace:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RelaxWorkspace<n={self.n}, wave_cap={len(self._flat)}, grows={self.grows}>"
-
-
-def workspace_for(graph: Any) -> RelaxWorkspace:
-    """The per-graph cached :class:`RelaxWorkspace`.
-
-    Memoized under ``graph.meta['_relax_workspace']`` so repeated solves
-    (service traffic, tuner probes, repair waves) share one arena.  The
-    workspace carries no graph-derived state — only size — so it
-    survives mutations (the vertex set is fixed); copies drop it with
-    the other underscore-prefixed derived caches.
-
-    Not safe to share across threads: concurrent solvers must own
-    private workspaces (the sharded stepper allocates one per shard).
-    """
-    ws: RelaxWorkspace | None = graph.meta.get(_WORKSPACE_KEY)
-    if ws is None or ws.n != graph.num_vertices:
-        ws = RelaxWorkspace(graph.num_vertices)
-        graph.meta[_WORKSPACE_KEY] = ws
-    return ws
 
 
 def cached_row_ids(graph: Any) -> NDArray[np.int64]:

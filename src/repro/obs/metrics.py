@@ -207,28 +207,6 @@ class Histogram:
         self.min = inf
         self.max = -inf
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold *other*'s observations into this histogram.
-
-        Exact for every reported statistic (bucket counts, count, sum,
-        min, max add/compare losslessly) — but only between histograms
-        on the **same bucket ladder**; merging across different bounds
-        would silently misbin, so it raises instead.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                "cannot merge histograms with different bucket bounds "
-                f"({len(self.bounds)} vs {len(other.bounds)} buckets)"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Histogram<{self.count} obs, p50={self.percentile(50):.3g}>"
 
@@ -350,27 +328,6 @@ class MetricsRegistry:
             for store in (self._counters, self._gauges, self._histograms):
                 for inst in store.values():
                     inst.reset()
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold *other*'s instruments into this registry by name.
-
-        Counters add, gauges take *other*'s value when it has one
-        (last-writer-wins, matching the instrument's own semantics),
-        histograms fold bucket-exactly via :meth:`Histogram.merge`
-        (same-ladder requirement included).  Instruments only *other*
-        has are created here.  The chaos harness uses this to aggregate
-        per-cell recorder registries into one fleet-wide report.
-        """
-        with other._lock:
-            counters = list(other._counters.items())
-            gauges = list(other._gauges.items())
-            histograms = list(other._histograms.items())
-        for name, c in counters:
-            self.counter(name).inc(c.value)
-        for name, g in gauges:
-            self.gauge(name).set(g.value)
-        for name, h in histograms:
-            self.histogram(name, h.bounds).merge(h)
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)

@@ -206,7 +206,7 @@ def batch_graphblas_delta_stepping(graph: Graph, sources, delta: float = 1.0) ->
     """
     from ..graphblas import operations as ops
     from ..graphblas.binaryop import LOR, LT, MIN
-    from ..graphblas.descriptor import REPLACE
+    from ..graphblas.descriptor import REPLACE, REPLACE_STRUCTURE
     from ..graphblas.matrix import Matrix
     from ..graphblas.monoid import MIN_MONOID
     from ..graphblas.semiring import MIN_PLUS
@@ -257,7 +257,7 @@ def batch_graphblas_delta_stepping(graph: Graph, sources, delta: float = 1.0) ->
             ops.mxm(TReq, MIN_PLUS, Tmasked, Al, desc=REPLACE)
             counters["relaxations"] += TReq.nvals
             ops.ewise_add(S, LOR, S, TB)
-            ops.ewise_add(TLess, LT, TReq, T, mask=TReq, desc=REPLACE)
+            ops.ewise_union(TLess, LT, TReq, INF, T, INF, mask=TReq, desc=REPLACE_STRUCTURE)
             ops.apply(TB, range_filter(i * delta, (i + 1) * delta), TReq, mask=TLess, desc=REPLACE)
             counters["updates"] += int(np.count_nonzero(TLess.values))
             ops.ewise_add(T, MIN, T, TReq)

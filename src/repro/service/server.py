@@ -208,7 +208,7 @@ class QueryService:
     solver:
         The batch solver callable (defaults to
         :func:`repro.service.batch.batch_delta_stepping`); injectable so
-        the chaos harness and tests can make the exact path fail on
+        the breaker drill and tests can make the exact path fail on
         demand.  Same signature and result contract as the default.
     """
 
@@ -716,8 +716,8 @@ class QueryService:
         in-place edit of its arrays; returns the cache entries dropped.
 
         Empties the distance cache, deletes the graph's derived ``meta``
-        caches (partition views, workspaces) and marks the landmark
-        index stale.  Batches applied through :meth:`mutate` or
+        caches (partition views, row-id expansion) and marks the
+        landmark index stale.  Batches applied through :meth:`mutate` or
         :func:`repro.dynamic.apply_edge_updates` never need this — they
         bump ``graph.epoch``, which retires all of those automatically.
         """

@@ -53,7 +53,6 @@ from .exchange import (
     PoolTransport,
     TRANSPORTS,
     Transport,
-    TransportFailure,
     make_transport,
 )
 from .partition import (
@@ -84,7 +83,6 @@ __all__ = [
     "Outbox",
     "FrontierExchange",
     "Transport",
-    "TransportFailure",
     "InProcessTransport",
     "PoolTransport",
     "TRANSPORTS",

@@ -27,11 +27,10 @@ run them through the one barrier primitive,
 :class:`InProcessTransport` (spec ``inline``) on a one-thread pool that
 executes inline (deterministic, zero dependencies), :class:`PoolTransport`
 (spec ``threads[:N]``) on a shared multi-thread pool (NumPy kernels
-release the GIL, so shard steps genuinely overlap).  The
-:mod:`repro.faults` wrappers (:class:`~repro.faults.ChaosTransport`
-fault injection, :class:`~repro.faults.ResilientTransport`
-retry/backoff) are built in code around either, which is how
-crash/retry correctness is proven.
+release the GIL, so shard steps genuinely overlap).  Both run in one
+address space, so a step that raises fails its superstep through the
+pool's :class:`~repro.parallel.pool.BatchError`; there is no lost
+dispatch to retry.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = [
     "Outbox",
     "FrontierExchange",
     "Transport",
-    "TransportFailure",
     "InProcessTransport",
     "PoolTransport",
     "TRANSPORTS",
@@ -121,29 +119,6 @@ class ExchangeStats:
             }
         )
 
-    def state(self) -> tuple[int, int, int, int, int]:
-        """Snapshot for the stepper's superstep checkpoints: the four
-        aggregates plus the ledger length (rounds after it are the ones
-        a recovery re-executes)."""
-        return (
-            self.exchanges,
-            self.entries_posted,
-            self.entries_carried,
-            self.entries_applied,
-            len(self.rounds),
-        )
-
-    def restore(self, state: tuple[int, int, int, int, int]) -> None:
-        """Rewind to a :meth:`state` snapshot, truncating the per-round
-        ledger — re-executed supersteps append fresh rows, so the
-        rows-sum-to-aggregates invariant survives recovery."""
-        exchanges, posted, carried, applied, num_rounds = state
-        self.exchanges = exchanges
-        self.entries_posted = posted
-        self.entries_carried = carried
-        self.entries_applied = applied
-        del self.rounds[num_rounds:]
-
     def per_superstep(self) -> list[dict]:
         """Per-flush-round breakdown, in superstep order.
 
@@ -198,32 +173,6 @@ class Outbox:
         self.req[keys] = INF
         self._touched.clear()
         return keys, vals
-
-    def peek(self) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-        """Non-draining copy of the pending (targets, best candidates).
-
-        The chaos transport's duplicate-delivery injection reads this to
-        re-post a box's pending entries elsewhere; min-combine on
-        delivery makes the duplicates harmless.
-        """
-        if not self._touched:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        keys = np.unique(np.concatenate(self._touched))
-        return keys, self.req[keys].copy()
-
-    def clear(self) -> None:
-        """Drop the pending candidates without delivering them.
-
-        The stepper's checkpoint-restore path calls this on every box: a
-        rolled-back superstep's posts must not leak into the
-        re-execution (they would be harmless min-candidates, but the
-        communication counters would double-count them).
-        """
-        if self._touched:
-            keys = np.unique(np.concatenate(self._touched))
-            self.req[keys] = INF
-            self._touched.clear()
-        self.posted = 0
 
     def __bool__(self) -> bool:
         return bool(self._touched)
@@ -281,44 +230,14 @@ class FrontierExchange:
         self.stats.record_round(posted, carried, len(keys))
         return keys
 
-    def clear_pending(self) -> None:
-        """Drop every outbox's pending candidates (checkpoint restore).
-
-        Safe to call after a failed superstep: every transport is a
-        barrier (results or failures are collected before ``run``
-        returns), so no shard step is still writing when the stepper
-        rolls back.
-        """
-        for box in self.outboxes:
-            box.clear()
-
-
-class TransportFailure(RuntimeError):
-    """A transport could not complete a superstep's shard steps.
-
-    The transport-level failure signal (as opposed to
-    :class:`repro.parallel.pool.BatchError`, which attributes individual
-    task exceptions): retry exhaustion or a superstep-deadline miss.
-    The sharded stepper treats both the same way — restore the last
-    checkpoint and re-execute, or abort when no checkpoint (or no
-    restore budget) remains.
-    """
-
 
 class Transport(ABC):
     """Where per-shard step functions execute (a barrier per round).
 
     Failure contract: ``run`` either returns every fn's result or raises
-    — :class:`~repro.parallel.pool.BatchError` with per-task attribution
-    when individual steps failed, or :class:`TransportFailure` for
-    transport-level conditions (retry exhaustion, deadline).  Partial
-    results never escape silently.
-
-    Wrapper transports (:mod:`repro.faults`) layer on two optional
-    hooks, both no-ops here: :meth:`bind_recorder` attaches a telemetry
-    recorder, and :meth:`before_flush` runs once per superstep between
-    the step barrier and the exchange delivery (where chaos wrappers
-    duplicate/reorder pending deliveries).
+    :class:`~repro.parallel.pool.BatchError` with per-task attribution
+    when individual steps failed.  Partial results never escape
+    silently.
     """
 
     name: str = "?"
@@ -327,15 +246,6 @@ class Transport(ABC):
     def run(self, fns: Sequence[Callable[[], Any]]) -> list[Any]:
         """Execute the zero-argument *fns*, one per shard; barrier until
         all complete, results in submission order."""
-
-    def bind_recorder(self, recorder: Any) -> None:
-        """Attach a :class:`repro.obs.Recorder` for transport-level
-        counters (``faults.*`` / ``retry.*``); the base transports have
-        nothing to record."""
-
-    def before_flush(self, exchange: "FrontierExchange") -> None:
-        """Per-superstep hook right before *exchange* delivers; wrapper
-        transports perturb pending deliveries here."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Transport<{self.name}>"
@@ -348,8 +258,8 @@ class InProcessTransport(Transport):
     which executes inline and carries the pool's failure contract: every
     fn runs to the (trivial) barrier, and failures aggregate into one
     :class:`~repro.parallel.pool.BatchError` instead of the first
-    exception aborting the batch mid-way — so retry wrappers see
-    identical semantics on every transport.
+    exception aborting the batch mid-way — the same semantics on every
+    transport.
     """
 
     name = "inline"
@@ -402,8 +312,7 @@ def _make_threads(arg: str | None, spec: str) -> Transport:
 
 #: transport name → factory taking the optional ``:N`` argument; the
 #: discovery surface of :func:`make_transport`.  ``threads`` takes an
-#: optional thread count (``"threads:8"``).  Wrapper transports
-#: (:mod:`repro.faults`) are built in code around an inner spec.
+#: optional thread count (``"threads:8"``).
 TRANSPORTS: dict[str, Callable[[str | None, str], Transport]] = {
     "inline": _make_inline,
     "threads": _make_threads,

@@ -42,7 +42,6 @@ import numpy as np
 
 from ..graphs.graph import Graph
 from ..kernels import RelaxWorkspace, check_kernel
-from ..parallel.pool import BatchError
 from ..sssp.result import INF, SSSPResult
 from ..stepping.base import (
     Stepper,
@@ -53,7 +52,7 @@ from ..stepping.base import (
     relax_window,
 )
 from ..stepping.delta_star import default_delta_star
-from .exchange import FrontierExchange, TransportFailure, make_transport
+from .exchange import FrontierExchange, make_transport
 from .partition import PARTITIONERS, ShardedGraph, partition_graph
 
 __all__ = ["ShardedDeltaStepper", "sharded_delta_stepping", "default_num_shards", "sharded_view"]
@@ -123,7 +122,7 @@ class ShardedDeltaStepper(Stepper):
     name = "sharded"
     kind = "sharded"
     description = "partition-parallel delta-stepping, per-step frontier exchange"
-    spec_param_aliases = {"shards": "num_shards", "checkpoint": "checkpoint_every"}
+    spec_param_aliases = {"shards": "num_shards"}
 
     def solve(
         self,
@@ -136,8 +135,6 @@ class ShardedDeltaStepper(Stepper):
         sharded: ShardedGraph | None = None,
         kernel: str = "auto",
         recorder=None,
-        checkpoint_every: int | None = None,
-        max_restores: int = 8,
     ) -> SSSPResult:
         n = graph.num_vertices
         if not 0 <= source < n:
@@ -155,7 +152,6 @@ class ShardedDeltaStepper(Stepper):
                 graph, dist, active, delta=delta, num_shards=num_shards,
                 partitioner=partitioner, transport=transport, sharded=sharded,
                 kernel=kernel, recorder=recorder,
-                checkpoint_every=checkpoint_every, max_restores=max_restores,
             )
         result = SSSPResult(
             distances=dist,
@@ -183,8 +179,6 @@ class ShardedDeltaStepper(Stepper):
         sharded: ShardedGraph | None = None,
         kernel: str = "auto",
         recorder=None,
-        checkpoint_every: int | None = None,
-        max_restores: int = 8,
     ) -> dict:
         """Run the sharded schedule from a seeded state to quiescence.
 
@@ -194,19 +188,11 @@ class ShardedDeltaStepper(Stepper):
         extra keys the framework consumers ignore and the SHARD bench
         reads.
 
-        *checkpoint_every* = K enables superstep checkpointing (spec
-        alias ``checkpoint``): every K supersteps the full superstep
-        state — ``dist``, the active mask, the work counters, and the
-        :class:`~repro.shard.exchange.ExchangeStats` snapshot — is
-        copied, and a recoverable transport failure
-        (:class:`~repro.shard.exchange.TransportFailure` or
-        :class:`~repro.parallel.pool.BatchError`) restores the last
-        checkpoint and re-executes from there instead of aborting, up to
-        *max_restores* times.  Re-execution is exact: the window
-        re-derives from the restored ``dist``/mask, pending outboxes are
-        cleared, and min-combine delivery makes any re-applied work
-        harmless — so recovered runs stay bit-identical to Dijkstra
-        (the chaos harness's headline assertion).
+        A shard step that raises fails the whole resolve: the transport
+        raises :class:`~repro.parallel.pool.BatchError` naming the
+        failed step indices, and no partial distances are returned as
+        an answer.  Each call allocates its own per-shard relaxation
+        arenas, so concurrent resolves on one graph share no scratch.
 
         A truthy *recorder* gets three span layers per superstep: one
         ``superstep`` span (window bound, phase count, re-activations),
@@ -234,30 +220,21 @@ class ShardedDeltaStepper(Stepper):
             k = num_shards if num_shards is not None else default_num_shards(graph)
             sg = sharded_view(graph, int_knob("num_shards", k), partitioner)
 
-        if checkpoint_every is not None:
-            checkpoint_every = int_knob("checkpoint_every", checkpoint_every)
-        max_restores = int_knob("max_restores", max_restores, minimum=0)
-
         tr = make_transport(transport)
-        tr.bind_recorder(recorder if recorder else None)
         ex = FrontierExchange(sg.num_shards, graph.num_vertices)
         owner = sg.owner
         mask = active.astype(bool, copy=True)
         active[:] = False  # consumed: the supersteps work on the copy
         counters = new_counters()
-        # one workspace per shard: steps run concurrently on pooled
-        # transports, and the gather's wave buffers and the scatter
-        # kernel's dense request vector must have a single writer (same
-        # ownership rule as the outboxes).  The argsort pin skips the
-        # arenas (its gathers pay fresh buffers), and they are cached on
-        # the (already graph.meta-cached) view so repeated solves reuse them.
+        # one workspace per shard, owned by this call: steps run
+        # concurrently on pooled transports, and the gather's wave
+        # buffers and the scatter kernel's dense request vector must have
+        # a single writer (same ownership rule as the outboxes).  The
+        # argsort pin skips the arenas (its gathers pay fresh buffers).
         if kernel == "argsort":
             shard_ws = None
         else:
-            shard_ws = sg.meta.get("_relax_workspaces")
-            if shard_ws is None or len(shard_ws) != sg.num_shards:
-                shard_ws = [RelaxWorkspace(graph.num_vertices) for _ in sg.shards]
-                sg.meta["_relax_workspaces"] = shard_ws
+            shard_ws = [RelaxWorkspace(graph.num_vertices) for _ in sg.shards]
 
         def route(shard_id, targets, cand):
             """Keep the wave's owned targets; post the rest to the outbox."""
@@ -297,21 +274,6 @@ class ShardedDeltaStepper(Stepper):
             )
             return c
 
-        # superstep checkpointing: the snapshot is everything the loop
-        # head reads — dist, the active mask, the scalar work counters,
-        # and the exchange ledger position.  The window itself re-derives
-        # from dist/mask, so it needs no snapshot.
-        def take_checkpoint():
-            return (
-                dist.copy(),
-                mask.copy(),
-                {k: counters[k] for k in ("steps", "phases", "relaxations", "updates")},
-                ex.stats.state(),
-            )
-
-        restores = 0
-        ckpt = take_checkpoint() if checkpoint_every else None
-
         while mask.any():
             peek = float(dist[mask].min())
             if not np.isfinite(peek):
@@ -319,57 +281,30 @@ class ShardedDeltaStepper(Stepper):
                 break
             bound = peek + delta
             counters["steps"] += 1
-            sspan = None
-            if recorder:
-                p0 = counters["phases"]
-                sspan = recorder.span(
-                    "superstep", step=int(counters["steps"]), bound=float(bound)
-                ).__enter__()
-            try:
+            p0 = counters["phases"]
+            with (
+                recorder.span("superstep", step=int(counters["steps"]), bound=float(bound))
+                if recorder
+                else _NO_SPAN
+            ) as sspan:
                 per_shard = tr.run(
                     [_bind_step(shard_step, shard, bound) for shard in sg.shards]
                 )
-            except (TransportFailure, BatchError):
-                if sspan is not None:
-                    sspan.set(failed=True)
-                    sspan.__exit__(None, None, None)
-                if ckpt is None or restores >= max_restores:
-                    raise
-                # restore-and-re-execute: a failed superstep may have
-                # consumed mask bits, written partial improvements, and
-                # posted partial outbox entries — roll all of it back to
-                # the checkpoint and let the loop re-derive the window
-                restores += 1
-                c_dist, c_mask, c_counters, c_stats = ckpt
-                dist[:] = c_dist
-                mask[:] = c_mask
-                counters.update(c_counters)
-                ex.stats.restore(c_stats)
-                ex.clear_pending()
+                for c in per_shard:
+                    counters["phases"] += c["phases"]
+                    counters["relaxations"] += c["relaxations"]
+                    counters["updates"] += c["updates"]
                 if recorder:
-                    recorder.inc("checkpoint.restores")
-                continue
-            for c in per_shard:
-                counters["phases"] += c["phases"]
-                counters["relaxations"] += c["relaxations"]
-                counters["updates"] += c["updates"]
-            tr.before_flush(ex)
-            if recorder:
-                pre = ex.stats.as_dict()
-                with recorder.span("exchange", step=int(counters["steps"])) as xspan:
+                    pre = ex.stats.as_dict()
+                    with recorder.span("exchange", step=int(counters["steps"])) as xspan:
+                        incoming = ex.flush(dist)
+                    xspan.set(**{k: ex.stats.as_dict()[k] - v for k, v in pre.items()})
+                else:
                     incoming = ex.flush(dist)
-                xspan.set(**{k: ex.stats.as_dict()[k] - v for k, v in pre.items()})
-            else:
-                incoming = ex.flush(dist)
-            counters["updates"] += len(incoming)
-            mask[incoming] = True
-            if sspan is not None:
-                sspan.set(phases=counters["phases"] - p0, activated=int(len(incoming)))
-                sspan.__exit__(None, None, None)
-            if checkpoint_every and counters["steps"] % checkpoint_every == 0:
-                ckpt = take_checkpoint()
-                if recorder:
-                    recorder.inc("checkpoint.snapshots")
+                counters["updates"] += len(incoming)
+                mask[incoming] = True
+                if sspan is not None:
+                    sspan.set(phases=counters["phases"] - p0, activated=int(len(incoming)))
 
         counters["params"] = {
             "delta": float(delta),
@@ -379,8 +314,6 @@ class ShardedDeltaStepper(Stepper):
             "transport": tr.name,
             "cut_edges": sg.num_cut_edges,
             "cut_fraction": sg.cut_fraction,
-            "checkpoint_every": int(checkpoint_every) if checkpoint_every else 0,
-            "restores": restores,
         }
         if recorder:
             # aggregate counters next to the spans: the serving tier's

@@ -16,12 +16,12 @@ the one solver registry, :data:`repro.stepping.STEPPERS`:
 ``bellman-ford``            edge-centric label-correcting baseline
 ==========================  =================================================
 
-Known limitation: ``graphblas`` and ``capi`` (and the GraphBLAS batch
-engine) never relax the out-edges of a non-source vertex whose distance
-is exactly 0, so vertices reached only through it stay at ``inf``.
-Fig. 2's §V.B re-entry step ``eWiseAdd(LT, tReq, t)`` casts a ``0.0``
-stored only in ``tReq`` to false, so that vertex never re-enters its
-bucket.  Fixing it changes the paper's listing, so it is left as is.
+``graphblas`` and ``capi`` (and the GraphBLAS batch engine and the IR
+program) depart from Fig. 2 in one call: §V.B's re-entry step
+``eWiseAdd(LT, tReq, t)`` under tReq's value mask lost a vertex first
+reached at distance 0, so they run ``eWiseUnion(LT, tReq, ∞, t, ∞)``
+under tReq's structural mask instead (see
+:mod:`repro.sssp.graphblas_sssp`).
 
 Entry point::
 

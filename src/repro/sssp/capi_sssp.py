@@ -16,6 +16,7 @@ import numpy as np
 
 from ..graphblas.capi import (
     GrB_DESC_R,
+    GrB_DESC_RS,
     GrB_FP64,
     GrB_BOOL,
     GrB_IDENTITY_BOOL,
@@ -34,6 +35,7 @@ from ..graphblas.capi import (
     GrB_apply,
     GrB_eWiseAdd,
     GrB_vxm,
+    GxB_eWiseUnion,
     Info,
     Ref,
 )
@@ -143,7 +145,8 @@ def capi_delta_stepping(graph: Graph, source: int, delta: float = 1.0) -> SSSPRe
             _ok(GrB_eWiseAdd(s, GrB_NULL, GrB_NULL, GrB_LOR, s, tB, GrB_NULL))
 
             # // tBi = (i*delta .<= tReq .< (i+1)*delta) .* (tReq .< t)
-            _ok(GrB_eWiseAdd(tless, tReq, GrB_NULL, GrB_LT_FP64, tReq, t, clear_desc))
+            # (departs from Fig. 2: structural mask, unstored t read as ∞)
+            _ok(GxB_eWiseUnion(tless, tReq, GrB_NULL, GrB_LT_FP64, tReq, INF, t, INF, GrB_DESC_RS))
             _ok(GrB_Vector_apply(tB, tless, GrB_NULL, delta_irange, tReq, clear_desc))
 
             # // t = min(t, tReq)

@@ -20,7 +20,7 @@ object from the hot loop.  The primitives themselves live in
   wave density or pinned via ``kernel=`` (spec spelling:
   ``"delta(kernel=scatter)"``);
 - all wave temporaries come out of a reusable
-  :class:`~repro.kernels.RelaxWorkspace` arena (per-graph cached), so a
+  :class:`~repro.kernels.RelaxWorkspace` arena (one per solve), so a
   steady-state phase allocates no wave-sized array;
 - the outer loop walks a lazy :class:`~repro.kernels.BucketQueue`
   instead of rescanning all *n* tentative distances per bucket — the
@@ -64,7 +64,6 @@ from ..kernels import (
     check_kernel,
     gather_candidates,
     min_by_target,
-    workspace_for,
 )
 from ..kernels.bucketq import sort_unique
 from .result import INF, SSSPResult
@@ -152,8 +151,8 @@ def fused_delta_stepping(
     """Sequential fused delta-stepping (the Fig. 3 "Fused C impl." series).
 
     *kernel* picks the per-target min kernel (``auto``/``argsort``/
-    ``scatter``, see :mod:`repro.kernels.minby`); *workspace* overrides
-    the per-graph cached buffer arena (embedders that manage their own).
+    ``scatter``, see :mod:`repro.kernels.minby`); *workspace* is a
+    caller-owned buffer arena (by default each solve allocates its own).
     A truthy *recorder* (:mod:`repro.obs`) receives the §VI.C stages as
     trace spans plus one ``bucket`` span per non-empty bucket (index,
     frontier size, phase count) — the per-bucket timeline the stage
@@ -196,7 +195,7 @@ def fused_resolve(
     split = split_csr_light_heavy(graph, delta, fused=fuse_matrix_split, recorder=recorder)
     seeds = np.flatnonzero(active & np.isfinite(dist))
     active[:] = False
-    ws = workspace if workspace is not None else workspace_for(graph)
+    ws = workspace if workspace is not None else RelaxWorkspace(graph.num_vertices)
     return run_buckets(
         split, dist, seeds, delta, kernel, ws, fuse_relax=fuse_relax, recorder=recorder
     )

@@ -22,10 +22,19 @@ Linear algebra                        Here
 ``tReq = A_Lᵀ (min.+) (t ∘ tBi)``     masked identity ``apply`` + ``vxm``
 ``S = (S + tBi) > 0``                 ``eWiseAdd`` with LOR
 ``tBi = (iΔ ≤ tReq < (i+1)Δ)
-        ∘ (tReq < t)``                ``eWiseAdd`` LT with **tReq as mask**
-                                      (the §V.B workaround) + ``apply``
+        ∘ (tReq < t)``                ``eWiseUnion`` LT (unstored ``t`` is
+                                      ∞) under tReq's **structural** mask,
+                                      + ``apply``
 ``t = min(t, tReq)``                  ``eWiseAdd`` with MIN
 ====================================  ======================================
+
+One departure from Fig. 2: its ``eWiseAdd(LT, tReq, t)`` under tReq's
+*value* mask drops a stored ``tReq`` of ``0.0``, and eWiseAdd copies an
+entry only ``tReq`` holds through unchanged, so a ``0.0`` there casts to
+false.  A vertex first reached at distance 0 then never re-enters its
+bucket, and everything behind it stays at ∞.  Here the mask is
+structural and ``eWiseUnion`` fills the missing ``t`` with ∞, so
+``tReq < t`` is a comparison everywhere.
 
 A truthy ``recorder=`` (:mod:`repro.obs`) receives each group of calls
 as a span labelled by its §VI.C stage (``filter:AL``, ``vxm:light`` …).
@@ -39,7 +48,7 @@ import numpy as np
 
 from ..graphblas import operations as ops
 from ..graphblas.binaryop import LOR, LT, MIN
-from ..graphblas.descriptor import REPLACE
+from ..graphblas.descriptor import REPLACE, REPLACE_STRUCTURE
 from ..graphblas.matrix import Matrix
 from ..graphblas.monoid import MIN_MONOID
 from ..graphblas.semiring import MIN_PLUS
@@ -151,9 +160,8 @@ def graphblas_delta_stepping(
                 ops.ewise_add(s, LOR, s, tB)
             with recorder.span("filter:reenter") if recorder else _NO_SPAN:
                 # tBi = (iΔ .<= tReq .< (i+1)Δ) .* (tReq .< t)
-                # tReq as output mask — the §V.B workaround for eWiseAdd's
-                # union semantics with the non-commutative LT
-                ops.ewise_add(tless, LT, tReq, t, mask=tReq, desc=REPLACE)
+                # tReq as structural output mask, unstored t read as ∞
+                ops.ewise_union(tless, LT, tReq, INF, t, INF, mask=tReq, desc=REPLACE_STRUCTURE)
                 ops.apply(tB, range_filter(i * delta, (i + 1) * delta), tReq, mask=tless, desc=REPLACE)
             counters["updates"] += int(np.count_nonzero(tless.values))
             with recorder.span("vector:minmerge") if recorder else _NO_SPAN:

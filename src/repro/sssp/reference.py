@@ -15,7 +15,7 @@ import heapq
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import check_kernel, min_by_target, workspace_for
+from ..kernels import RelaxWorkspace, check_kernel, min_by_target
 from .result import INF, SSSPResult
 
 __all__ = ["dijkstra", "bellman_ford"]
@@ -93,7 +93,7 @@ def bellman_ford(
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
     check_kernel(kernel)
-    ws = workspace_for(graph)
+    ws = RelaxWorkspace(n)
     src, dst, w = graph.to_edges()
     dist = np.full(n, INF, dtype=np.float64)
     dist[source] = 0.0

@@ -49,7 +49,6 @@ from ..kernels import (
     check_kernel,
     gather_candidates,
     min_by_target,
-    workspace_for,
 )
 from ..sssp.delta import choose_delta
 from ..sssp.result import INF, SSSPResult
@@ -243,7 +242,7 @@ def window_resolve(
     if active.shape != dist.shape:
         raise ValueError("active mask must match the distance array")
     check_kernel(kernel)
-    ws = workspace_for(graph)
+    ws = RelaxWorkspace(graph.num_vertices)
     indptr, indices, weights = graph.csr()
     mask = active.astype(bool, copy=True)
     active[:] = False

@@ -10,22 +10,17 @@ from repro.analysis import (
     WriteTrackingTransport,
     check_sharded_run,
 )
-from repro.faults import ChaosTransport, FaultPlan, ResilientTransport
 from repro.graphs.graph import Graph
 from repro.shard.exchange import Transport, make_transport
 from repro.shard.partition import PARTITIONERS
-from repro.shard.stepper import ShardedDeltaStepper, sharded_view
+from repro.shard.stepper import ShardedDeltaStepper
 from repro.sssp import dijkstra
 
 SHARD_COUNTS = (1, 2, 3)
 
-#: one cell per way shard steps run: the two registered spellings, and
-#: both fault wrappers, built in code and fresh per cell (chaos over
-#: inline, retry over a two-thread pool)
+#: one cell per way shard steps run: the two registered spellings
 TRANSPORT_CELLS = {
-    "chaos": lambda: ChaosTransport(FaultPlan(), inner="inline"),
     "inline": lambda: "inline",
-    "resilient": lambda: ResilientTransport(inner="threads:2"),
     "threads": lambda: "threads",
 }
 
@@ -201,24 +196,6 @@ class TestWriteTrackingTransport:
         tracker, dist, owner = self._tracker()
         out = tracker.run([lambda: "a", lambda: "b"])
         assert out == ["a", "b"]
-
-
-class TestWorkspaceInvariantFoldedIn:
-    def test_harness_runs_workspace_check(self, harness_graph):
-        """The race harness asserts the PR 5 steady-state invariant too:
-        a corrupted arena makes the next check_sharded_run raise."""
-        sg = sharded_view(harness_graph, 2, "contiguous")
-        check_sharded_run(harness_graph, 0, num_shards=2)  # builds arenas
-        ws = sg.meta["_relax_workspaces"][0]
-        # corrupt a key shard 0's kernel never relaxes (a shard-1-owned
-        # vertex), so the scatter path's own touched-reset can't heal it
-        victim = int(np.flatnonzero(sg.owner == 1)[-1])
-        ws.touched[victim] = True
-        try:
-            with pytest.raises(AssertionError, match="touched not all-False"):
-                check_sharded_run(harness_graph, 0, num_shards=2)
-        finally:
-            ws.touched[victim] = False
 
 
 class TestRaceViolationRendering:

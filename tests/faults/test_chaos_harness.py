@@ -1,78 +1,7 @@
-"""The chaos harness: matrix cells, breaker drill, fleet metrics merge."""
+"""The breaker drill: one scripted degraded-serving episode."""
 
-import pytest
-
-from repro.faults.harness import (
-    DEFAULT_TRANSPORTS,
-    named_fault_plans,
-    run_breaker_drill,
-    run_chaos_matrix,
-)
-from repro.obs.metrics import MetricsRegistry
-
-
-class TestFaultPlans:
-    def test_named_plans_cover_the_failure_modes(self):
-        plans = named_fault_plans()
-        assert set(plans) == {"clean", "failures", "stragglers", "duplicates", "mixed"}
-        assert plans["clean"].fail_rate == 0.0
-        assert plans["failures"].max_failures > 0
-        assert plans["duplicates"].dup_rate > 0 and plans["duplicates"].reorder_rate > 0
-
-    def test_seed_threads_through(self):
-        a, b = named_fault_plans(seed=1), named_fault_plans(seed=2)
-        assert a["failures"].seed != b["failures"].seed
-
-
-class TestChaosMatrix:
-    @pytest.fixture(scope="class")
-    def report(self):
-        # inline-only keeps the smoke matrix fast; transport parity is
-        # covered separately in test_chaos_transport.py
-        return run_chaos_matrix(smoke=True, transports=("inline",))
-
-    def test_smoke_matrix_is_green(self, report):
-        assert report.ok
-        assert report.breaker["ok"]
-
-    def test_every_cell_is_bit_identical_and_bounded(self, report):
-        plans = named_fault_plans()
-        assert len(report.cells) == 2 * len(plans)  # 2 smoke workloads x plans
-        for cell in report.cells:
-            assert cell.identical, f"{cell.workload}/{cell.plan} diverged"
-            assert cell.retry_attempts <= cell.retry_bound
-            assert cell.transport == "inline"
-
-    def test_faulty_plans_actually_inject(self, report):
-        assert all(
-            c.faults_injected == 0 for c in report.cells if c.plan == "clean"
-        )
-        assert any(
-            c.faults_injected > 0 for c in report.cells if c.plan != "clean"
-        )
-
-    def test_fleet_metrics_aggregate_all_cells(self, report):
-        counters = report.metrics.snapshot()["counters"]
-        # cells count every *drawn* injection; the counter only counts
-        # injections that materialized (a duplication drawn against an
-        # empty outbox is a no-op), so it is bounded by the draw total
-        assert 0 < counters["faults.injected"] <= sum(
-            c.faults_injected for c in report.cells
-        )
-        assert counters["retry.attempts"] == sum(
-            c.retry_attempts for c in report.cells
-        )
-        assert counters.get("checkpoint.snapshots", 0) > 0
-
-    def test_as_dict_round_trips(self, report):
-        d = report.as_dict()
-        assert d["ok"] is True
-        assert len(d["cells"]) == len(report.cells)
-        assert {"workload", "plan", "transport", "identical"} <= set(d["cells"][0])
-
-    def test_default_transports_include_a_parallel_one(self):
-        assert "inline" in DEFAULT_TRANSPORTS
-        assert any(t.startswith("threads") for t in DEFAULT_TRANSPORTS)
+from repro.cli import main
+from repro.faults.harness import run_breaker_drill
 
 
 class TestBreakerDrill:
@@ -85,45 +14,14 @@ class TestBreakerDrill:
         ):
             assert drill["checks"][key], key
 
-
-class TestRegistryMerge:
-    def test_counters_add_and_gauges_overwrite(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("hits", 3)
-        b.inc("hits", 4)
-        b.inc("misses", 1)
-        a.gauge("level").set(1.0)
-        b.gauge("level").set(2.0)
-        a.merge(b)
-        snap = a.snapshot()
-        assert snap["counters"]["hits"] == 7
-        assert snap["counters"]["misses"] == 1
-        assert snap["gauges"]["level"] == 2.0
-
-    def test_histograms_fold_same_ladder(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for v in (1.0, 5.0):
-            a.observe("lat", v)
-        for v in (2.0, 50.0):
-            b.observe("lat", v)
-        a.merge(b)
-        h = a.snapshot()["histograms"]["lat"]
-        assert h["count"] == 4
-        assert h["min"] == 1.0 and h["max"] == 50.0
-
-    def test_histogram_ladder_mismatch_is_an_error(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("lat", buckets=(1.0, 2.0)).observe(1.5)
-        b.histogram("lat", buckets=(10.0, 20.0)).observe(15.0)
-        with pytest.raises(ValueError, match="bucket"):
-            a.merge(b)
-
-    def test_merge_is_additive_not_destructive(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("only_a")
-        b.inc("only_b")
-        a.merge(b)
-        counters = a.snapshot()["counters"]
-        assert counters == {"only_a": 1, "only_b": 1}
-        # the source registry is untouched
-        assert b.snapshot()["counters"] == {"only_b": 1}
+    def test_cli_writes_the_service_series(self, tmp_path, capsys):
+        out = tmp_path / "chaos-metrics.txt"
+        assert main(["chaos", "--metrics-out", str(out)]) == 0
+        text = out.read_text()
+        for series in (
+            "repro_service_degraded_answers_total",
+            "repro_service_mutations_shed_total",
+            "repro_service_breaker_state",
+        ):
+            assert series in text, series
+        assert "all checks passed" in capsys.readouterr().out

@@ -27,6 +27,7 @@ from repro.graphblas import (
     assign_vector,
     ewise_add,
     ewise_mult,
+    ewise_union,
     extract_submatrix,
     extract_subvector,
     kronecker,
@@ -39,7 +40,7 @@ from repro.graphblas import (
     transpose,
     vxm,
 )
-from repro.graphblas.descriptor import TRANSPOSE1
+from repro.graphblas.descriptor import REPLACE_STRUCTURE, TRANSPOSE1
 from repro.graphblas.indexunaryop import TRIL, VALUEGT
 from repro.graphblas.info import DimensionMismatch
 from repro.graphblas.unaryop import threshold_gt
@@ -111,6 +112,22 @@ class TestEWise:
         ewise_add(out, LT, v3, w3, mask=v3, desc=REPLACE)
         assert sorted(out.to_dict()) == [0, 2]
 
+    def test_union_fills_the_missing_operand(self, v3, w3):
+        """eWiseUnion applies *op* over the whole union: a lone v3 entry
+        meets beta, a lone w3 entry meets alpha."""
+        out = Vector.new(FP64, 3)
+        ewise_union(out, PLUS, v3, 100.0, w3, 1000.0)
+        assert out.to_dict() == {0: 1001.0, 1: 110.0, 2: 23.0}
+
+    def test_union_lt_keeps_a_stored_zero(self):
+        """The re-entry test: a 0.0 only tReq holds compares true against
+        an unstored t read as ∞; a value mask would have dropped it."""
+        t_req = Vector.from_coo([0, 1, 2], [0.0, 5.0, 2.0], 4)
+        t = Vector.from_coo([1, 2, 3], [4.0, 3.0, 1.0], 4)
+        out = Vector.new(BOOL, 4)
+        ewise_union(out, LT, t_req, np.inf, t, np.inf, mask=t_req, desc=REPLACE_STRUCTURE)
+        assert out.to_dict() == {0: True, 1: False, 2: True}
+
     def test_mult_intersection_semantics(self, v3, w3):
         out = Vector.new(FP64, 3)
         ewise_mult(out, TIMES, v3, w3)
@@ -125,6 +142,9 @@ class TestEWise:
         out2 = Matrix.new(FP64, 2, 2)
         ewise_mult(out2, PLUS, a, b)
         assert out2.to_dense().tolist() == [[6.0, 0.0], [0.0, 0.0]]
+        out3 = Matrix.new(FP64, 2, 2)
+        ewise_union(out3, PLUS, a, 10.0, b, 100.0)
+        assert out3.to_dense().tolist() == [[6.0, 0.0], [17.0, 102.0]]
 
     def test_monoid_accepted_as_op(self, v3, w3):
         out = Vector.new(FP64, 3)

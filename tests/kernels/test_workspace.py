@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators
-from repro.kernels import RelaxWorkspace, cached_row_ids, workspace_for
-from repro.kernels.workspace import _ROW_IDS_KEY, _WORKSPACE_KEY
+from repro.kernels import RelaxWorkspace, cached_row_ids
+from repro.kernels.workspace import _ROW_IDS_KEY
 from repro.sssp.fused import fused_delta_stepping
 from repro.sssp.reference import dijkstra
 
@@ -118,16 +118,6 @@ class TestCheckInvariant:
 
 
 class TestPerGraphCaching:
-    def test_workspace_for_memoizes(self, grid_graph):
-        ws1 = workspace_for(grid_graph)
-        ws2 = workspace_for(grid_graph)
-        assert ws1 is ws2
-        assert grid_graph.meta[_WORKSPACE_KEY] is ws1
-
-    def test_workspace_dropped_on_copy(self, grid_graph):
-        workspace_for(grid_graph)
-        assert _WORKSPACE_KEY not in grid_graph.copy().meta
-
     def test_row_ids_cached_per_epoch(self, grid_graph):
         ids1 = cached_row_ids(grid_graph)
         ids2 = cached_row_ids(grid_graph)

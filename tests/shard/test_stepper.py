@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from repro import datasets
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
+from repro.parallel.pool import BatchError
 from repro.shard import (
+    InProcessTransport,
     ShardedDeltaStepper,
+    Transport,
     default_num_shards,
     partition_graph,
     sharded_delta_stepping,
@@ -116,6 +119,40 @@ class TestEdgeCaseGraphs:
     def test_default_num_shards_bounds(self):
         assert default_num_shards(Graph.empty(1)) == 1
         assert default_num_shards(gen.grid_2d(8, 8)) == 4
+
+
+class _FailingStep(Transport):
+    """Runs steps inline, except shard 1's step on the second superstep,
+    which raises instead."""
+
+    name = "failing-step"
+
+    def __init__(self):
+        self.inner = InProcessTransport()
+        self.supersteps = 0
+
+    def run(self, fns):
+        self.supersteps += 1
+        if self.supersteps == 2:
+            fns = [fns[0], self._fail, *fns[2:]]
+        return self.inner.run(fns)
+
+    @staticmethod
+    def _fail():
+        raise RuntimeError("shard step lost")
+
+
+class TestFailedStep:
+    def test_failed_shard_step_fails_the_solve(self):
+        """A raising shard step surfaces as the barrier's BatchError,
+        naming the shard, instead of returning partial distances."""
+        transport = _FailingStep()
+        with pytest.raises(BatchError, match=r"\[1\] RuntimeError: shard step lost") as ei:
+            ShardedDeltaStepper().solve(
+                gen.grid_2d(6, 6), 0, num_shards=3, transport=transport
+            )
+        assert ei.value.failed_indices == [1]
+        assert transport.supersteps == 2
 
 
 class TestOneShardIsDeltaStar:

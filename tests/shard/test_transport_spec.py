@@ -4,7 +4,6 @@
 import numpy as np
 import pytest
 
-from repro.faults import ChaosTransport, FaultPlan, ResilientTransport
 from repro.parallel.pool import WorkerPool
 from repro.shard.exchange import (
     TRANSPORTS,
@@ -73,12 +72,6 @@ class TestRegistry:
     def test_instance_passes_through(self):
         tr = InProcessTransport()
         assert make_transport(tr) is tr
-
-    def test_wrappers_built_in_code_pass_through(self):
-        chaos = ChaosTransport(FaultPlan(seed=7, fail_rate=0.2), inner="threads:4")
-        tr = ResilientTransport(chaos)
-        assert make_transport(tr) is tr
-        assert tr.name == "resilient[chaos[threads[4]]]"
 
 
 def test_embedder_pool_runs_sharded_steps(random_weighted_graph):

@@ -4,10 +4,12 @@ stepper registry, is bit-identical to Dijkstra on random graphs across Δ
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.graph import Graph
+from repro.ir.translate import run_delta_stepping_ir
+from repro.service.batch import batch_delta_stepping
 from repro.sssp import dijkstra
 from repro.sssp.validate import check_against_dijkstra, check_optimality_conditions
 from repro.stepping import get_stepper
@@ -22,9 +24,16 @@ def assert_bitwise_dijkstra(name, g, src, delta, **kw):
     assert np.array_equal(r.distances, dijkstra(g, src).distances), (name, delta)
 
 
+#: 0→1 (w=1), 1→2 (w=0), 2→3 (w=0), 3→4 (w=1), solved from 1: vertex 2
+#: is first reached at distance 0, and 3 and 4 only through it
+CHAIN = Graph.from_edges([0, 1, 2, 3], [1, 2, 3, 4], [1.0, 0.0, 0.0, 1.0], n=5)
+CHAIN_CASE = (CHAIN, 1, 1.0)
+
+
 @st.composite
 def random_graphs(draw):
-    """Random weighted digraphs up to 40 vertices."""
+    """Random weighted digraphs up to 40 vertices, a fifth of the edges
+    weighing zero."""
     n = draw(st.integers(2, 40))
     m = draw(st.integers(0, 160))
     seed = draw(st.integers(0, 2**31 - 1))
@@ -32,6 +41,7 @@ def random_graphs(draw):
     src = rng.integers(0, n, size=m)
     dst = rng.integers(0, n, size=m)
     w = rng.uniform(0.05, 2.0, size=m)
+    w = np.where(rng.random(m) < 0.2, 0.0, w)
     return Graph.from_edges(src, dst, w, n=n)
 
 
@@ -44,24 +54,28 @@ def graph_and_params(draw):
 
 
 class TestEquivalenceProperties:
+    @example(CHAIN_CASE)
     @given(graph_and_params())
     @settings(max_examples=25, deadline=None)
     def test_fused_equals_dijkstra(self, gp):
         g, src, delta = gp
         assert_bitwise_dijkstra("delta", g, src, delta)
 
+    @example(CHAIN_CASE)
     @given(graph_and_params())
     @settings(max_examples=15, deadline=None)
     def test_graphblas_equals_dijkstra(self, gp):
         g, src, delta = gp
         assert_bitwise_dijkstra("graphblas", g, src, delta)
 
+    @example(CHAIN_CASE)
     @given(graph_and_params())
     @settings(max_examples=15, deadline=None)
     def test_meyer_sanders_equals_dijkstra(self, gp):
         g, src, delta = gp
         assert_bitwise_dijkstra("meyer-sanders", g, src, delta)
 
+    @example(CHAIN_CASE)
     @given(graph_and_params())
     @settings(max_examples=10, deadline=None)
     def test_capi_equals_dijkstra(self, gp):
@@ -71,6 +85,7 @@ class TestEquivalenceProperties:
             delta = 1.0
         assert_bitwise_dijkstra("capi", g, src, delta)
 
+    @example(CHAIN_CASE)
     @given(graph_and_params())
     @settings(max_examples=12, deadline=None)
     def test_parallel_equals_dijkstra(self, gp):
@@ -109,6 +124,30 @@ class TestEquivalenceProperties:
         )
         after = solve("delta", g2, 0, 1.0).distances
         assert np.all(after <= before + 1e-9)
+
+
+class TestZeroWeightChain:
+    """Every GraphBLAS formulation — single-source, C API, batch and the
+    IR program — relaxes past a vertex first reached at distance 0."""
+
+    expected = [np.inf, 0.0, 0.0, 0.0, 1.0]
+
+    def test_dijkstra_reference(self):
+        assert np.array_equal(dijkstra(CHAIN, 1).distances, self.expected)
+
+    @pytest.mark.parametrize("name", ["graphblas", "capi"])
+    def test_single_source(self, name):
+        assert np.array_equal(solve(name, CHAIN, 1, 1.0).distances, self.expected)
+
+    def test_batch_graphblas(self):
+        res = batch_delta_stepping(CHAIN, [1, 0], delta=1.0, method="graphblas")
+        assert np.array_equal(res.distances[0], self.expected)
+        assert np.array_equal(res.distances[1], dijkstra(CHAIN, 0).distances)
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    def test_ir_program(self, fuse):
+        res = run_delta_stepping_ir(CHAIN, 1, 1.0, fuse=fuse)
+        assert np.array_equal(res.distances, self.expected)
 
 
 class TestValidateHelpers:
