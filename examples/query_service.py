@@ -7,8 +7,9 @@ engine:
 - K queued queries from distinct sources become ONE batched
   delta-stepping solve (shared light/heavy relaxation waves);
 - repeat sources are answered from the LRU distance cache;
-- an ALT-style landmark index supplies certified [lower, upper] bounds
-  when an exact solve is not worth the latency.
+- an ALT-style landmark index supplies certified [lower, upper] bounds,
+  which the service answers with while a circuit breaker holds its
+  failing solver off.
 
 Run:  python examples/query_service.py
 """
@@ -49,7 +50,7 @@ def main() -> None:
     print(f"  repeat query from cache: {again.from_cache} "
           f"({again.latency_ms:.3f} ms)")
 
-    # --- landmark bounds for budget queries ------------------------------
+    # --- landmark bounds (the breaker's degraded answers) ----------------
     index = LandmarkIndex.build(graph, num_landmarks=4)
     s, t = int(sources[1]), int(sources[2])
     est = index.estimate(s, t)

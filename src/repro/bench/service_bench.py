@@ -13,7 +13,8 @@ Both sides answer exactly the same queries; the batch answers are
 verified bit-identical to per-source Dijkstra before timing (the batch
 engine replays the same ``d[u] + w`` additions along the same shortest
 paths, so on the unit-weight suite equality is exact, not approximate).
-The headline is the suite-level throughput ratio.
+The headline (:func:`service_throughput_headline`) is the suite-level
+throughput ratio against :data:`SPEEDUP_TARGET`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,16 @@ from .reporting import format_table, geometric_mean
 from .timing import time_callable
 from .workloads import Workload, suite_workloads
 
-__all__ = ["service_throughput_series", "render_service_throughput"]
+__all__ = [
+    "service_throughput_series",
+    "service_throughput_headline",
+    "render_service_throughput",
+    "SPEEDUP_TARGET",
+]
+
+#: the headline criterion: the service must serve at least this multiple
+#: of the per-query loop's throughput over the whole suite
+SPEEDUP_TARGET = 2.0
 
 
 def _workload_sources(wl: Workload, num_queries: int, seed: int) -> np.ndarray:
@@ -96,9 +106,32 @@ def service_throughput_series(
                 "loop_qps": q / loop.best,
                 "service_qps": q / service.best,
                 "speedup": loop.best / service.best,
+                "verified": "ok" if verify else "-",
             }
         )
     return rows
+
+
+def service_throughput_headline(rows: list[dict]) -> dict:
+    """The machine-readable verdict stored in ``BENCH_SERVE.json``.
+
+    ``passed`` requires every row verified bit-identical to Dijkstra and
+    the suite-level throughput ratio (total loop time over total service
+    time) ≥ :data:`SPEEDUP_TARGET`.
+    """
+    all_verified = all(r["verified"] == "ok" for r in rows)
+    speedup = sum(r["loop_ms"] for r in rows) / sum(r["service_ms"] for r in rows)
+    return {
+        "criterion": (
+            f"every batched answer bit-identical to Dijkstra; suite throughput "
+            f">= {SPEEDUP_TARGET}x the per-query fused loop"
+        ),
+        "all_verified": all_verified,
+        "suite_speedup": speedup,
+        "gmean_speedup": geometric_mean(r["speedup"] for r in rows),
+        "speedup_target": SPEEDUP_TARGET,
+        "passed": all_verified and speedup >= SPEEDUP_TARGET,
+    }
 
 
 def render_service_throughput(rows: list[dict]) -> str:
@@ -110,15 +143,17 @@ def render_service_throughput(rows: list[dict]) -> str:
             "loop_ms", "service_ms", "loop_qps", "service_qps", "speedup",
         ],
     )
+    head = service_throughput_headline(rows)
     total_q = sum(r["queries"] for r in rows)
     total_loop = sum(r["loop_ms"] for r in rows) / 1e3
     total_service = sum(r["service_ms"] for r in rows) / 1e3
-    gmean = geometric_mean(r["speedup"] for r in rows)
+    verdict = "PASS" if head["passed"] else "MISS"
     return (
         "SERVE — Batched query service vs per-query fused loop "
         f"({total_q} queries, verified bit-identical to Dijkstra)\n\n"
         f"{table}\n\n"
         f"Workload throughput: {total_q / total_loop:.0f} qps loop -> "
         f"{total_q / total_service:.0f} qps service "
-        f"({total_loop / total_service:.2f}x; per-graph geometric mean {gmean:.2f}x)\n"
+        f"({head['suite_speedup']:.2f}x; per-graph geometric mean "
+        f"{head['gmean_speedup']:.2f}x; target >= {SPEEDUP_TARGET}x) [{verdict}]\n"
     )

@@ -294,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the serving-tier breaker drill: degrade, trip, shed, "
              "probe, recover (exit 1 on any failed check)",
     )
-    sp.add_argument("--seed", type=int, default=7,
-                    help="landmark seed for the drill (default: 7)")
     sp.add_argument("--metrics-out", metavar="PATH", default=None,
                     help="write the drill's OpenMetrics exposition "
                          "(degraded answers, shed mutations, breaker state)")
@@ -732,13 +730,15 @@ def _cmd_slo_check(args) -> int:
 
 def _cmd_serve_bench(args) -> int:
     from .bench.registry import render_experiment, run_experiment_rows, write_bench_json
+    from .bench.service_bench import service_throughput_headline
 
     rows = run_experiment_rows(
         "SERVE", suite=args.suite, num_queries=args.queries, repeats=args.repeats,
         stepper=args.stepper, autotune=args.auto,
     )
     print(render_experiment("SERVE", rows))
-    print(f"wrote {write_bench_json('SERVE', rows)}")
+    headline = service_throughput_headline(rows)
+    print(f"wrote {write_bench_json('SERVE', rows, headline=headline)}")
     return 0
 
 
@@ -918,7 +918,7 @@ def _cmd_chaos(args) -> int:
     from .faults.harness import run_breaker_drill
     from .obs import render_openmetrics
 
-    drill = run_breaker_drill(args.seed)
+    drill = run_breaker_drill()
     failed_checks = [k for k, v in drill["checks"].items() if not v]
     print(
         f"breaker drill [{drill['workload']}]: "

@@ -5,8 +5,9 @@ breaker trip, landmark-bound answers, mutation shedding, half-open
 probe, recovery — against a deterministic fake clock and a scripted
 flaky solver.  The ``repro chaos`` command runs it, writes its
 recorder's OpenMetrics exposition on request, and exits 1 on any
-failed check.  Everything is seeded: the same seed reproduces the same
-landmarks, the same answers, and the same report.
+failed check.  Everything is deterministic: the landmark selection
+(farthest-point), the scripted failures and the clock are fixed, so
+every run gives the same answers and the same report.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .breaker import CircuitBreaker, MutationShedError
 __all__ = ["run_breaker_drill"]
 
 
-def run_breaker_drill(seed: int = 7) -> dict[str, Any]:
+def run_breaker_drill() -> dict[str, Any]:
     """Drive the serving tier through a full breaker episode.
 
     A scripted solver fails its first calls; a fake clock drives the
@@ -42,7 +43,7 @@ def run_breaker_drill(seed: int = 7) -> dict[str, Any]:
 
     workload = suite_workloads("ci")[0]
     g = workload.graph
-    landmarks = LandmarkIndex.build(g, num_landmarks=4, seed=seed)
+    landmarks = LandmarkIndex.build(g, num_landmarks=4)
 
     calls = {"n": 0}
 

@@ -601,8 +601,7 @@ def _slow_query_section(
         plan = dict(e.get("plan", {}))
         counters = dict(e.get("counters", {}))
         plan_s = (
-            f"{plan.get('cached', 0)}c/{plan.get('exact_sources', 0)}x/"
-            f"{plan.get('approximate', 0)}a"
+            f"{plan.get('cached', 0)}c/{plan.get('exact_sources', 0)}x"
             if plan
             else "-"
         )
@@ -612,7 +611,7 @@ def _slow_query_section(
                 "latency ms": _f(float(e.get("latency_ms", float("nan")))),
                 "stepper": str(e.get("stepper", "-")),
                 "cache": "hit" if e.get("cache_hit") else "miss",
-                "plan (cached/exact/approx)": plan_s,
+                "plan (cached/exact)": plan_s,
                 "supersteps": str(counters.get("sharded.supersteps", "-")),
                 "flight spans": str(len(e.get("flight", []) or [])),
             }

@@ -5,14 +5,14 @@ answers "one source, one run", this package serves *query traffic*:
 
 ==========================  =================================================
 :mod:`~repro.service.batch`      K-source delta-stepping through shared
-                                 light/heavy relaxation waves (one ``mxm``
-                                 per wave instead of K ``vxm``)
+                                 light/heavy relaxation waves (one Δ-bucket
+                                 loop over the K·n state instead of K solves)
 :mod:`~repro.service.cache`      LRU cache of full distance vectors with
                                  mutation invalidation
 :mod:`~repro.service.landmarks`  ALT-style triangle-inequality bounds for
-                                 budget-constrained approximate answers
-:mod:`~repro.service.planner`    coalesces pending queries, routes
-                                 exact vs approximate under a latency budget
+                                 breaker-degraded answers
+:mod:`~repro.service.planner`    coalesces pending queries: dedupe, cache
+                                 probe, batches of at most 64 sources
 :mod:`~repro.service.server`     the synchronous request queue tying it all
                                  together, with latency percentiles and the
                                  ``mutate()`` entry point for dynamic graphs
@@ -34,29 +34,22 @@ from .batch import (
     BatchSSSPResult,
     batch_delta_stepping,
     batch_fused_delta_stepping,
-    batch_graphblas_delta_stepping,
 )
 from .cache import CacheStats, DistanceCache
-from .landmarks import (
-    LANDMARK_STRATEGIES,
-    DistanceEstimate,
-    LandmarkIndex,
-    select_landmarks,
-)
-from .planner import Query, QueryPlan, QueryPlanner
+from .landmarks import DistanceEstimate, LandmarkIndex, select_landmarks
+from .planner import MAX_BATCH_SIZE, Query, QueryPlan, QueryPlanner
 from .server import MutationReport, QueryResponse, QueryService, ServiceStats
 
 __all__ = [
     "BatchSSSPResult",
     "batch_delta_stepping",
     "batch_fused_delta_stepping",
-    "batch_graphblas_delta_stepping",
     "DistanceCache",
     "CacheStats",
     "LandmarkIndex",
     "DistanceEstimate",
     "select_landmarks",
-    "LANDMARK_STRATEGIES",
+    "MAX_BATCH_SIZE",
     "Query",
     "QueryPlan",
     "QueryPlanner",

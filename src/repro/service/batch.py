@@ -10,28 +10,20 @@ amortization is where the batch throughput win comes from — the same
 bucket-fusion observation as Dong et al. 2021 ("Efficient Stepping
 Algorithms and Implementations for Parallel Shortest Paths").
 
-Two native engines, each named by the
-:attr:`~repro.stepping.Stepper.batch_engine` of the stepper it batches:
+One native engine, :func:`batch_fused_delta_stepping`, batches the
+``delta`` stepper (the default).  State is one flattened dense array
+over the K×n key space (``key = k·n + v``), and the engine runs the
+single-source solver's own Δ-bucket loop
+(:func:`repro.sssp.fused.run_buckets`) seeded with the K source keys
+``k·n + s_k``.  The one batch-specific piece is an int32 row-offset
+gather that expands each key's CSR row and keeps its targets in the
+key's own row; the loop's per-target min runs the ``scatter`` kernel
+over the K·n key space by default.  A one-source batch therefore walks
+exactly the single-source schedule, counters included.
 
-- ``delta`` → :func:`batch_fused_delta_stepping` (default) — the
-  throughput engine.  State is one flattened dense array over the K×n
-  key space (``key = k·n + v``), and the engine runs the single-source
-  solver's own Δ-bucket loop (:func:`repro.sssp.fused.run_buckets`)
-  seeded with the K source keys ``k·n + s_k``.  The one batch-specific
-  piece is an int32 row-offset gather that expands each key's CSR row
-  and keeps its targets in the key's own row; the loop's per-target
-  min runs the ``scatter`` kernel over the K·n key space by default.
-  A one-source batch therefore walks exactly the single-source
-  schedule, counters included.
-- ``graphblas`` → :func:`batch_graphblas_delta_stepping` — the
-  linear-algebraic form, written call-by-call with
-  :mod:`repro.graphblas.operations` matrix kernels (``mxm`` with the
-  ``(min, +)`` semiring, masked ``apply``, ``ewise_add``).  Slower, but
-  it *is* the paper's formulation lifted to matrices, and the tests pin
-  both engines to per-source Dijkstra.
-
-Every other registered stepper batches as K independent solves
-(:func:`batch_stepper_loop`).
+Every other registered stepper — ``graphblas`` included — batches as K
+independent solves (:func:`batch_stepper_loop`), with the same
+distances.
 
 Bucket synchronization: all K sources share one bucket queue, so they
 share the global bucket index ``i`` (bucket = ``[iΔ, (i+1)Δ)``).
@@ -57,7 +49,6 @@ __all__ = [
     "BatchSSSPResult",
     "batch_delta_stepping",
     "batch_fused_delta_stepping",
-    "batch_graphblas_delta_stepping",
     "batch_stepper_loop",
 ]
 
@@ -197,94 +188,6 @@ def batch_fused_delta_stepping(
     )
 
 
-def batch_graphblas_delta_stepping(graph: Graph, sources, delta: float = 1.0) -> BatchSSSPResult:
-    """Linear-algebraic batch engine: the Fig. 2 listing with matrix frontiers.
-
-    Every vector of the single-source listing becomes a K×n matrix and
-    every ``vxm`` becomes an ``mxm``; the call sequence is otherwise
-    line-for-line the unfused :func:`repro.sssp.graphblas_sssp.graphblas_delta_stepping`.
-    """
-    from ..graphblas import operations as ops
-    from ..graphblas.binaryop import LOR, LT, MIN
-    from ..graphblas.descriptor import REPLACE, REPLACE_STRUCTURE
-    from ..graphblas.matrix import Matrix
-    from ..graphblas.monoid import MIN_MONOID
-    from ..graphblas.semiring import MIN_PLUS
-    from ..graphblas.types import BOOL, FP64
-    from ..graphblas.unaryop import IDENTITY, range_filter, threshold_geq
-    from ..sssp.graphblas_sssp import build_light_heavy_matrices
-
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    src = _check_sources(graph, sources)
-    K, n = len(src), graph.num_vertices
-
-    A = graph.to_matrix()
-    Al, Ah = build_light_heavy_matrices(A, delta)
-
-    # T[k, s_k] = 0 — unstored entries are implicitly infinite
-    T = Matrix.new(FP64, K, n)
-    for k in range(K):
-        ops.assign_scalar_matrix(T, 0.0, rows=[k], cols=[int(src[k])])
-
-    TB = Matrix.new(BOOL, K, n)
-    Tmasked = Matrix.new(FP64, K, n)
-    TReq = Matrix.new(FP64, K, n)
-    TLess = Matrix.new(BOOL, K, n)
-    S = Matrix.new(BOOL, K, n)
-    Tgeq = Matrix.new(BOOL, K, n)
-    Tcomp = Matrix.new(FP64, K, n)
-
-    counters = {"buckets": 0, "phases": 0, "relaxations": 0, "updates": 0}
-    i = 0
-
-    def active_count() -> int:
-        ops.apply(Tgeq, threshold_geq(i * delta), T)
-        ops.apply(Tcomp, IDENTITY, T, mask=Tgeq, desc=REPLACE)
-        return Tcomp.nvals
-
-    while active_count() > 0:
-        smallest = ops.reduce_matrix_to_scalar(MIN_MONOID, Tcomp)
-        i = max(i, int(smallest // delta))
-        counters["buckets"] += 1
-        S.clear()
-        ops.apply(TB, range_filter(i * delta, (i + 1) * delta), T, desc=REPLACE)
-        ops.apply(Tmasked, IDENTITY, T, mask=TB, desc=REPLACE)
-
-        while Tmasked.nvals > 0:
-            counters["phases"] += 1
-            # TReq = (T ∘ TBi) (min.+) A_L — K relaxation waves in one mxm
-            ops.mxm(TReq, MIN_PLUS, Tmasked, Al, desc=REPLACE)
-            counters["relaxations"] += TReq.nvals
-            ops.ewise_add(S, LOR, S, TB)
-            ops.ewise_union(TLess, LT, TReq, INF, T, INF, mask=TReq, desc=REPLACE_STRUCTURE)
-            ops.apply(TB, range_filter(i * delta, (i + 1) * delta), TReq, mask=TLess, desc=REPLACE)
-            counters["updates"] += int(np.count_nonzero(TLess.values))
-            ops.ewise_add(T, MIN, T, TReq)
-            ops.apply(Tmasked, IDENTITY, T, mask=TB, desc=REPLACE)
-
-        ops.apply(Tmasked, IDENTITY, T, mask=S, desc=REPLACE)
-        ops.mxm(TReq, MIN_PLUS, Tmasked, Ah, desc=REPLACE)
-        counters["relaxations"] += TReq.nvals
-        counters["phases"] += 1
-        ops.ewise_add(T, MIN, T, TReq)
-        i += 1
-
-    distances = np.full((K, n), INF, dtype=np.float64)
-    rows, cols, vals = T.to_coo()
-    distances[rows, cols] = vals
-    return BatchSSSPResult(
-        distances=distances,
-        sources=src,
-        delta=delta,
-        method="batch-graphblas",
-        buckets_processed=counters["buckets"],
-        phases=counters["phases"],
-        relaxations=counters["relaxations"],
-        updates=counters["updates"],
-    )
-
-
 def batch_stepper_loop(
     graph: Graph, sources, stepper: str = "rho", recorder=None
 ) -> BatchSSSPResult:
@@ -352,13 +255,13 @@ def batch_delta_stepping(
     method:
         A stepper spec over :data:`repro.stepping.STEPPERS` — a bare
         name or a parameterized form like ``"sharded(shards=4)"``.
-        Steppers with a native :attr:`~repro.stepping.Stepper.batch_engine`
-        (``"delta"``, the default, and ``"graphblas"``) run it and take
-        no spec params; the rest run through :func:`batch_stepper_loop`.
+        ``"delta"`` (the default) runs the native
+        :func:`batch_fused_delta_stepping` and takes no spec params;
+        every other spec runs through :func:`batch_stepper_loop`.
     recorder:
         A truthy :class:`repro.obs.Recorder` wraps the native batch
-        engines in a ``batch:<method>`` span (sources count as an arg)
-        and forwards into stepper-dispatched solves.  Recording never
+        engine in a ``batch:delta`` span (sources count as an arg) and
+        forwards into stepper-dispatched solves.  Recording never
         changes the distances.
     """
     from ..stepping import resolve_stepper_spec
@@ -367,21 +270,20 @@ def batch_delta_stepping(
         stepper, params = resolve_stepper_spec(method)
     except ValueError as exc:
         raise ValueError(f"unknown batch method {method!r}: {exc}") from None
-    if stepper.batch_engine is None:
+    if stepper.name != "delta":
         return batch_stepper_loop(graph, sources, stepper=method, recorder=recorder)
     if params:
         raise ValueError(
             f"batch method {stepper.name!r} takes no spec params (got {method!r}); "
             "pass delta= directly"
         )
-    engine = globals()[stepper.batch_engine]
     if delta is None:
         delta = choose_delta(graph)
     if recorder:
         with recorder.span(
-            "batch:" + stepper.name, sources=int(np.size(np.asarray(sources)))
+            "batch:delta", sources=int(np.size(np.asarray(sources)))
         ) as sp:
-            result = engine(graph, sources, delta)
+            result = batch_fused_delta_stepping(graph, sources, delta)
             sp.set(phases=result.phases, relaxations=result.relaxations)
         return result
-    return engine(graph, sources, delta)
+    return batch_fused_delta_stepping(graph, sources, delta)

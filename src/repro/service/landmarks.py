@@ -1,4 +1,4 @@
-"""Landmark (ALT-style) distance estimation for budget-constrained queries.
+"""Landmark (ALT-style) distance estimation for degraded serving.
 
 Precompute exact distances between a handful of *landmark* vertices and
 everything else (one batch SSSP per direction), then answer arbitrary
@@ -11,8 +11,8 @@ everything else (one batch SSSP per direction), then answer arbitrary
 
 The upper bound is *admissible* in the service's sense: it is a length of
 a real walk, so it never undershoots the true distance — an approximate
-answer the planner can hand out when the latency budget won't cover an
-exact batch solve.  Undirected graphs need one distance table; directed
+answer the service can hand out while its circuit breaker holds the
+exact solver off.  Undirected graphs need one distance table; directed
 graphs also need the reverse-graph table for the ``d(·→L)`` terms.
 """
 
@@ -27,7 +27,7 @@ from ..sssp.fused import fused_delta_stepping
 from ..sssp.result import INF
 from .batch import batch_delta_stepping
 
-__all__ = ["DistanceEstimate", "LandmarkIndex", "select_landmarks", "LANDMARK_STRATEGIES"]
+__all__ = ["DistanceEstimate", "LandmarkIndex", "select_landmarks"]
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,20 @@ class DistanceEstimate:
         return f"DistanceEstimate<[{self.lower:g}, {self.upper:g}]>"
 
 
-def _farthest_point_landmarks(graph: Graph, k: int, seed: int) -> np.ndarray:
-    """Greedy farthest-point sampling (the classic ALT selection).
+def select_landmarks(graph: Graph, k: int = 8) -> np.ndarray:
+    """Pick up to *k* landmarks by greedy farthest-point sampling (the
+    classic ALT selection).
 
     Start from the highest-degree vertex (a hub reaches most of the
     graph), then repeatedly add the vertex maximizing the minimum distance
     to the chosen set.  Unreachable vertices are skipped — a landmark in
-    another component estimates nothing.
+    another component estimates nothing.  The selection is deterministic.
     """
-    deg = graph.out_degree()
-    first = int(deg.argmax()) if len(deg) else 0
+    if k < 1:
+        raise ValueError("need at least one landmark")
+    if graph.num_vertices == 0:
+        raise ValueError("cannot select landmarks on an empty graph")
+    first = int(graph.out_degree().argmax())
     chosen = [first]
     closest = fused_delta_stepping(graph, first).distances.copy()
     while len(chosen) < k:
@@ -68,37 +72,6 @@ def _farthest_point_landmarks(graph: Graph, k: int, seed: int) -> np.ndarray:
         chosen.append(nxt)
         np.minimum(closest, fused_delta_stepping(graph, nxt).distances, out=closest)
     return np.asarray(chosen, dtype=np.int64)
-
-
-def _degree_landmarks(graph: Graph, k: int, seed: int) -> np.ndarray:
-    deg = graph.out_degree()
-    k = min(k, len(deg))
-    return np.argsort(-deg, kind="stable")[:k].astype(np.int64)
-
-
-def _random_landmarks(graph: Graph, k: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    k = min(k, graph.num_vertices)
-    return np.sort(rng.choice(graph.num_vertices, size=k, replace=False)).astype(np.int64)
-
-
-LANDMARK_STRATEGIES = {
-    "farthest": _farthest_point_landmarks,
-    "degree": _degree_landmarks,
-    "random": _random_landmarks,
-}
-
-
-def select_landmarks(graph: Graph, k: int = 8, strategy: str = "farthest", seed: int = 0) -> np.ndarray:
-    """Pick up to *k* landmark vertices with the named strategy."""
-    if k < 1:
-        raise ValueError("need at least one landmark")
-    if strategy not in LANDMARK_STRATEGIES:
-        known = ", ".join(sorted(LANDMARK_STRATEGIES))
-        raise ValueError(f"unknown landmark strategy {strategy!r}; known: {known}")
-    if graph.num_vertices == 0:
-        raise ValueError("cannot select landmarks on an empty graph")
-    return LANDMARK_STRATEGIES[strategy](graph, k, seed)
 
 
 class LandmarkIndex:
@@ -148,12 +121,10 @@ class LandmarkIndex:
         cls,
         graph: Graph,
         num_landmarks: int = 8,
-        strategy: str = "farthest",
-        seed: int = 0,
         delta: float | None = None,
     ) -> "LandmarkIndex":
         """Select landmarks and solve their distance tables in two batches."""
-        landmarks = select_landmarks(graph, num_landmarks, strategy=strategy, seed=seed)
+        landmarks = select_landmarks(graph, num_landmarks)
         dist_from = batch_delta_stepping(graph, landmarks, delta=delta).distances
         if graph.directed:
             dist_to = batch_delta_stepping(graph.reverse(), landmarks, delta=delta).distances

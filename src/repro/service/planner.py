@@ -1,4 +1,4 @@
-"""Query planning: coalesce pending queries into batches, route exact vs approximate.
+"""Query planning: coalesce pending queries into batches for the batch engine.
 
 The planner is the pure-decision half of the service (the server executes
 the plan).  Given the pending queries it:
@@ -6,15 +6,11 @@ the plan).  Given the pending queries it:
 1. deduplicates sources — fifty point queries from one source need one
    distance vector;
 2. answers whatever the cache already holds;
-3. routes the rest: *exact* sources are packed into batch-engine groups
-   of at most ``max_batch_size``; when a latency budget is present, a
-   cost model (calibrated from observed solve times) predicts the exact
-   cost, and sources that would blow the budget fall back to *approximate*
-   landmark answers — if a landmark index exists, otherwise exact anyway
-   (correctness beats the budget).
+3. packs the remaining sources into batch-engine groups of at most
+   :data:`MAX_BATCH_SIZE`, stamped with the exact-solve stepper (pinned
+   by the caller, or tuned per graph by the stepping auto-tuner).
 
-Keeping this logic free of I/O and timing makes it unit-testable: the
-tests drive it with a synthetic cost model and assert the routing.
+Keeping this logic free of I/O and timing makes it unit-testable.
 """
 
 from __future__ import annotations
@@ -23,7 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Query", "QueryPlan", "QueryPlanner"]
+__all__ = ["MAX_BATCH_SIZE", "Query", "QueryPlan", "QueryPlanner"]
+
+#: upper bound on the K of one batch solve (bounds the K×n state)
+MAX_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -31,16 +30,14 @@ class Query:
     """One request: distances from *source* to *target* (or to everything).
 
     ``target=None`` asks for the full one-to-many distance vector.
-    ``max_latency_ms`` (optional) lets a single query demand a tighter
-    budget than the service default.  ``request_id`` names the request
-    for tracing — :meth:`QueryService.submit` assigns one (``q-NNNNNN``)
-    when the caller didn't, and the service stamps it onto every span
-    the request produces, down to the sharded stepper's per-shard work.
+    ``request_id`` names the request for tracing —
+    :meth:`QueryService.submit` assigns one (``q-NNNNNN``) when the
+    caller didn't, and the service stamps it onto every span the request
+    produces, down to the sharded stepper's per-shard work.
     """
 
     source: int
     target: int | None = None
-    max_latency_ms: float | None = None
     request_id: str | None = None
 
 
@@ -52,16 +49,14 @@ class QueryPlan:
     fetched (probing and fetching are one operation — the server must
     not re-fetch, both for honest hit counting and because a shared
     cache could evict between plan and execution); ``batches`` are
-    source groups to hand to the batch engine; ``approximate`` sources
-    get landmark estimates.  ``stepper`` is the planner's algorithm
-    choice for the exact solves (``None`` = the server's default batch
-    engine) — pinned by the caller or tuned per graph by the stepping
-    auto-tuner.
+    source groups to hand to the batch engine.  ``stepper`` is the
+    planner's algorithm choice for the exact solves (``None`` = the
+    server's default batch engine) — pinned by the caller or tuned per
+    graph by the stepping auto-tuner.
     """
 
     cached: dict[int, "np.ndarray"] = field(default_factory=dict)
     batches: list[np.ndarray] = field(default_factory=list)
-    approximate: list[int] = field(default_factory=list)
     stepper: str | None = None
 
     @property
@@ -70,17 +65,10 @@ class QueryPlan:
 
 
 class QueryPlanner:
-    """Routes queries between cache, batch engine, and landmark estimates.
+    """Routes queries between the cache and the batch engine.
 
     Parameters
     ----------
-    max_batch_size:
-        Upper bound on the K of one batch solve (bounds the K×n state).
-    latency_budget_ms:
-        Budget for one drain round.  Exact solves are admitted while the
-        *cumulative* predicted cost stays within it; once the round's
-        budget is spent, remaining sources fall back to landmark
-        estimates (when available).  ``None`` means always exact.
     stepper:
         Pin the exact-solve algorithm to one stepping-registry spec —
         a name or a parameterized form like ``"sharded(shards=4)"``
@@ -89,50 +77,17 @@ class QueryPlanner:
         server's default batch engine.
     """
 
-    def __init__(
-        self,
-        max_batch_size: int = 64,
-        latency_budget_ms: float | None = None,
-        stepper: str | None = None,
-    ):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        self.max_batch_size = max_batch_size
-        self.latency_budget_ms = latency_budget_ms
+    def __init__(self, stepper: str | None = None):
         self._pinned_stepper = stepper
         self._tuned_stepper: str | None = None
-        # EWMA of per-source exact solve cost, calibrated by the server
-        self._ms_per_source: float | None = None
-
-    # -- cost model --------------------------------------------------------
-
-    def record_solve(self, num_sources: int, elapsed_ms: float) -> None:
-        """Feed an observed batch solve back into the cost model."""
-        if num_sources < 1 or elapsed_ms < 0:
-            return
-        per_source = elapsed_ms / num_sources
-        if self._ms_per_source is None:
-            self._ms_per_source = per_source
-        else:
-            self._ms_per_source = 0.7 * self._ms_per_source + 0.3 * per_source
-
-    def predicted_exact_ms(self, num_sources: int) -> float | None:
-        """Predicted cost of an exact solve for *num_sources* new sources."""
-        if self._ms_per_source is None:
-            return None
-        return self._ms_per_source * num_sources
 
     def note_mutation(self) -> None:
-        """Drop the calibrated cost model after a graph mutation.
+        """Drop the tuned stepper pick after a graph mutation.
 
-        Observed per-source solve times are a function of the topology;
-        once the graph changes they may mispredict in either direction,
-        so the planner returns to uncalibrated routing (always exact)
-        until the server feeds it fresh observations.  The *tuned*
-        stepper choice falls with it (topology-dependent too); a pinned
-        choice survives — it encodes caller intent, not measurement.
+        The tuner's pick is a function of the topology, so it falls with
+        the old epoch and the next exact drain re-tunes; a pinned choice
+        survives — it encodes caller intent, not measurement.
         """
-        self._ms_per_source = None
         self._tuned_stepper = None
 
     # -- stepper routing ----------------------------------------------------
@@ -148,49 +103,22 @@ class QueryPlanner:
 
     # -- planning ----------------------------------------------------------
 
-    def plan(self, queries, cache=None, graph=None, weight_mode: str = "unit", has_landmarks: bool = False) -> QueryPlan:
+    def plan(self, queries, cache=None, graph=None, weight_mode: str = "unit") -> QueryPlan:
         """Coalesce *queries* into a :class:`QueryPlan`.
 
         ``cache``/``graph`` enable the cache probe (either may be ``None``
-        for a cold plan); ``has_landmarks`` enables the approximate route.
+        for a cold plan).
         """
         plan = QueryPlan(stepper=self.stepper)
-        seen: dict[int, None] = {}
-        budgets: dict[int, float] = {}
-        for q in queries:
-            s = int(q.source)
-            if s not in seen:
-                seen[s] = None
-            if q.max_latency_ms is not None:
-                budgets[s] = min(budgets.get(s, q.max_latency_ms), q.max_latency_ms)
-
-        pending: list[int] = []
-        for s in seen:
+        exact: list[int] = []
+        for s in dict.fromkeys(int(q.source) for q in queries):
             hit = cache.get(graph, s, weight_mode) if cache is not None and graph is not None else None
             if hit is not None:
                 plan.cached[s] = hit
             else:
-                pending.append(s)
-
-        exact: list[int] = []
-        per_source = self.predicted_exact_ms(1)
-        committed_ms = 0.0  # cumulative predicted cost of this round
-        for s in pending:
-            budget = budgets.get(s, self.latency_budget_ms)
-            tight = (
-                budget is not None
-                and per_source is not None
-                and committed_ms + per_source > budget
-            )
-            if tight and has_landmarks:
-                plan.approximate.append(s)
-            else:
                 exact.append(s)
-                if per_source is not None:
-                    committed_ms += per_source
-
-        for lo in range(0, len(exact), self.max_batch_size):
+        for lo in range(0, len(exact), MAX_BATCH_SIZE):
             plan.batches.append(
-                np.asarray(exact[lo : lo + self.max_batch_size], dtype=np.int64)
+                np.asarray(exact[lo : lo + MAX_BATCH_SIZE], dtype=np.int64)
             )
         return plan

@@ -2,26 +2,30 @@
 
 :class:`QueryService` is the front door of the subsystem.  Callers
 ``submit`` point or one-to-many queries; ``drain`` executes one planning
-round — cache probes, batched exact solves (:mod:`repro.service.batch`),
-landmark fallbacks (:mod:`repro.service.landmarks`) — and returns every
-response in submission order.  ``query`` wraps submit+drain for the
-interactive one-off case.
+round — cache probes, then batched exact solves
+(:mod:`repro.service.batch`), degrading to landmark bounds
+(:mod:`repro.service.landmarks`) only while a circuit breaker holds the
+solver off — and returns every response in submission order.  ``query``
+wraps submit+drain for the interactive one-off case.
 
 Graphs served here are *mutable*: :meth:`QueryService.mutate` applies an
 edge-update batch through :mod:`repro.dynamic`, repairs the hot cached
 distance vectors incrementally (no cold recompute), marks the landmark
-index stale for lazy rebuild, and resets the planner's cost model.  The
-cache keys on ``graph.epoch``, so anything not repaired simply misses.
+index stale for lazy rebuild, and clears the planner's tuned stepper
+pick.  The cache keys on ``graph.epoch``, so anything not repaired
+simply misses.
 
-The service keeps per-query latency samples and exposes throughput
-percentiles (p50/p90/p99), which the ``serve-bench`` CLI command and the
-SERVE experiment report.  Everything is synchronous and single-threaded
-by design: sharding and async dispatch layer on top of exactly this
-surface.
+Each query observes the latency of the round that served it, once, into
+one ``latency-ms`` histogram (the bound recorder's ``service.query_ms``,
+or the service's own), and :meth:`QueryService.stats` reads its
+percentiles (p50/p90/p99).
+Everything is synchronous and single-threaded by design: sharding and
+async dispatch layer on top of exactly this surface.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -38,6 +42,7 @@ from ..faults.breaker import (
 )
 from ..graphs.graph import Graph
 from ..obs.flight import FlightRecorder, SlowQueryLog
+from ..obs.metrics import Histogram
 from ..sssp.delta import choose_delta
 from .batch import batch_delta_stepping
 from .cache import CacheStats, DistanceCache
@@ -50,17 +55,25 @@ __all__ = ["QueryResponse", "MutationReport", "ServiceStats", "QueryService"]
 _NO_SPAN = nullcontext()
 
 
+def _vertex_id(value, what: str) -> int:
+    """*value* as a plain ``int`` vertex id; ``TypeError`` for non-integers."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{what} must be an integer vertex id, got {value!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class QueryResponse:
     """The answer to one :class:`~repro.service.planner.Query`.
 
     ``distance`` is filled for point queries, ``distances`` (full vector)
-    for one-to-many.  ``exact`` is False only for landmark estimates, in
-    which case ``distance`` carries the admissible upper bound and
-    ``bounds`` the full interval.  ``degraded`` marks the subset of
-    approximate answers that the circuit breaker forced (the planner
-    wanted an exact solve, but the solver is failing); ``deadline_missed``
-    marks answers delivered after the query's latency deadline.
+    for one-to-many.  ``degraded`` marks a landmark estimate the circuit
+    breaker forced (the source needed an exact solve, but the solver is
+    failing); such an answer has ``exact=False``, ``distance`` carries
+    the admissible upper bound and ``bounds`` the full interval.
     """
 
     query: Query
@@ -71,7 +84,6 @@ class QueryResponse:
     latency_ms: float = 0.0
     bounds: tuple[float, float] | None = None
     degraded: bool = False
-    deadline_missed: bool = False
 
 
 @dataclass(frozen=True)
@@ -103,7 +115,6 @@ class ServiceStats:
 
     queries_served: int
     exact_answers: int
-    approximate_answers: int
     batches_solved: int
     sources_solved: int
     cache: CacheStats
@@ -114,7 +125,6 @@ class ServiceStats:
     mutations_applied: int = 0
     entries_repaired: int = 0
     degraded_answers: int = 0
-    deadline_misses: int = 0
     mutations_shed: int = 0
     breaker_state: str = "none"
     breaker_trips: int = 0
@@ -144,10 +154,7 @@ class QueryService:
         A :class:`DistanceCache` (one is created when omitted; pass a
         shared instance to pool across services).
     landmarks:
-        Optional :class:`LandmarkIndex` enabling approximate answers.
-    planner:
-        Optional :class:`QueryPlanner`; defaults to batches of
-        *max_batch_size* with *latency_budget_ms*.
+        Optional :class:`LandmarkIndex` that *breaker* degrades to.
     stepper:
         Pin exact solves to one stepping-registry algorithm (any name
         accepted by :func:`repro.service.batch.batch_delta_stepping`,
@@ -170,8 +177,9 @@ class QueryService:
         spans, forwarded into the solves), feeds the per-query and
         mutation latencies into ``service.query_ms`` /
         ``service.mutate_ms`` histograms (``latency-ms`` bucket preset:
-        sub-ms resolution), and binds the cache's hit/miss/eviction
-        counters to the recorder's metrics registry.  Every drain round
+        sub-ms resolution; without a recorder the service keeps its own
+        query histogram on that preset), and binds the cache's
+        hit/miss/eviction counters to the recorder's metrics registry.  Every drain round
         additionally runs under a ``request_id`` ambient trace context,
         so each span a request produces — plan, batch-solve, and the
         sharded stepper's superstep/shard-step/exchange spans beneath
@@ -185,10 +193,6 @@ class QueryService:
         recorder's trace is a :class:`repro.obs.FlightRecorder` — a
         flight snapshot of the spans leading up to it).  Requires a
         truthy *recorder*; ``None`` disables the log.
-    slow_query_log:
-        A pre-built :class:`repro.obs.SlowQueryLog` to append into
-        (overrides *slow_query_ms*; pass a shared instance to pool
-        across services).
     breaker:
         Optional :class:`repro.faults.CircuitBreaker` guarding the
         exact-solve path.  While open, exact solves for non-cached
@@ -200,11 +204,6 @@ class QueryService:
         mutation while the solver is flaky is worse than a stale epoch).
         Breaker state is surfaced in :meth:`stats` and, with a recorder,
         as the ``service.degraded`` / ``service.breaker_state`` gauges.
-    default_deadline_ms:
-        Deadline stamped onto queries submitted without
-        ``max_latency_ms``.  Deadlines steer the planner toward
-        approximate answers and mark late responses
-        ``deadline_missed=True`` (counted in :meth:`stats`).
     solver:
         The batch solver callable (defaults to
         :func:`repro.service.batch.batch_delta_stepping`); injectable so
@@ -219,31 +218,30 @@ class QueryService:
         delta: float | None = None,
         cache: DistanceCache | None = None,
         landmarks: LandmarkIndex | None = None,
-        planner: QueryPlanner | None = None,
-        max_batch_size: int = 64,
-        latency_budget_ms: float | None = None,
         stepper: str | None = None,
         autotune: bool = False,
         tuner=None,
         recorder=None,
         slow_query_ms: float | None = None,
-        slow_query_log: SlowQueryLog | None = None,
         breaker: CircuitBreaker | None = None,
-        default_deadline_ms: float | None = None,
         solver=None,
     ):
         self.graph = graph
         self.weight_mode = weight_mode
         self.recorder = recorder if recorder else None
+        # the one query-latency record, on the ms-scale preset (first
+        # touch fixes the buckets; the coarse geometric default cannot
+        # resolve sub-ms cache hits)
         if self.recorder is not None:
-            # pre-declare the latency histograms on the ms-scale preset
-            # (first touch fixes the buckets; the coarse geometric
-            # default cannot resolve sub-ms cache hits)
-            self.recorder.metrics.histogram("service.query_ms", buckets="latency-ms")
+            self._latency = self.recorder.metrics.histogram(
+                "service.query_ms", buckets="latency-ms"
+            )
             self.recorder.metrics.histogram("service.mutate_ms", buckets="latency-ms")
-        if slow_query_log is None and slow_query_ms is not None:
-            slow_query_log = SlowQueryLog(slow_query_ms)
-        self.slow_query_log = slow_query_log
+        else:
+            self._latency = Histogram("latency-ms")
+        self.slow_query_log = (
+            SlowQueryLog(slow_query_ms) if slow_query_ms is not None else None
+        )
         self._delta_auto = delta is None
         self.delta = delta if delta is not None else choose_delta(graph)
         if cache is None:
@@ -254,38 +252,24 @@ class QueryService:
             cache.bind_metrics(self.recorder.metrics)
         self.cache = cache
         self.landmarks = landmarks
-        self.planner = planner if planner is not None else QueryPlanner(
-            max_batch_size=max_batch_size,
-            latency_budget_ms=latency_budget_ms,
-            stepper=stepper,
-        )
-        if planner is not None and stepper is not None:
-            self.planner._pinned_stepper = stepper
+        self.planner = QueryPlanner(stepper=stepper)
         if tuner is None and autotune:
             from ..stepping import AutoTuner
 
             tuner = AutoTuner()
         self.tuner = tuner
         self.breaker = breaker
-        if default_deadline_ms is not None and default_deadline_ms <= 0:
-            raise ValueError(
-                f"default_deadline_ms must be positive, got {default_deadline_ms}"
-            )
-        self.default_deadline_ms = default_deadline_ms
         self._solver = solver if solver is not None else batch_delta_stepping
         self._pending: list[Query] = []
         self._request_seq = 0
         self._last_plan: QueryPlan | None = None
-        self._latencies_ms: list[float] = []
         self._serving_seconds = 0.0
         self._exact = 0
-        self._approximate = 0
         self._batches_solved = 0
         self._sources_solved = 0
         self._mutations = 0
         self._entries_repaired = 0
         self._degraded = 0
-        self._deadline_misses = 0
         self._mutations_shed = 0
 
     # -- request intake ----------------------------------------------------
@@ -296,19 +280,25 @@ class QueryService:
         A query without a ``request_id`` gets one assigned
         (``q-NNNNNN``, service-scoped) — the id the response's ``query``
         carries, the trace spans are tagged with, and the slow-query log
-        records.
+        records.  Vertex ids must be integers (anything
+        :func:`operator.index` accepts, NumPy integers included); any
+        other type raises ``TypeError`` and an out-of-range id raises
+        ``IndexError``, both before the query is queued.
         """
+        source = _vertex_id(query.source, "source")
+        target = None if query.target is None else _vertex_id(query.target, "target")
         n = self.graph.num_vertices
-        if not 0 <= query.source < n:
-            raise IndexError(f"source {query.source} out of range [0, {n})")
-        if query.target is not None and not 0 <= query.target < n:
-            raise IndexError(f"target {query.target} out of range [0, {n})")
-        if query.request_id is None:
+        if not 0 <= source < n:
+            raise IndexError(f"source {source} out of range [0, {n})")
+        if target is not None and not 0 <= target < n:
+            raise IndexError(f"target {target} out of range [0, {n})")
+        request_id = query.request_id
+        if request_id is None:
             self._request_seq += 1
-            query = replace(query, request_id=f"q-{self._request_seq:06d}")
-        if query.max_latency_ms is None and self.default_deadline_ms is not None:
-            query = replace(query, max_latency_ms=self.default_deadline_ms)
-        self._pending.append(query)
+            request_id = f"q-{self._request_seq:06d}"
+        self._pending.append(
+            replace(query, source=source, target=target, request_id=request_id)
+        )
         return len(self._pending) - 1
 
     @property
@@ -343,8 +333,6 @@ class QueryService:
             with rec.span("service:drain", queries=len(queries)) as sp:
                 responses = self._drain_round(queries)
                 sp.set(exact=sum(1 for r in responses if r.exact))
-        for r in responses:
-            rec.observe("service.query_ms", r.latency_ms)
         rec.inc("service.queries", len(responses))
         if counters_before is not None:
             self._log_slow(responses, counters_before)
@@ -373,7 +361,6 @@ class QueryService:
                 "cached": len(plan.cached),
                 "batches": len(plan.batches),
                 "exact_sources": plan.num_exact_sources,
-                "approximate": len(plan.approximate),
             }
             if plan is not None
             else {}
@@ -412,14 +399,9 @@ class QueryService:
                 cache=self.cache,
                 graph=self.graph,
                 weight_mode=self.weight_mode,
-                has_landmarks=self.landmarks is not None,
             )
             if sp is not None:
-                sp.set(
-                    batches=len(plan.batches),
-                    cached=len(plan.cached),
-                    approximate=len(plan.approximate),
-                )
+                sp.set(batches=len(plan.batches), cached=len(plan.cached))
         self._last_plan = plan
         if self.tuner is not None and plan.batches and plan.stepper is None:
             # tuned routing: probe once per graph epoch (the tuner caches),
@@ -442,29 +424,18 @@ class QueryService:
 
         # Synchronous round: every query in it observes the round's latency.
         per_query_ms = elapsed_ms
-        approx_set = set(plan.approximate)
         degraded_set = set(degraded)
         responses = []
-        deadline_misses = 0
         for q in queries:
-            s = int(q.source)
-            self._latencies_ms.append(per_query_ms)
-            if s in degraded_set and s not in cached_set:
-                resp = self._answer_approximate(q, per_query_ms, degraded=True)
-            elif s in approx_set:
-                resp = self._answer_approximate(q, per_query_ms)
+            s = q.source
+            self._latency.observe(per_query_ms)
+            if s in degraded_set:
+                resp = self._answer_degraded(q, per_query_ms)
             else:
                 resp = self._answer_exact(
                     q, solved[s], from_cache=s in cached_set, latency_ms=per_query_ms
                 )
-            if q.max_latency_ms is not None and per_query_ms > q.max_latency_ms:
-                resp = replace(resp, deadline_missed=True)
-                deadline_misses += 1
             responses.append(resp)
-        if deadline_misses:
-            self._deadline_misses += deadline_misses
-            if rec is not None:
-                rec.inc("service.deadline_misses", deadline_misses)
         self._update_breaker_gauges()
         return responses
 
@@ -493,7 +464,6 @@ class QueryService:
                 if rec is not None:
                     rec.inc("service.breaker_rejections", len(batch))
                 continue
-            t0 = time.perf_counter()
             try:
                 with (
                     rec.span("service:batch-solve", batch=len(batch), method=str(method))
@@ -515,9 +485,6 @@ class QueryService:
                 continue
             if breaker is not None:
                 breaker.record_success()
-            self.planner.record_solve(
-                len(batch), (time.perf_counter() - t0) * 1e3
-            )
             self._batches_solved += 1
             self._sources_solved += len(batch)
             for k, s in enumerate(batch):
@@ -538,15 +505,13 @@ class QueryService:
             from_cache=from_cache, latency_ms=latency_ms,
         )
 
-    def _answer_approximate(
-        self, q: Query, latency_ms: float, degraded: bool = False
-    ) -> QueryResponse:
-        self._approximate += 1
-        if degraded:
-            self._degraded += 1
-            rec = self.recorder
-            if rec is not None:
-                rec.inc("service.degraded_answers")
+    def _answer_degraded(self, q: Query, latency_ms: float) -> QueryResponse:
+        """A landmark upper bound in place of the exact solve the breaker
+        held off (only reached with a landmark index; see :meth:`_execute`)."""
+        self._degraded += 1
+        rec = self.recorder
+        if rec is not None:
+            rec.inc("service.degraded_answers")
         self.landmarks.ensure_fresh()  # lazy rebuild after mutations
         if q.target is None:
             # one-to-many: upper bounds to every vertex via the landmarks
@@ -557,13 +522,13 @@ class QueryService:
             ub[q.source] = 0.0
             return QueryResponse(
                 query=q, distances=ub, exact=False, latency_ms=latency_ms,
-                degraded=degraded,
+                degraded=True,
             )
         est = self.landmarks.estimate(q.source, q.target)
         return QueryResponse(
             query=q, distance=est.upper, exact=False,
             latency_ms=latency_ms, bounds=(est.lower, est.upper),
-            degraded=degraded,
+            degraded=True,
         )
 
     # -- mutation ----------------------------------------------------------
@@ -591,8 +556,8 @@ class QueryService:
         this graph.
 
         The landmark index (if any) is marked stale and rebuilds lazily
-        on the next approximate answer; the planner's calibrated cost
-        model resets.  Pending (submitted, undrained) queries are
+        on the next degraded answer; the planner's tuned stepper pick is
+        cleared.  Pending (submitted, undrained) queries are
         answered against the post-mutation graph.
 
         With an *open* circuit breaker attached, the batch is shed with
@@ -727,38 +692,27 @@ class QueryService:
         return self.cache.invalidate(self.graph)
 
     def stats(self) -> ServiceStats:
-        rec = self.recorder
-        if rec is not None:
-            # the bound recorder's histogram is the source of truth: the
-            # same distribution the OpenMetrics scrape and the SLO engine
-            # read, including its NaN sentinel when nothing was observed
-            summary = rec.metrics.histogram("service.query_ms").summary()
-            p50, p90, p99 = summary["p50"], summary["p90"], summary["p99"]
-        else:
-            lat = np.asarray(self._latencies_ms, dtype=np.float64)
-            p50, p90, p99 = (
-                tuple(np.percentile(lat, [50, 90, 99]))
-                if len(lat)
-                else (0.0, 0.0, 0.0)
-            )
-        served = self._exact + self._approximate
+        """Counters plus the latency percentiles of the one query
+        histogram — with a recorder, the same distribution the
+        OpenMetrics scrape and the SLO engine read; ``NaN`` when nothing
+        was observed."""
+        latency = self._latency
+        served = self._exact + self._degraded
         qps = served / self._serving_seconds if self._serving_seconds > 0 else 0.0
         breaker = self.breaker
         return ServiceStats(
             queries_served=served,
             exact_answers=self._exact,
-            approximate_answers=self._approximate,
             batches_solved=self._batches_solved,
             sources_solved=self._sources_solved,
             cache=self.cache.stats(),
-            latency_p50_ms=float(p50),
-            latency_p90_ms=float(p90),
-            latency_p99_ms=float(p99),
+            latency_p50_ms=latency.percentile(50),
+            latency_p90_ms=latency.percentile(90),
+            latency_p99_ms=latency.percentile(99),
             throughput_qps=qps,
             mutations_applied=self._mutations,
             entries_repaired=self._entries_repaired,
             degraded_answers=self._degraded,
-            deadline_misses=self._deadline_misses,
             mutations_shed=self._mutations_shed,
             breaker_state=breaker.state if breaker is not None else "none",
             breaker_trips=breaker.trips if breaker is not None else 0,

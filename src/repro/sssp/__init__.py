@@ -16,12 +16,11 @@ the one solver registry, :data:`repro.stepping.STEPPERS`:
 ``bellman-ford``            edge-centric label-correcting baseline
 ==========================  =================================================
 
-``graphblas`` and ``capi`` (and the GraphBLAS batch engine and the IR
-program) depart from Fig. 2 in one call: §V.B's re-entry step
-``eWiseAdd(LT, tReq, t)`` under tReq's value mask lost a vertex first
-reached at distance 0, so they run ``eWiseUnion(LT, tReq, ∞, t, ∞)``
-under tReq's structural mask instead (see
-:mod:`repro.sssp.graphblas_sssp`).
+``graphblas`` and ``capi`` (and the IR program) depart from Fig. 2 in
+one call: §V.B's re-entry step ``eWiseAdd(LT, tReq, t)`` under tReq's
+value mask lost a vertex first reached at distance 0, so they run
+``eWiseUnion(LT, tReq, ∞, t, ∞)`` under tReq's structural mask instead
+(see :mod:`repro.sssp.graphblas_sssp`).
 
 Entry point::
 

@@ -124,7 +124,6 @@ register_stepper(FunctionStepper(
     defaults={"delta": None},
     kernel_capable=True,  # "delta(kernel=scatter)" pins the min-by-target kernel
     recorder_capable=True,  # emits per-bucket spans and its §VI.C stages
-    batch_engine="batch_fused_delta_stepping",
     resolve=fused_resolve,  # the same bucket loop, seeded (incremental repair)
 ))
 register_stepper(FunctionStepper(
@@ -132,7 +131,6 @@ register_stepper(FunctionStepper(
     description="classic delta-stepping, unfused GraphBLAS formulation (Fig. 2)",
     defaults={"delta": None},
     recorder_capable=True,
-    batch_engine="batch_graphblas_delta_stepping",
 ))
 register_stepper(FunctionStepper(
     "meyer-sanders", meyer_sanders_delta_stepping,

@@ -277,12 +277,6 @@ class Stepper(ABC):
         selecting the :mod:`repro.kernels` per-target-min kernel
         (``"rho(kernel=scatter)"`` in spec spelling); the kernel-
         equivalence tests race every capable stepper under both kernels.
-    batch_engine:
-        Name of the stepper's native multi-source engine in
-        :mod:`repro.service.batch` (``"batch_fused_delta_stepping"`` for
-        ``delta``), which runs K sources through shared relaxation
-        waves; ``None`` batches as K independent solves
-        (:func:`~repro.service.batch.batch_stepper_loop`).
 
     Every registry member additionally accepts ``recorder=`` on
     ``solve`` (and, where implemented, ``resolve``): a truthy
@@ -296,7 +290,6 @@ class Stepper(ABC):
     description: str = ""
     supports_resolve: bool = True
     kernel_capable: bool = True
-    batch_engine: str | None = None
     #: short spec-parameter spellings → the solve() keyword they set
     #: (``"sharded(shards=4)"`` → ``num_shards=4``); consulted by
     #: :func:`resolve_stepper_spec`, empty for most steppers
@@ -384,7 +377,6 @@ class FunctionStepper(Stepper):
         defaults: dict[str, Any] | None = None,
         kernel_capable: bool = False,
         recorder_capable: bool = False,
-        batch_engine: str | None = None,
         resolve: Callable[..., dict[str, Any]] | None = None,
     ) -> None:
         self.name = name
@@ -394,7 +386,6 @@ class FunctionStepper(Stepper):
         self.supports_resolve = resolve is not None
         self._defaults = dict(defaults or {})
         self.kernel_capable = kernel_capable
-        self.batch_engine = batch_engine
         #: whether the wrapped fn takes ``recorder=`` itself (the fused and
         #: GraphBLAS kernels do, emitting their §VI.C stages as spans);
         #: either way a recording run gets one whole-solve span

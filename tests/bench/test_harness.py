@@ -190,6 +190,33 @@ class TestKernelBench:
         assert np.array_equal(r.distances, dijkstra(wl.graph, wl.source).distances)
 
 
+class TestServeBench:
+    def test_series_headline_and_render(self, tiny_workloads):
+        from repro.bench.service_bench import (
+            SPEEDUP_TARGET,
+            render_service_throughput,
+            service_throughput_headline,
+            service_throughput_series,
+        )
+
+        rows = service_throughput_series(tiny_workloads, num_queries=16, repeats=1)
+        assert [r["graph"] for r in rows] == [w.name for w in tiny_workloads]
+        assert all(r["queries"] == 16 and r["verified"] == "ok" for r in rows)
+        assert all(r["speedup"] > 0 for r in rows)
+        head = service_throughput_headline(rows)
+        assert set(head) == {
+            "criterion", "all_verified", "suite_speedup", "gmean_speedup",
+            "speedup_target", "passed",
+        }
+        assert head["all_verified"] is True
+        assert head["passed"] == (head["suite_speedup"] >= SPEEDUP_TARGET)
+        unverified = service_throughput_headline([dict(r, verified="-") for r in rows])
+        assert unverified["all_verified"] is False and unverified["passed"] is False
+        text = render_service_throughput(rows)
+        assert "SERVE" in text and "verified bit-identical" in text
+        assert ("[PASS]" in text) == head["passed"]
+
+
 class TestBenchJsonWriter:
     def test_write_and_path_env_override(self, tmp_path, monkeypatch):
         from repro.bench.registry import bench_json_path, write_bench_json

@@ -1,4 +1,5 @@
-"""Shared test fixtures: small deterministic graphs and random generators."""
+"""Shared test fixtures: small deterministic graphs, random generators and
+a degrading query service."""
 
 from __future__ import annotations
 
@@ -50,3 +51,27 @@ def random_weighted_graph() -> Graph:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def degrading_service():
+    """Factory for a ``QueryService`` whose solver answers its first
+    batch and then fails: behind a ``CircuitBreaker``, every later cache
+    miss degrades to a landmark bound (the only approximate path)."""
+    from repro.faults import CircuitBreaker
+    from repro.service import QueryService, batch_delta_stepping
+
+    def build(graph, landmarks):
+        calls = []
+
+        def solve_once(g, batch, **kwargs):
+            calls.append(batch)
+            if len(calls) > 1:
+                raise RuntimeError("solver down")
+            return batch_delta_stepping(g, batch, **kwargs)
+
+        return QueryService(
+            graph, landmarks=landmarks, breaker=CircuitBreaker(), solver=solve_once
+        )
+
+    return build

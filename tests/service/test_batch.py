@@ -9,7 +9,6 @@ from repro.service.batch import (
     BatchSSSPResult,
     batch_delta_stepping,
     batch_fused_delta_stepping,
-    batch_graphblas_delta_stepping,
 )
 from repro.sssp import dijkstra, fused_delta_stepping
 from repro.sssp.delta import choose_delta
@@ -43,18 +42,6 @@ class TestBatchMatchesDijkstra:
             res = batch_delta_stepping(g, sources, delta=delta)
             for k, s in enumerate(sources):
                 assert np.array_equal(res.distances[k], dijkstra(g, s).distances), (k, s)
-
-    def test_graphblas_engine_matches(self, diamond_graph):
-        res = batch_graphblas_delta_stepping(diamond_graph, [0, 1, 3], 1.0)
-        for k, s in enumerate([0, 1, 3]):
-            assert np.array_equal(res.distances[k], dijkstra(diamond_graph, s).distances)
-
-    def test_engines_agree(self):
-        g = datasets.load("ci-ws")
-        sources = [0, 10, 20, 30]
-        fused = batch_fused_delta_stepping(g, sources, 1.0)
-        gb = batch_graphblas_delta_stepping(g, sources, 1.0)
-        assert np.array_equal(fused.distances, gb.distances)
 
     def test_duplicate_sources_allowed(self, diamond_graph):
         res = batch_delta_stepping(diamond_graph, [0, 0, 2])

@@ -1,4 +1,4 @@
-"""Landmark index: selection strategies and bound admissibility.
+"""Landmark index: farthest-point selection and bound admissibility.
 
 The load-bearing property: for every queried pair, the true shortest
 distance lies inside ``[lower_bound, upper_bound]`` — the upper bound is
@@ -11,33 +11,24 @@ import pytest
 
 from repro.graphs import datasets, generators
 from repro.graphs.graph import Graph
-from repro.service.landmarks import (
-    LANDMARK_STRATEGIES,
-    LandmarkIndex,
-    select_landmarks,
-)
+from repro.service.landmarks import LandmarkIndex, select_landmarks
 from repro.sssp import dijkstra
 
 
 class TestSelection:
-    @pytest.mark.parametrize("strategy", sorted(LANDMARK_STRATEGIES))
-    def test_strategies_return_valid_vertices(self, strategy):
+    def test_returns_valid_vertices(self):
         g = datasets.load("ci-ws")
-        marks = select_landmarks(g, 6, strategy=strategy)
+        marks = select_landmarks(g, 6)
         assert 1 <= len(marks) <= 6
         assert len(np.unique(marks)) == len(marks)
         assert marks.min() >= 0 and marks.max() < g.num_vertices
 
     def test_farthest_spreads_over_grid(self):
         g = generators.grid_2d(10, 10)
-        marks = select_landmarks(g, 4, strategy="farthest")
+        marks = select_landmarks(g, 4)
         # farthest-point sampling on a mesh never picks adjacent corners
         d = dijkstra(g, int(marks[0])).distances
         assert d[marks[1]] >= 5
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown landmark strategy"):
-            select_landmarks(datasets.load("ci-ws"), 2, strategy="psychic")
 
     def test_zero_landmarks_rejected(self):
         with pytest.raises(ValueError):
@@ -45,10 +36,9 @@ class TestSelection:
 
 
 class TestBounds:
-    @pytest.mark.parametrize("strategy", ["farthest", "degree", "random"])
-    def test_bounds_bracket_true_distance(self, strategy):
+    def test_bounds_bracket_true_distance(self):
         g = datasets.load("ci-ws")
-        index = LandmarkIndex.build(g, num_landmarks=4, strategy=strategy)
+        index = LandmarkIndex.build(g, num_landmarks=4)
         rng = np.random.default_rng(5)
         for s in rng.choice(g.num_vertices, size=5, replace=False):
             true = dijkstra(g, int(s)).distances
@@ -65,7 +55,7 @@ class TestBounds:
             rng.integers(0, 80, m), rng.integers(0, 80, m),
             rng.uniform(0.1, 1.0, m), n=80,
         )
-        index = LandmarkIndex.build(g, num_landmarks=5, strategy="degree")
+        index = LandmarkIndex.build(g, num_landmarks=5)
         for s in (0, 7, 33):
             true = dijkstra(g, s).distances
             for t in range(80):
@@ -85,7 +75,7 @@ class TestBounds:
 
     def test_disconnected_pair_is_inf_upper(self):
         g = Graph.from_edges([0, 2], [1, 3], n=4)
-        index = LandmarkIndex.build(g, num_landmarks=2, strategy="degree")
+        index = LandmarkIndex.build(g, num_landmarks=2)
         assert np.isinf(index.upper_bound(0, 3))
 
     def test_disconnected_estimate_emits_no_warning(self):
@@ -94,7 +84,7 @@ class TestBounds:
         import warnings
 
         g = Graph.from_edges([0, 1, 3, 4], [1, 2, 4, 5], n=6)
-        index = LandmarkIndex.build(g, num_landmarks=2, strategy="degree")
+        index = LandmarkIndex.build(g, num_landmarks=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = index.estimate(0, 4)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.graphs import generators
-from repro.obs import Recorder, SlowQueryLog, filter_spans_by_request
+from repro.obs import Recorder, filter_spans_by_request
 from repro.service import Query, QueryService
 
 
@@ -123,14 +123,6 @@ class TestSlowQueryLog:
         assert first["service.queries"] == 1
         assert second["service.queries"] == 1
 
-    def test_shared_log_instance_pools_across_services(self, grid):
-        shared = SlowQueryLog(0.0)
-        a = QueryService(grid, recorder=Recorder(), slow_query_log=shared)
-        b = QueryService(grid, recorder=Recorder(), slow_query_log=shared)
-        a.query(0)
-        b.query(1)
-        assert len(shared) == 2
-
     def test_no_recorder_means_no_log_overhead(self, grid):
         svc = QueryService(grid, slow_query_ms=0.0)
         svc.query(0)  # recorder-less path must not throw
@@ -155,10 +147,11 @@ class TestStatsFromRecorder:
         assert math.isnan(stats.latency_p50_ms)
         assert math.isnan(stats.latency_p99_ms)
 
-    def test_recorderless_stats_keep_legacy_zero_fallback(self, grid):
+    def test_recorderless_stats_use_nan_sentinel(self, grid):
         svc = QueryService(grid)
-        stats = svc.stats()
-        assert stats.latency_p50_ms == 0.0
+        assert math.isnan(svc.stats().latency_p50_ms)
+        svc.query(0)
+        assert svc.stats().latency_p50_ms >= 0.0
 
     def test_query_ms_uses_the_latency_preset(self, grid):
         from repro.obs import LATENCY_MS_BUCKETS

@@ -7,6 +7,7 @@ from repro.dynamic import apply_edge_updates
 from repro.graphs import datasets
 from repro.graphs.graph import Graph
 from repro.service import (
+    MAX_BATCH_SIZE,
     DistanceCache,
     LandmarkIndex,
     Query,
@@ -28,14 +29,14 @@ def ws_oracle(ws_graph):
 
 class TestPlanner:
     def test_coalesces_duplicate_sources(self):
-        planner = QueryPlanner(max_batch_size=8)
+        planner = QueryPlanner()
         plan = planner.plan([Query(0, 1), Query(0, 2), Query(0, 3)])
         assert plan.num_exact_sources == 1
 
     def test_chunks_to_batch_size(self):
-        planner = QueryPlanner(max_batch_size=4)
-        plan = planner.plan([Query(s) for s in range(10)])
-        assert [len(b) for b in plan.batches] == [4, 4, 2]
+        planner = QueryPlanner()
+        plan = planner.plan([Query(s) for s in range(2 * MAX_BATCH_SIZE + 3)])
+        assert [len(b) for b in plan.batches] == [MAX_BATCH_SIZE, MAX_BATCH_SIZE, 3]
 
     def test_cache_hits_skip_batches(self, ws_graph):
         cache = DistanceCache()
@@ -45,39 +46,6 @@ class TestPlanner:
         assert list(plan.cached) == [0]
         assert plan.cached[0] is not None  # the probe IS the fetch
         assert plan.num_exact_sources == 1
-
-    def test_budget_routes_to_landmarks(self):
-        planner = QueryPlanner(latency_budget_ms=1.0)
-        planner.record_solve(1, 50.0)  # model: exact solve far over budget
-        plan = planner.plan([Query(3)], has_landmarks=True)
-        assert plan.approximate == [3]
-        assert plan.num_exact_sources == 0
-
-    def test_budget_without_landmarks_stays_exact(self):
-        planner = QueryPlanner(latency_budget_ms=1.0)
-        planner.record_solve(1, 50.0)
-        plan = planner.plan([Query(3)], has_landmarks=False)
-        assert plan.approximate == []
-        assert plan.num_exact_sources == 1
-
-    def test_no_cost_model_stays_exact(self):
-        planner = QueryPlanner(latency_budget_ms=1.0)
-        plan = planner.plan([Query(3)], has_landmarks=True)
-        assert plan.num_exact_sources == 1
-
-    def test_per_query_budget_overrides_default(self):
-        planner = QueryPlanner(latency_budget_ms=None)
-        planner.record_solve(1, 50.0)
-        plan = planner.plan([Query(3, max_latency_ms=0.5)], has_landmarks=True)
-        assert plan.approximate == [3]
-
-    def test_budget_is_cumulative_over_the_round(self):
-        """The budget bounds the whole drain, not each source alone."""
-        planner = QueryPlanner(latency_budget_ms=10.0)
-        planner.record_solve(1, 4.0)  # model: 4 ms per exact source
-        plan = planner.plan([Query(s) for s in range(5)], has_landmarks=True)
-        assert plan.num_exact_sources == 2  # 8 ms committed; a third would overflow
-        assert plan.approximate == [2, 3, 4]
 
 
 class TestService:
@@ -119,25 +87,14 @@ class TestService:
         assert [r.query.source for r in responses] == [3, 8]
 
     def test_batch_results_match_dijkstra_per_source(self, ws_graph):
-        svc = QueryService(ws_graph, max_batch_size=4)
-        sources = [0, 3, 7, 11, 20, 33]
+        svc = QueryService(ws_graph)
+        sources = range(0, 3 * (MAX_BATCH_SIZE + 2), 3)
         for s in sources:
             svc.submit(Query(source=s))
         responses = svc.drain()
-        assert svc.stats().batches_solved == 2  # 6 sources / batch of 4
+        assert svc.stats().batches_solved == 2  # MAX_BATCH_SIZE + 2 sources
         for s, resp in zip(sources, responses):
             assert np.array_equal(resp.distances, dijkstra(ws_graph, s).distances)
-
-    def test_budget_falls_back_to_landmark_answer(self, ws_graph, ws_oracle):
-        landmarks = LandmarkIndex.build(ws_graph, num_landmarks=4)
-        svc = QueryService(ws_graph, landmarks=landmarks, latency_budget_ms=1e-6)
-        svc.query(7, 3)  # calibrates the planner's cost model (exact)
-        resp = svc.query(0, 42)  # now predicted over budget -> approximate
-        assert not resp.exact
-        lower, upper = resp.bounds
-        assert lower <= ws_oracle[42] <= upper
-        assert resp.distance == upper
-        assert svc.stats().approximate_answers == 1
 
     def test_invalidate_forces_recompute(self, ws_graph):
         svc = QueryService(ws_graph)
@@ -152,6 +109,32 @@ class TestService:
             svc.submit(Query(source=10_000))
         with pytest.raises(IndexError):
             svc.submit(Query(source=0, target=10_000))
+
+    @pytest.mark.parametrize(
+        "query",
+        [Query(1.5), Query(2.7, 3), Query(3, 4.9)],
+        ids=["float-source", "float-source-int-target", "float-target"],
+    )
+    def test_non_integer_ids_rejected(self, ws_graph, query):
+        svc = QueryService(ws_graph)
+        with pytest.raises(TypeError, match="integer vertex id"):
+            svc.submit(query)
+        assert svc.num_pending == 0
+
+    def test_rejected_query_leaves_the_round_intact(self, ws_graph, ws_oracle):
+        svc = QueryService(ws_graph)
+        svc.submit(Query(0, 1))
+        svc.submit(Query(0, 2))
+        with pytest.raises(TypeError):
+            svc.submit(Query(3, 4.9))
+        responses = svc.drain()
+        assert [r.distance for r in responses] == [ws_oracle[1], ws_oracle[2]]
+        assert svc.stats().queries_served == 2
+
+    def test_numpy_integer_ids_accepted(self, ws_graph, ws_oracle):
+        resp = QueryService(ws_graph).query(np.int64(0), np.int32(42))
+        assert type(resp.query.source) is int and type(resp.query.target) is int
+        assert resp.distance == ws_oracle[42]
 
     def test_drain_empty_is_noop(self, ws_graph):
         assert QueryService(ws_graph).drain() == []
@@ -180,10 +163,10 @@ class TestDerivedStateAfterEdits:
     derived per-graph state answering for the old graph."""
 
     @staticmethod
-    def _landmark_service(g):
+    def _landmark_service(g, degrading_service):
         lm = LandmarkIndex.build(g, num_landmarks=2)
-        svc = QueryService(g, landmarks=lm, latency_budget_ms=0.0)
-        svc.query(1)  # calibrates the planner: later misses go to landmarks
+        svc = degrading_service(g, lm)
+        assert svc.query(1).exact  # later misses degrade to landmark bounds
         return svc, lm
 
     def test_invalidate_drops_partition_views(self):
@@ -194,25 +177,25 @@ class TestDerivedStateAfterEdits:
         svc.invalidate()
         assert np.array_equal(svc.query(0).distances, dijkstra(g, 0).distances)
 
-    def test_invalidate_marks_landmarks_stale(self):
+    def test_invalidate_marks_landmarks_stale(self, degrading_service):
         g = _path_with_detour()
-        svc, _ = self._landmark_service(g)
+        svc, _ = self._landmark_service(g, degrading_service)
         cut = _path_with_detour(cut=True)
         g.indptr, g.indices, g.weights = cut.indptr, cut.indices, cut.weights
         svc.invalidate()
         resp = svc.query(0, 4)
-        assert not resp.exact
+        assert resp.degraded and not resp.exact
         assert dijkstra(g, 0).distances[4] == 20.0
         assert resp.distance >= 20.0  # an upper bound, not the deleted walk's 4
 
-    def test_epoch_move_outside_the_service_makes_landmarks_stale(self):
+    def test_epoch_move_outside_the_service_makes_landmarks_stale(self, degrading_service):
         g = _path_with_detour()
-        svc, lm = self._landmark_service(g)
+        svc, lm = self._landmark_service(g, degrading_service)
         assert not lm.stale
         apply_edge_updates(g, deletes=[(2, 3)])
         assert lm.stale
         resp = svc.query(0, 4)
-        assert not resp.exact
+        assert resp.degraded and not resp.exact
         assert dijkstra(g, 0).distances[4] == 20.0
         assert resp.distance >= 20.0
         assert not lm.stale and lm.rebuilds == 1

@@ -127,8 +127,9 @@ class TestEquivalenceProperties:
 
 
 class TestZeroWeightChain:
-    """Every GraphBLAS formulation — single-source, C API, batch and the
-    IR program — relaxes past a vertex first reached at distance 0."""
+    """Every GraphBLAS formulation — single-source, C API, batched as a
+    per-source loop, and the IR program — relaxes past a vertex first
+    reached at distance 0."""
 
     expected = [np.inf, 0.0, 0.0, 0.0, 1.0]
 

@@ -20,7 +20,7 @@ def ws_graph():
 
 class TestBatchDispatch:
     @pytest.mark.parametrize("method", ["rho", "radius", "delta-star", "bellman-ford",
-                                        "meyer-sanders", "capi", "parallel"])
+                                        "graphblas", "meyer-sanders", "capi", "parallel"])
     def test_batch_via_stepper_matches_dijkstra(self, ws_graph, method):
         sources = [0, 7, 42]
         res = batch_delta_stepping(ws_graph, sources, method=method)
@@ -39,10 +39,6 @@ class TestBatchDispatch:
             batch_delta_stepping(ws_graph, [0], method="warp-drive")
         message = str(excinfo.value)
         assert "delta" in message and "rho" in message and "radius" in message
-
-    def test_graphblas_routes_to_native_matrix_engine(self, ws_graph):
-        res = batch_delta_stepping(ws_graph, [0, 7], method="graphblas")
-        assert res.method == "batch-graphblas"
 
     def test_fused_spelling_is_retired(self, ws_graph):
         with pytest.raises(ValueError, match="unknown batch method 'fused'"):
@@ -125,13 +121,6 @@ class TestServiceStepping:
         resp = svc.query(0)  # warm: cache hit, no batches
         assert resp.from_cache
         assert dict(tuner._reports) == probed  # no new probe happened
-
-    def test_stepper_param_installs_on_custom_planner(self, ws_graph):
-        planner = QueryPlanner(max_batch_size=4)
-        svc = QueryService(ws_graph, planner=planner, stepper="delta-star")
-        assert planner.stepper == "delta-star"
-        resp = svc.query(1)
-        assert np.array_equal(resp.distances, dijkstra(ws_graph, 1).distances)
 
 
 class TestSteppedRepair:

@@ -64,16 +64,6 @@ class TestRegistry:
         assert len({id(s) for s in STEPPERS.values()}) == 11
         assert {"meyer-sanders", "capi", "parallel"} <= set(STEPPERS)
 
-    def test_batch_engines_name_native_engines(self):
-        from repro.service import batch
-
-        engines = {n: s.batch_engine for n, s in STEPPERS.items() if s.batch_engine}
-        assert engines == {
-            "delta": "batch_fused_delta_stepping",
-            "graphblas": "batch_graphblas_delta_stepping",
-        }
-        assert all(callable(getattr(batch, e)) for e in engines.values())
-
     def test_function_stepper_resolves_auto_delta(self):
         g = gen.grid_2d(4, 4)
         for name in ("delta", "graphblas", "meyer-sanders", "capi", "parallel"):
