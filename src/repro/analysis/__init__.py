@@ -7,8 +7,8 @@ them is visible to a generic linter:
   kernel core) — one stray ``np.zeros`` in a marked block silently
   un-does the win;
 - telemetry is **one falsy branch** when disabled (PR 6's ``if
-  recorder:`` guard idiom, CI-gated at <3%) — one unguarded
-  ``recorder.span(...)`` in a solver loop breaks the gate;
+  recorder:`` guard idiom) — one unguarded ``recorder.span(...)`` in a
+  solver loop raises on the disabled ``recorder=None`` path;
 - the ``STEPPERS``/``KERNELS``/``PARTITIONERS`` registries, the stepper
   *spec* mini-language, the CLI help, and the auto-tuner's candidate
   portfolio must all name the same world;

@@ -31,7 +31,8 @@ The rule catalog:
     ``if recorder:`` / ``if rec is not None:`` branch, a conditional
     expression, an ``and``-chain, or an earlier early-return
     (``if not recorder: return ...``).  This is what keeps the disabled
-    telemetry path at one branch per choke point (the <3% CI gate).
+    telemetry path (``recorder=None``) at one branch per choke point; with
+    no null recorder, an unguarded call would raise on that path.
     :mod:`repro.obs` itself is exempt — it *implements* the surface.
 
 ``registry-spec``

@@ -192,11 +192,19 @@ def kernel_bench_series(
     for wl in workloads:
         oracle = dijkstra(wl.graph, wl.source).distances if verify else None
         variants = _variants(wl)
-        seed_res = variants["seed"]()
-        seed_ms = None
-        for name, run in variants.items():
-            # the seed reference run doubles as its own verification run
-            res = seed_res if name == "seed" else run()
+        # one untimed run per variant: the verification answer and the warmup
+        results = {name: run() for name, run in variants.items()}
+        seed_res = results["seed"]
+        # time in alternating rounds and keep each variant's best: the CI
+        # solves take about 1 ms, so host drift between back-to-back
+        # per-variant blocks would otherwise read as a kernel difference
+        best = dict.fromkeys(variants, float("inf"))
+        for _ in range(repeats):
+            for name, run in variants.items():
+                stats = time_callable(run, repeats=1, warmup=0, min_total_seconds=0.02)
+                best[name] = min(best[name], stats.best)
+        seed_ms = best["seed"] * 1e3
+        for name, res in results.items():
             # explicit checks, not `assert`: they must survive `python -O`
             # and land in the rows so the gate can actually fail
             if verify and not np.array_equal(res.distances, oracle):
@@ -221,9 +229,7 @@ def kernel_bench_series(
                     f"{wl.name}: variant {name!r} walked a different "
                     f"phase schedule than seed"
                 )
-            ms = time_callable(run, repeats=repeats).best_ms
-            if name == "seed":
-                seed_ms = ms
+            ms = best[name] * 1e3
             rows.append(
                 {
                     "graph": wl.name,

@@ -11,13 +11,15 @@ distance vector is produced two ways:
 - **recompute** — a cold :func:`repro.sssp.fused.fused_delta_stepping`
   run on the mutated graph.
 
-Both answers are verified bit-identical before timing (repair and
+Both answers are compared bit-for-bit before timing (repair and
 recompute converge to the same min-plus fixed point — see
-:mod:`repro.dynamic.incremental`).  The headline is the repair speedup
-at the smallest batch fraction: the dynamic-SSSP claim is that repairing
-a ≤1%-of-edges batch beats re-solving by ≥2x because the touched region
-— affected subtree plus improvement cone — is a small fraction of the
-graph.
+:mod:`repro.dynamic.incremental`) and each row records the verdict.
+The headline (:func:`mutation_repair_headline`) is the geometric-mean
+repair speedup over the small batches: the dynamic-SSSP claim is that
+repairing ≤1%-of-edges batches beats re-solving by ≥2x on average,
+because the touched region — affected subtree plus improvement cone — is
+a small fraction of the graph.  Single rows can fall below 2x, so the
+worst small row is stored next to the mean.
 """
 
 from __future__ import annotations
@@ -32,7 +34,19 @@ from .reporting import format_table, geometric_mean
 from .timing import time_callable
 from .workloads import active_suite_name, workload_for
 
-__all__ = ["mutation_repair_series", "render_mutation_repair", "build_update_batch"]
+__all__ = [
+    "mutation_repair_series",
+    "mutation_repair_headline",
+    "render_mutation_repair",
+    "build_update_batch",
+    "SPEEDUP_TARGET",
+]
+
+#: batches touching at most this fraction of edges count as "small"
+SMALL_FRACTION = 0.01
+#: the headline criterion: geometric-mean repair speedup over the small
+#: batches must reach this
+SPEEDUP_TARGET = 2.0
 
 #: update-batch mix, as fractions of the batch (rest is reweights)
 _DELETE_SHARE = 0.2
@@ -110,11 +124,12 @@ def mutation_repair_series(
                 graph, inserts=inserts, deletes=deletes, reweights=reweights
             )
             repaired = repair_sssp(graph, source, d0, applied, delta=delta)
+            # an explicit row field, not `assert`: it must survive `python -O`
             if verify:
                 oracle = fused_delta_stepping(graph, source, delta).distances
-                assert np.array_equal(repaired.distances, oracle), (
-                    f"{name}: repair diverged from recompute at fraction {fraction}"
-                )
+                verified = "ok" if np.array_equal(repaired.distances, oracle) else "FAIL"
+            else:
+                verified = "-"
             repair_t = time_callable(
                 lambda: repair_sssp(graph, source, d0, applied, delta=delta),
                 repeats=repeats,
@@ -132,9 +147,37 @@ def mutation_repair_series(
                     "repair_ms": repair_t.best_ms,
                     "recompute_ms": recompute_t.best_ms,
                     "speedup": recompute_t.best / repair_t.best,
+                    "verified": verified,
                 }
             )
     return rows
+
+
+def mutation_repair_headline(rows: list[dict]) -> dict:
+    """The machine-readable verdict stored in ``BENCH_DYN.json``.
+
+    ``passed`` requires every row verified bit-identical to recompute and
+    the geometric-mean repair speedup over the small batches (fraction ≤
+    :data:`SMALL_FRACTION`) ≥ :data:`SPEEDUP_TARGET`.
+    """
+    all_verified = all(r["verified"] == "ok" for r in rows)
+    small = [r for r in rows if r["fraction"] <= SMALL_FRACTION]
+    gmean = geometric_mean(r["speedup"] for r in small) if small else 0.0
+    worst = min(small, key=lambda r: r["speedup"], default=None)
+    return {
+        "criterion": (
+            f"every repair bit-identical to recompute; geometric-mean repair "
+            f"speedup over <= {SMALL_FRACTION:.0%}-of-edges batches >= "
+            f"{SPEEDUP_TARGET}x"
+        ),
+        "all_verified": all_verified,
+        "small_gmean_speedup": gmean,
+        "small_worst": (
+            {k: worst[k] for k in ("graph", "fraction", "speedup")} if worst else None
+        ),
+        "speedup_target": SPEEDUP_TARGET,
+        "passed": all_verified and gmean >= SPEEDUP_TARGET,
+    }
 
 
 def render_mutation_repair(rows: list[dict]) -> str:
@@ -143,19 +186,23 @@ def render_mutation_repair(rows: list[dict]) -> str:
         rows,
         columns=[
             "graph", "edges", "fraction", "updates", "affected",
-            "repair_ms", "recompute_ms", "speedup",
+            "repair_ms", "recompute_ms", "speedup", "verified",
         ],
         floatfmt=".3f",
     )
-    small = [r for r in rows if r["fraction"] <= 0.01]
-    small_best = max((r["speedup"] for r in small), default=0.0)
-    small_gmean = geometric_mean(r["speedup"] for r in small) if small else 0.0
+    head = mutation_repair_headline(rows)
+    worst = head["small_worst"]
+    worst_text = (
+        f"worst {worst['graph']} at {worst['fraction']:g}: {worst['speedup']:.2f}x"
+        if worst else "no small batches"
+    )
     gmean = geometric_mean(r["speedup"] for r in rows) if rows else 0.0
+    verdict = "PASS" if head["passed"] else "MISS"
     return (
         "DYN — Incremental SSSP repair vs full recompute after edge-update "
         "batches (verified bit-identical)\n\n"
         f"{table}\n\n"
-        f"Small batches (<=1% of edges): best {small_best:.2f}x, "
-        f"geometric mean {small_gmean:.2f}x repair speedup; "
-        f"all batches {gmean:.2f}x\n"
+        f"Small batches (<={SMALL_FRACTION:.0%} of edges): geometric mean "
+        f"{head['small_gmean_speedup']:.2f}x repair speedup ({worst_text}; "
+        f"target >= {SPEEDUP_TARGET}x) [{verdict}]; all batches {gmean:.2f}x\n"
     )

@@ -97,7 +97,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "DYN": Experiment(
         id="DYN",
         paper_artifact="Extension (dynamic graphs)",
-        claim="Incremental repair beats full recompute >=2x for small (<=1% of edges) update batches",
+        claim="Incremental repair beats full recompute >=2x in geometric mean over small (<=1% of edges) update batches; single rows may fall below 2x (every repair bit-identical to recompute)",
         run=lambda suite=None, **kw: mutation_repair_series(suite=suite, **kw),
         render=render_mutation_repair,
     ),

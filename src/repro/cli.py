@@ -11,7 +11,7 @@ run         one SSSP run with any registered stepper, printing the summary
 query       answer distance queries through the service layer (cache + batch)
 trace       record one traced run (solve + queries) as Chrome trace JSON
 report      render a recorded run (or a saved trace JSON) as a markdown/HTML report
-metrics     OpenMetrics exposition of a recorded run, optionally served for scraping
+metrics     OpenMetrics exposition of a recorded run
 bench-diff  diff fresh BENCH_*.json against committed baselines (regression gate)
 serve-bench regenerate the SERVE experiment (batched vs looped throughput)
 mutate-bench regenerate the DYN experiment (incremental repair vs recompute)
@@ -31,8 +31,8 @@ stepping algorithm — a registry name or a parameterized spec such as
 and ``--auto`` to let the per-graph auto-tuner pick.  ``run`` and
 ``query`` take ``--trace PATH`` to record the run through
 :mod:`repro.obs` (Chrome trace JSON, loadable in Perfetto); ``trace`` is
-the dedicated command for that, and its ``--overhead-smoke`` mode is the
-CI gate keeping the disabled recording path under 3%.
+the dedicated command for that, and its ``--flight-smoke`` mode is the
+CI gate keeping always-on recording of the serving path under 5%.
 
 Every bench runner (``serve-bench``, ``mutate-bench``, ``step-bench``,
 ``shard-bench``, ``kernel-bench``) also writes its rows as
@@ -42,7 +42,7 @@ Every bench runner (``serve-bench``, ``mutate-bench``, ``step-bench``,
 the committed baselines (and the ``BENCH_HISTORY.jsonl`` noise ledger)
 and exits non-zero on regression; ``report`` turns a recorded run into
 a shareable document; ``metrics`` exposes the same run's registry as
-OpenMetrics text (``--serve`` keeps a scrape endpoint up).
+OpenMetrics text.
 """
 
 from __future__ import annotations
@@ -115,13 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also serve N point queries through a recorded QueryService "
                          "(0 disables; default: 8)")
     sp.add_argument("--out", default="trace.json", help="output path (default: trace.json)")
-    sp.add_argument("--overhead-smoke", action="store_true",
-                    help="CI gate instead of tracing: time the fused solver with recording "
-                         "disabled vs without a recorder at all and exit non-zero if the "
-                         "disabled path costs more than 3%%")
     sp.add_argument("--flight-smoke", action="store_true",
                     help="CI gate instead of tracing: serve queries end-to-end with a "
-                         "flight recorder enabled vs NO_RECORDER and exit non-zero if "
+                         "flight recorder enabled vs no recorder and exit non-zero if "
                          "always-on recording costs more than 5%%")
 
     sp = sub.add_parser(
@@ -157,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "metrics",
-        help="OpenMetrics exposition of a recorded run (optionally served)",
+        help="OpenMetrics exposition of a recorded run",
     )
     sp.add_argument("graph", nargs="?", default="ci-ws",
                     help="dataset name (default: ci-ws; see `suite`)")
@@ -169,10 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(0 disables; default: 8)")
     sp.add_argument("--out", default=None,
                     help="write the exposition to PATH instead of stdout")
-    sp.add_argument("--serve", metavar="SECONDS", type=float, default=None,
-                    help="keep a /metrics scrape endpoint up for SECONDS after the run")
-    sp.add_argument("--port", type=int, default=0,
-                    help="scrape-endpoint port for --serve (default: 0 = ephemeral)")
 
     sp = sub.add_parser(
         "bench-diff",
@@ -205,14 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "slo-check",
-        help="evaluate an SLO file against a live smoke run or a saved summary "
-             "(exit 1 on breach)",
+        help="evaluate an SLO file against a live smoke run (exit 1 on breach)",
     )
     sp.add_argument("slo", nargs="?", default="slo.toml",
                     help="SLO spec file (TOML; default: slo.toml)")
-    sp.add_argument("--summary", metavar="PATH", default=None,
-                    help="evaluate a saved Recorder.summary() JSON instead of "
-                         "running a traced smoke")
     sp.add_argument("--graph", default="ci-ws",
                     help="dataset for the smoke run (default: ci-ws)")
     sp.add_argument("--stepper", default="delta",
@@ -396,8 +384,6 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if args.overhead_smoke:
-        return _trace_overhead_smoke()
     if args.flight_smoke:
         return _flight_overhead_smoke()
 
@@ -411,7 +397,7 @@ def _cmd_trace(args) -> int:
     print(f"wrote {path} ({len(rec.trace)} events)")
     for name in sorted(counts):
         print(f"  {counts[name]:6d}  {name}")
-    snap = rec.metrics.as_dict()
+    snap = rec.metrics.snapshot()
     if snap["counters"] or snap["histograms"]:
         print("metrics:")
         for name, v in sorted(snap["counters"].items()):
@@ -422,71 +408,19 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _trace_overhead_smoke() -> int:
-    """The CI gate behind ``repro trace --overhead-smoke``.
-
-    Times the fused solver (scatter kernel pinned, the KERNEL bench's hot
-    configuration) on the two smallest ci workloads, once with no
-    recorder argument and once with the disabled :data:`NO_RECORDER`
-    threaded through every choke point; both paths must run the same
-    code, so the gate fails if the guards themselves cost more than 3%.
-    """
-    from .bench.timing import time_callable
-    from .bench.workloads import suite_workloads
-    from .obs import NO_RECORDER
-    from .stepping import solve_with
-
-    gate = 0.03
-    worst = 0.0
-    for wl in suite_workloads("ci")[:2]:
-        fn_base = lambda: solve_with("delta(kernel=scatter)", wl.graph, wl.source)
-        fn_off = lambda: solve_with(
-            "delta(kernel=scatter)", wl.graph, wl.source, recorder=NO_RECORDER
-        )
-        # the runs are sub-millisecond, so alternate A/B rounds and keep
-        # each side's best — min-of-N cancels scheduler and cache drift
-        # that a single back-to-back pair would misread as overhead; if
-        # the gate is still exceeded, keep adding rounds (minima only
-        # converge downward, so jitter burns off while a real regression
-        # keeps failing)
-        best_base = best_off = float("inf")
-        for round_idx in range(8):
-            best_base = min(
-                best_base,
-                time_callable(fn_base, repeats=5, warmup=2, min_total_seconds=0.05).best,
-            )
-            best_off = min(
-                best_off,
-                time_callable(fn_off, repeats=5, warmup=2, min_total_seconds=0.05).best,
-            )
-            if round_idx >= 2 and best_off / best_base - 1.0 <= gate:
-                break
-        overhead = best_off / best_base - 1.0
-        worst = max(worst, overhead)
-        print(f"{wl.name:10s} baseline {best_base * 1e3:8.3f} ms   "
-              f"disabled-recorder {best_off * 1e3:8.3f} ms   overhead {overhead:+.2%}")
-    if worst > gate:
-        print(f"obs overhead smoke FAILED: worst disabled-path overhead "
-              f"{worst:+.2%} exceeds {gate:.0%}", file=sys.stderr)
-        return 1
-    print(f"obs overhead smoke OK: worst disabled-path overhead {worst:+.2%} "
-          f"(gate {gate:.0%})")
-    return 0
-
-
 def _flight_overhead_smoke() -> int:
     """The CI gate behind ``repro trace --flight-smoke``.
 
     Times the end-to-end serving path (construct a service, solve +
-    answer 8 point queries) with :data:`NO_RECORDER` vs a live
-    :class:`FlightRecorder`-backed recorder — the always-on production
+    answer 8 point queries) with no recorder vs a live
+    :meth:`Recorder.flight` recorder — the always-on production
     configuration, spans and histograms included — and fails if leaving
-    the flight recorder on costs more than 5%.  Same min-of-alternating-
-    rounds discipline as ``--overhead-smoke``.
+    the flight recorder on costs more than 5%.  The two sides alternate
+    rounds and each keeps its best, so host drift cancels out.
     """
     from .bench.timing import time_callable
     from .bench.workloads import suite_workloads
-    from .obs import NO_RECORDER, Recorder
+    from .obs import Recorder
     from .service import QueryService
 
     gate = 0.05
@@ -502,7 +436,7 @@ def _flight_overhead_smoke() -> int:
             for i in range(8):
                 svc.query((wl.source + i // 2) % n)
 
-        fn_base = lambda: serve(NO_RECORDER)
+        fn_base = lambda: serve(None)
         fn_flight = lambda: serve(Recorder.flight(capacity=2048))
         best_base = best_flight = float("inf")
         for round_idx in range(8):
@@ -533,10 +467,12 @@ def _recorded_run(graph: str, stepper: str, weights: str, queries: int, out,
                   slow_ms: float | None = None, flight: bool = False):
     """Solve + optionally serve queries with a live Recorder (the shared
     setup behind ``trace``, ``report``, ``metrics``, and ``slo-check``);
-    run info goes to *out*.  *flight* backs the trace with a bounded
-    :class:`FlightRecorder`; *slow_ms* arms the service's slow-query log
-    (returned as the third element, ``None`` when unarmed or no queries
-    ran)."""
+    run info goes to *out*.  A run that serves queries then applies one
+    small reweight batch through :meth:`QueryService.mutate`, so the
+    mutation path (``service.mutate_ms``) is recorded too.  *flight*
+    bounds the trace (:meth:`Recorder.flight`); *slow_ms* arms the
+    service's slow-query log (returned as the third element, ``None``
+    when unarmed or no queries ran)."""
     from .bench.workloads import workload_for
     from .obs import Recorder
     from .stepping import solve_with
@@ -559,6 +495,11 @@ def _recorded_run(graph: str, stepper: str, weights: str, queries: int, out,
         stats = svc.stats()
         print(f"served {stats.queries_served} queries, "
               f"cache hit rate {stats.cache.hit_rate:.0%}", file=out)
+        # double the weight of the source's first edge: a one-update batch
+        nbrs, ws = wl.graph.neighbors(wl.source)
+        report = svc.mutate(reweights=([wl.source], [nbrs[0]], [2.0 * ws[0]]))
+        print(f"mutated {report.applied.num_updates} edge weight(s), "
+              f"repaired {report.repaired_entries} cached entries", file=out)
         slow_log = svc.slow_query_log
     return wl, rec, slow_log
 
@@ -594,7 +535,7 @@ def _cmd_report(args) -> int:
 def _cmd_metrics(args) -> int:
     from .obs import render_openmetrics
 
-    info = sys.stdout if (args.out or args.serve) else sys.stderr
+    info = sys.stdout if args.out else sys.stderr
     _wl, rec, _slow_log = _recorded_run(
         args.graph, args.stepper, args.weights, args.queries, info
     )
@@ -603,16 +544,8 @@ def _cmd_metrics(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
         print(f"wrote {args.out} ({len(text.splitlines())} lines)", file=info)
-    elif not args.serve:
+    else:
         print(text, end="")
-    if args.serve is not None:
-        import time as _time
-
-        from .obs import MetricsServer
-
-        with MetricsServer(rec, port=args.port) as srv:
-            print(f"scrape endpoint up at {srv.url} for {args.serve:g} s", file=info)
-            _time.sleep(max(args.serve, 0.0))
     return 0
 
 
@@ -677,7 +610,6 @@ def _cmd_bench_diff(args) -> int:
 def _cmd_slo_check(args) -> int:
     from .obs import (
         evaluate,
-        evaluate_summary,
         export_slo_gauges,
         load_slo_path,
         render_openmetrics,
@@ -691,19 +623,6 @@ def _cmd_slo_check(args) -> int:
         return 2
     print(f"{len(specs)} SLO(s) from {args.slo}: "
           + ", ".join(s.name for s in specs))
-
-    if args.summary:
-        import json as _json
-
-        try:
-            with open(args.summary) as fh:
-                summary = _json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"slo-check: cannot load {args.summary}: {exc}", file=sys.stderr)
-            return 2
-        result = evaluate_summary(specs, summary)
-        print(render_slo_text(result))
-        return 0 if result.ok else 1
 
     # live smoke: a flight-recorded solve + serve round, evaluated in place
     wl, rec, slow_log = _recorded_run(
@@ -849,13 +768,19 @@ def _cmd_steppers(args) -> int:
 
 
 def _cmd_mutate_bench(args) -> int:
+    from .bench.mutate_bench import mutation_repair_headline
     from .bench.registry import render_experiment, run_experiment_rows, write_bench_json
 
     rows = run_experiment_rows(
         "DYN", suite=args.suite, fractions=tuple(args.fractions), repeats=args.repeats
     )
     print(render_experiment("DYN", rows))
-    print(f"wrote {write_bench_json('DYN', rows)}")
+    headline = mutation_repair_headline(rows)
+    print(f"wrote {write_bench_json('DYN', rows, headline=headline)}")
+    if not headline["all_verified"]:
+        print("DYN: a repair diverged from recompute (see the verified column)",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -10,9 +10,10 @@ their shares are per-label span totals
 =====================================  ====================================
 :mod:`~repro.obs.trace`                :class:`TraceRecorder` — span/
                                        instant timeline on the monotonic
-                                       clock, thread-id aware, exported
-                                       as Chrome trace-event JSON
-                                       (opens in Perfetto /
+                                       clock, thread-id aware, optionally
+                                       bounded to the newest events,
+                                       exported as Chrome trace-event
+                                       JSON (opens in Perfetto /
                                        ``chrome://tracing``)
 :mod:`~repro.obs.metrics`              :class:`MetricsRegistry` —
                                        counters, gauges, fixed-bucket
@@ -23,41 +24,28 @@ their shares are per-label span totals
                                        (``solve_with(recorder=)``,
                                        ``QueryService(recorder=)``,
                                        ``repro trace`` / ``--trace``);
-                                       :data:`NO_RECORDER` is the falsy
-                                       disabled path
+                                       ``None`` is the disabled path
 :mod:`~repro.obs.report`               :func:`build_report` /
                                        :func:`render_markdown` /
                                        :func:`render_html` — a recorded
                                        run (or saved trace JSON) as one
                                        self-contained run report
                                        (``repro report``)
-:mod:`~repro.obs.export`               :func:`render_openmetrics` /
-                                       :class:`MetricsServer` — the
-                                       registry as OpenMetrics text and
-                                       a scrape endpoint
+:mod:`~repro.obs.export`               :func:`render_openmetrics` — the
+                                       registry as OpenMetrics text
                                        (``repro metrics``)
 =====================================  ====================================
 
 The package sits below every solver layer (stdlib only — it imports
 nothing from the rest of the repo, not even NumPy), so anything may
-depend on it without cycles.  Disabled-path cost is CI-gated at <3% on
-the KERNEL bench smoke (``repro trace --overhead-smoke``).
+depend on it without cycles.  The enabled serving path is CI-gated at
+<5% (``repro trace --flight-smoke``).
 """
 
 from __future__ import annotations
 
-from .export import (
-    OPENMETRICS_CONTENT_TYPE,
-    MetricsServer,
-    render_openmetrics,
-    sanitize_metric_name,
-)
-from .flight import (
-    DEFAULT_FLIGHT_CAPACITY,
-    FlightRecorder,
-    FlightTrigger,
-    SlowQueryLog,
-)
+from .export import render_openmetrics, sanitize_metric_name
+from .flight import SlowQueryLog
 from .metrics import (
     BUCKET_PRESETS,
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -67,7 +55,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .recorder import NO_RECORDER, NullRecorder, Recorder
+from .recorder import DEFAULT_FLIGHT_CAPACITY, Recorder
 from .report import (
     RunReport,
     build_report,
@@ -79,30 +67,22 @@ from .report import (
 )
 from .slo import (
     AvailabilityObjective,
-    BurnRateMonitor,
     CheckResult,
     LatencyTarget,
     SLOResult,
     SLOSpec,
     evaluate,
-    evaluate_summary,
     export_slo_gauges,
     load_slo_path,
     parse_slo_data,
     render_slo_text,
 )
-from .trace import NO_TRACE, NullTrace, Span, TraceRecorder
+from .trace import Span, TraceRecorder
 
 __all__ = [
     "Recorder",
-    "NullRecorder",
-    "NO_RECORDER",
     "TraceRecorder",
-    "NullTrace",
-    "NO_TRACE",
     "Span",
-    "FlightRecorder",
-    "FlightTrigger",
     "SlowQueryLog",
     "DEFAULT_FLIGHT_CAPACITY",
     "MetricsRegistry",
@@ -121,18 +101,14 @@ __all__ = [
     "render_html",
     "render_openmetrics",
     "sanitize_metric_name",
-    "MetricsServer",
-    "OPENMETRICS_CONTENT_TYPE",
     "SLOSpec",
     "LatencyTarget",
     "AvailabilityObjective",
     "CheckResult",
     "SLOResult",
-    "BurnRateMonitor",
     "load_slo_path",
     "parse_slo_data",
     "evaluate",
-    "evaluate_summary",
     "export_slo_gauges",
     "render_slo_text",
 ]

@@ -18,11 +18,8 @@ the `OpenMetrics text format
 Metric names are sanitized (``service.query_ms`` →
 ``repro_service_query_ms``) and the exposition ends with the mandatory
 ``# EOF`` terminator, so the output validates as OpenMetrics 1.0.
-
-:class:`MetricsServer` is the matching scrape endpoint: a daemon-thread
-HTTP server over a live registry, so a long-lived
-``QueryService(recorder=...)`` can be scraped while it serves —
-``repro metrics`` wires both onto the CLI.
+``repro metrics`` prints it or writes it to a file, and ``repro
+slo-check`` / ``repro chaos`` ship it as CI artifacts.
 
 Like the rest of :mod:`repro.obs` this module is stdlib-only and part
 of the ``mypy --strict`` typing gate.
@@ -30,26 +27,14 @@ of the ``mypy --strict`` typing gate.
 
 from __future__ import annotations
 
-import json
 import re
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from math import isinf, isnan
 from typing import Union
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import Recorder
 
-__all__ = [
-    "OPENMETRICS_CONTENT_TYPE",
-    "sanitize_metric_name",
-    "render_openmetrics",
-    "MetricsServer",
-]
-
-#: the Content-Type an OpenMetrics scrape response must carry
-OPENMETRICS_CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
+__all__ = ["sanitize_metric_name", "render_openmetrics"]
 
 #: the sources :func:`render_openmetrics` accepts — a registry, or the
 #: recorder facade wrapping one
@@ -120,102 +105,3 @@ def render_openmetrics(metrics: MetricsSource, prefix: str = "repro") -> str:
             raise TypeError(f"unknown instrument kind {kind!r} for {name!r}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-class MetricsServer:
-    """A daemon-thread ``/metrics`` scrape endpoint over a live registry.
-
-    The handler renders the registry fresh on every GET, so a scrape
-    always sees current values — hand it the same registry (or
-    :class:`Recorder`) the serving tier writes into and it behaves like
-    any other Prometheus target::
-
-        rec = Recorder()
-        svc = QueryService(g, recorder=rec)
-        with MetricsServer(rec) as srv:
-            print(srv.url)          # http://127.0.0.1:<port>/metrics
-            ...                     # scrape while svc serves
-
-    ``port=0`` (the default) binds an ephemeral port; :attr:`port` and
-    :attr:`url` report what was bound.  ``close()`` (or the context
-    exit) shuts the server down and joins its thread.
-
-    Besides the scrape path the server answers ``/healthz`` — a liveness
-    probe returning 200 with a small JSON body (status, uptime seconds,
-    scrapes served) that never touches the registry, so an orchestrator
-    health check stays cheap and cannot be slowed by a large exposition.
-    """
-
-    def __init__(
-        self,
-        metrics: MetricsSource,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        path: str = "/metrics",
-        prefix: str = "repro",
-    ) -> None:
-        registry = _registry_of(metrics)
-        endpoint = path
-        started = time.monotonic()
-        server = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:
-                route = self.path.partition("?")[0]
-                if route == "/healthz":
-                    payload = {
-                        "status": "ok",
-                        "uptime_s": round(time.monotonic() - started, 3),
-                        "scrapes": server.scrapes,
-                    }
-                    body = json.dumps(payload).encode("utf-8")
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                    return
-                if route not in (endpoint, "/"):
-                    self.send_error(404, "scrape endpoint is %s" % endpoint)
-                    return
-                server.scrapes += 1
-                body = render_openmetrics(registry, prefix=prefix).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", OPENMETRICS_CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, format: str, *args: object) -> None:
-                pass  # a scrape target must not spam the serving tier's stderr
-
-        self.path = endpoint
-        #: scrapes served since start (reported by ``/healthz``); a plain
-        #: int increment — GIL-granular, same trade as the instruments
-        self.scrapes = 0
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.host = str(self._httpd.server_address[0])
-        self.port = int(self._httpd.server_address[1])
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-metrics", daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}{self.path}"
-
-    def close(self) -> None:
-        """Stop serving and join the server thread."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "MetricsServer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MetricsServer<{self.url}>"

@@ -1,31 +1,15 @@
-"""The always-on flight recorder and the structured slow-query log.
+"""The structured slow-query log.
 
-A :class:`~repro.obs.trace.TraceRecorder` grows without bound — fine for
-one benchmarked solve, wrong for a serving process that must stay up for
-days.  :class:`FlightRecorder` is the production variant: the same span
-surface (it *is* a ``TraceRecorder``, so ``Recorder(trace=...)``,
-``write_trace``, ``repro report`` and the Chrome export all work
-unchanged) over a **bounded ring buffer** of preallocated slots.  Slot
-writes are plain list-item assignments — recording never grows a
-container, so memory is fixed at construction and the steady-state cost
-per event matches the unbounded recorder's append.  When the ring wraps,
-the oldest events fall off: at any moment the recorder holds the *last*
-``capacity`` events — the black-box flight recording you pull **after**
-something went wrong.
-
-Anomaly triggers close the loop: a :class:`FlightTrigger` watches
-closing spans for a latency threshold (optionally filtered to one span
-name prefix) and fires an action — dump the ring to a Chrome-trace JSON
-path, call back into user code, or both — with a cooldown so a latency
-storm produces one dump, not thousands.
-
-:class:`SlowQueryLog` is the request-granular companion the serving tier
+:class:`SlowQueryLog` is the request-granular record the serving tier
 writes: a bounded, JSONL-exportable log of every query whose latency
 crossed a threshold, carrying the request id, the plan shape, the
-stepper spec, the work/exchange counters, and a flight-recorder snapshot
-— everything "why was *this* query slow?" needs, captured at the moment
-it happened.  ``repro report`` renders it and ``repro slo-check`` ships
-it as the CI artifact.
+stepper spec, the work counters, and a snapshot of the newest trace
+spans (:meth:`repro.obs.TraceRecorder.snapshot`) — everything "why was
+*this* query slow?" needs, captured at the moment it happened.
+``repro report`` renders it and ``repro slo-check`` ships it as the CI
+artifact.  The trace it snapshots is usually the bounded one
+:meth:`repro.obs.Recorder.flight` builds (the flight recording you pull
+after something went wrong), but any recorder's trace works.
 
 Like the rest of :mod:`repro.obs` this module is stdlib-only and part of
 the ``mypy --strict`` typing gate.
@@ -37,208 +21,11 @@ import json
 import os
 import time
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-from .trace import TraceRecorder, _Event, _json_safe
+from .trace import _json_safe
 
-__all__ = [
-    "DEFAULT_FLIGHT_CAPACITY",
-    "FlightTrigger",
-    "FlightRecorder",
-    "SlowQueryLog",
-]
-
-#: default ring capacity — ~4k events is minutes of serving-tier spans
-#: at a few hundred bytes each, far below one cached distance vector
-DEFAULT_FLIGHT_CAPACITY = 4096
-
-#: trigger-action signature: (recorder, offending span name, duration ms)
-TriggerAction = Callable[["FlightRecorder", str, float], None]
-
-
-class _Ring:
-    """Fixed-capacity event storage: preallocated slots, index arithmetic.
-
-    Implements the :class:`~repro.obs.trace._EventStore` surface the
-    base recorder iterates, so every export/report path reads the ring
-    transparently (in chronological order).  ``total`` counts every
-    event ever recorded; ``total - len(ring)`` is what wrapped away.
-    """
-
-    __slots__ = ("capacity", "total", "_slots", "_head")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.total = 0
-        self._slots: list[_Event | None] = [None] * capacity
-        self._head = 0  # next slot to write
-
-    def append(self, event: _Event) -> None:
-        self._slots[self._head] = event
-        self._head += 1
-        if self._head == self.capacity:
-            self._head = 0
-        self.total += 1
-
-    def clear(self) -> None:
-        for i in range(self.capacity):
-            self._slots[i] = None
-        self._head = 0
-        self.total = 0
-
-    def __len__(self) -> int:
-        return min(self.total, self.capacity)
-
-    def __iter__(self) -> Iterator[_Event]:
-        if self.total <= self.capacity:
-            for i in range(self.total):
-                event = self._slots[i]
-                assert event is not None
-                yield event
-            return
-        for i in range(self.capacity):
-            event = self._slots[(self._head + i) % self.capacity]
-            assert event is not None
-            yield event
-
-
-class FlightTrigger:
-    """Fire an action when a closing span crosses a latency threshold.
-
-    Parameters
-    ----------
-    threshold_ms:
-        Minimum span duration that counts as an anomaly.
-    span:
-        Span-name prefix filter (``"service:"`` matches every service
-        span); ``None`` watches every span.
-    path:
-        Dump the ring as Chrome-trace JSON here on fire.  A ``{n}``
-        placeholder is replaced with the fire ordinal (``0, 1, ...``);
-        without it, each fire overwrites (latest anomaly wins).
-    action:
-        Callback ``(recorder, span_name, dur_ms)`` run on fire (after
-        the dump, when both are configured).
-    cooldown_s:
-        Minimum seconds between fires — a latency storm produces one
-        dump, not one per slow span.  ``0`` fires every time.
-    """
-
-    def __init__(
-        self,
-        threshold_ms: float,
-        span: str | None = None,
-        path: "str | os.PathLike[str] | None" = None,
-        action: TriggerAction | None = None,
-        cooldown_s: float = 60.0,
-    ) -> None:
-        if threshold_ms < 0:
-            raise ValueError("threshold_ms must be >= 0")
-        if path is None and action is None:
-            raise ValueError("a trigger needs a dump path and/or an action")
-        self.threshold_ms = threshold_ms
-        self.span = span
-        self.path = path
-        self.action = action
-        self.cooldown_s = cooldown_s
-        self.fired = 0
-        self.last_path: str | None = None
-        self._last_fire: float | None = None
-
-    def check(self, recorder: "FlightRecorder", name: str, dur_ms: float) -> bool:
-        """Evaluate one closed span; returns True when the trigger fired."""
-        if dur_ms < self.threshold_ms:
-            return False
-        if self.span is not None and not name.startswith(self.span):
-            return False
-        now = time.monotonic()
-        if self._last_fire is not None and now - self._last_fire < self.cooldown_s:
-            return False
-        self._last_fire = now
-        if self.path is not None:
-            target = str(self.path).replace("{n}", str(self.fired))
-            self.last_path = recorder.write(target, process_name="repro-flight")
-        self.fired += 1
-        if self.action is not None:
-            self.action(recorder, name, dur_ms)
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        scope = self.span or "*"
-        return f"FlightTrigger<{scope} > {self.threshold_ms}ms, fired={self.fired}>"
-
-
-class FlightRecorder(TraceRecorder):
-    """A :class:`TraceRecorder` over a bounded ring (see module docstring).
-
-    Everything the base class offers — ``span``/``instant``/``context``,
-    ``spans()``, ``to_chrome()``/``write()`` — works on the retained
-    window; :attr:`dropped` says how many older events wrapped away.
-    """
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_FLIGHT_CAPACITY,
-        triggers: Iterable[FlightTrigger] = (),
-    ) -> None:
-        super().__init__()
-        if capacity < 1:
-            raise ValueError("flight-recorder capacity must be >= 1")
-        self._ring = _Ring(capacity)
-        self._events = self._ring
-        self.triggers: list[FlightTrigger] = list(triggers)
-
-    @property
-    def capacity(self) -> int:
-        return self._ring.capacity
-
-    @property
-    def total_events(self) -> int:
-        """Events ever recorded (retained + wrapped away)."""
-        return self._ring.total
-
-    @property
-    def dropped(self) -> int:
-        """Events the ring has overwritten since construction/clear."""
-        return max(0, self._ring.total - self._ring.capacity)
-
-    def add_trigger(self, trigger: FlightTrigger) -> FlightTrigger:
-        """Attach *trigger*; returns it (handy for later inspection)."""
-        self.triggers.append(trigger)
-        return trigger
-
-    def _record(self, event: _Event) -> None:
-        self._ring.append(event)
-        if self.triggers and event[0] == "X":
-            dur_ms = event[3] / 1e6
-            for trigger in self.triggers:
-                trigger.check(self, event[1], dur_ms)
-
-    def snapshot(self, last: int | None = None, name: str | None = None) -> list[dict[str, Any]]:
-        """The retained complete spans as JSON-safe dicts, oldest first.
-
-        *last* keeps only the most recent N; *name* filters by span
-        name.  This is what the slow-query log embeds — small, plain,
-        serializable.
-        """
-        spans = self.spans(name)
-        if last is not None:
-            spans = spans[-last:]
-        return [
-            {
-                "name": s["name"],
-                "ts_us": round(float(s["ts_us"]), 1),
-                "dur_us": round(float(s["dur_us"]), 1),
-                "args": {k: _json_safe(v) for k, v in dict(s["args"]).items()},
-            }
-            for s in spans
-        ]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FlightRecorder<{len(self._ring)}/{self.capacity} events, "
-            f"{self.dropped} dropped>"
-        )
+__all__ = ["SlowQueryLog"]
 
 
 def _sanitize(value: Any) -> Any:

@@ -14,7 +14,7 @@ run, where the trace (:mod:`repro.obs.trace`) records the timeline.
 
 Instruments are plain-attribute hot paths (``inc`` is one integer add)
 and the registry is get-or-create keyed by name, so call sites never
-pre-declare.  ``snapshot``/``as_dict`` render everything to plain dicts
+pre-declare.  ``snapshot`` renders everything to plain dicts
 for the CLI summary table and the bench JSON; ``reset`` zeroes in place
 (instrument handles stay valid).
 
@@ -317,10 +317,6 @@ class MetricsRegistry:
             "gauges": {k: g.value for k, g in gauges},
             "histograms": {k: h.summary() for k, h in histograms},
         }
-
-    def as_dict(self) -> dict[str, Any]:
-        """Alias of :meth:`snapshot`."""
-        return self.snapshot()
 
     def reset(self) -> None:
         """Zero every instrument in place (handles stay valid)."""

@@ -15,26 +15,27 @@ the repo takes ``recorder=None`` and guards with plain truthiness::
         with recorder.span("relax-wave", kernel=kernel) as sp:
             ...
 
-so the disabled path (``None`` *or* :data:`NO_RECORDER`) costs one falsy
-check, CI-gated at <3% on the KERNEL bench smoke (``repro trace
---overhead-smoke``).  Stage sites that wrap a block use the
-conditional-expression form, ``with recorder.span("filter:AL") if
-recorder else _NO_SPAN:``, with ``_NO_SPAN`` a shared
-:func:`~contextlib.nullcontext`.  :data:`NO_RECORDER` exists for call sites that
-want an always-valid object to forward rather than a ``None`` sentinel;
-it is falsy, and every method is a no-op.
+so the disabled path is ``None`` and costs one falsy check per choke
+point (the ``recorder-guard`` lint rule enforces the guard).  Stage
+sites that wrap a block use the conditional-expression form, ``with
+recorder.span("filter:AL") if recorder else _NO_SPAN:``, with
+``_NO_SPAN`` a shared :func:`~contextlib.nullcontext`.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Any, ContextManager, Iterator
+from typing import Any, ContextManager
 
 from .metrics import MetricsRegistry
-from .trace import _NULL_SPAN, Span, TraceRecorder, _NullSpan
+from .trace import Span, TraceRecorder
 
-__all__ = ["Recorder", "NullRecorder", "NO_RECORDER"]
+__all__ = ["Recorder", "DEFAULT_FLIGHT_CAPACITY"]
+
+#: default :meth:`Recorder.flight` capacity — ~4k events is minutes of
+#: serving-tier spans at a few hundred bytes each, far below one cached
+#: distance vector
+DEFAULT_FLIGHT_CAPACITY = 4096
 
 
 class Recorder:
@@ -55,18 +56,14 @@ class Recorder:
 
     @classmethod
     def flight(
-        cls,
-        capacity: int | None = None,
-        metrics: MetricsRegistry | None = None,
-        triggers: Any = (),
+        cls, capacity: int | None = None, metrics: MetricsRegistry | None = None
     ) -> "Recorder":
-        """A recorder whose trace half is a bounded
-        :class:`~repro.obs.flight.FlightRecorder` — the always-on
-        production configuration (fixed memory, anomaly triggers)."""
-        from .flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
-
+        """A recorder whose trace keeps only the newest *capacity* events
+        (default :data:`DEFAULT_FLIGHT_CAPACITY`) — the always-on
+        production configuration: memory stays fixed however long the
+        process serves."""
         cap = capacity if capacity is not None else DEFAULT_FLIGHT_CAPACITY
-        return cls(trace=FlightRecorder(cap, triggers=triggers), metrics=metrics)
+        return cls(trace=TraceRecorder(cap), metrics=metrics)
 
     def __bool__(self) -> bool:
         return True
@@ -110,51 +107,3 @@ class Recorder:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Recorder<{len(self.trace)} events, {len(self.metrics)} metrics>"
-
-
-class NullRecorder:
-    """Disabled recorder: falsy, every method a no-op.
-
-    ``trace``/``metrics`` are ``None`` — instrumented code must gate on
-    the recorder's truthiness before touching either, which is also what
-    keeps the disabled path at one branch per choke point.
-    """
-
-    __slots__ = ()
-    enabled = False
-    trace = None
-    metrics = None
-
-    def __bool__(self) -> bool:
-        return False
-
-    def span(self, _name: str, **_args: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def instant(self, _name: str, **_args: Any) -> None:
-        pass
-
-    @contextmanager
-    def context(self, **_args: Any) -> Iterator[None]:
-        yield
-
-    def inc(self, _name: str, _n: int = 1) -> None:
-        pass
-
-    def observe(self, _name: str, _value: float) -> None:
-        pass
-
-    def set_gauge(self, _name: str, _value: float) -> None:
-        pass
-
-    def write_trace(
-        self, _path: str | os.PathLike[str], process_name: str = "repro"
-    ) -> None:
-        return None
-
-    def summary(self) -> dict[str, Any]:
-        return {}
-
-
-#: shared disabled-recorder singleton
-NO_RECORDER = NullRecorder()

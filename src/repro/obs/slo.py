@@ -1,4 +1,4 @@
-"""Declarative SLOs over the metrics registry: targets, budgets, burn rates.
+"""Declarative SLOs over the metrics registry: targets and budgets.
 
 The ROADMAP's serving-tier item asks for an *SLO gate*: a machine-checkable
 statement of what "fast enough" means for the query service, evaluated
@@ -13,16 +13,9 @@ evaluator:
 - :func:`load_slo_path` — specs from a TOML file (``slo.toml``), via
   :mod:`tomllib` on Python ≥ 3.11 and a minimal built-in subset parser
   before that (the repo adds no dependencies).
-- :func:`evaluate` / :func:`evaluate_summary` — one-shot evaluation over
-  a live registry (exact, bucket-level) or a saved ``Recorder.summary()``
-  JSON (percentile trio only).  Results carry per-check verdicts and
-  remaining error budget; ``repro slo-check`` turns them into an exit
-  code.
-- :class:`BurnRateMonitor` — windowed evaluation for a long-running
-  process: periodic samples of (total, good) counts, burn rate per
-  window (budget consumed / budget available, 1.0 = exactly on budget),
-  and the multi-window alert rule (every window burning) that separates
-  a real regression from a blip.
+- :func:`evaluate` — one-shot, bucket-exact evaluation over a live
+  registry.  Results carry per-check verdicts and remaining error
+  budget; ``repro slo-check`` turns them into an exit code.
 - :func:`export_slo_gauges` — verdicts, observed values, and budgets as
   registry gauges, so one OpenMetrics scrape carries both the raw
   histograms and the SLO view of them.
@@ -42,10 +35,8 @@ the ``mypy --strict`` typing gate.
 from __future__ import annotations
 
 import os
-import time
 from bisect import bisect_right
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isnan, nan
 from typing import Any, Iterable, Mapping
 
@@ -65,8 +56,6 @@ __all__ = [
     "load_slo_path",
     "parse_slo_data",
     "evaluate",
-    "evaluate_summary",
-    "BurnRateMonitor",
     "export_slo_gauges",
     "render_slo_text",
 ]
@@ -118,8 +107,6 @@ class SLOSpec:
     metric: str
     latency: tuple[LatencyTarget, ...] = ()
     availability: AvailabilityObjective | None = None
-    #: nominal evaluation window for burn-rate accounting, seconds
-    window_s: float = 3600.0
 
     def __post_init__(self) -> None:
         if not self.name or not self.metric:
@@ -156,7 +143,6 @@ class SLOResult:
     """All checks from one evaluation; ``ok`` is the AND of them."""
 
     checks: tuple[CheckResult, ...]
-    source: str = "registry"  # "registry" | "summary"
 
     @property
     def ok(self) -> bool:
@@ -273,7 +259,6 @@ def parse_slo_data(data: Mapping[str, Any]) -> list[SLOSpec]:
                 metric=str(entry.get("metric", "")),
                 latency=latency,
                 availability=availability,
-                window_s=float(entry.get("window_s", 3600.0)),
             )
         )
     return specs
@@ -384,143 +369,7 @@ def evaluate(specs: Iterable[SLOSpec], registry: MetricsRegistry) -> SLOResult:
                     hist.count,
                 )
             )
-    return SLOResult(checks=tuple(checks), source="registry")
-
-
-def evaluate_summary(
-    specs: Iterable[SLOSpec], summary: Mapping[str, Any]
-) -> SLOResult:
-    """Evaluate against a saved ``Recorder.summary()`` dict.
-
-    Summaries carry only the p50/p90/p99 trio, so latency targets must
-    use those percentiles; availability objectives need bucket counts
-    the summary collapsed away and are reported as skipped (``ok`` with
-    a note) rather than silently passed off as evaluated.
-    """
-    hist_summaries = summary.get("histograms", {})
-    checks: list[CheckResult] = []
-    for spec in specs:
-        entry = hist_summaries.get(spec.metric, {})
-        count = int(entry.get("count", 0))
-        for target in spec.latency:
-            key = f"p{target.percentile:g}"
-            if key not in entry and count > 0:
-                raise ValueError(
-                    f"SLO {spec.name!r}: summary for {spec.metric!r} has no "
-                    f"{key} (summaries carry only p50/p90/p99)"
-                )
-            observed = float(entry.get(key, nan))
-            checks.append(_latency_check(spec, target, observed, count))
-        if spec.availability is not None:
-            label = (
-                f"{spec.availability.objective:.4%} "
-                f"<= {spec.availability.threshold_ms:g}ms"
-            )
-            checks.append(
-                CheckResult(
-                    slo=spec.name,
-                    metric=spec.metric,
-                    kind="availability",
-                    target=label,
-                    objective=spec.availability.objective,
-                    observed=nan,
-                    ok=True,
-                    note="not computable from a summary (needs bucket counts)",
-                )
-            )
-    return SLOResult(checks=tuple(checks), source="summary")
-
-
-# -- windowed burn-rate monitoring --------------------------------------------
-
-
-class BurnRateMonitor:
-    """Multi-window burn-rate accounting for one SLO's availability
-    objective over a long-running registry.
-
-    The registry's histograms are cumulative, so the monitor keeps
-    periodic ``(t, total, good)`` samples and differences them per
-    window: the burn rate over a window is the bad fraction observed in
-    it divided by the error budget — ``1.0`` means spending exactly the
-    budget, sustained; higher is faster.  The standard alert rule
-    (:meth:`alerting`) requires **every** window to burn above the
-    factor, so a short spike inside an otherwise-healthy hour does not
-    page but a sustained regression shows up in minutes.
-    """
-
-    def __init__(
-        self,
-        spec: SLOSpec,
-        registry: MetricsRegistry,
-        windows_s: Iterable[float] = (300.0, 3600.0),
-    ) -> None:
-        if spec.availability is None:
-            raise ValueError(
-                f"SLO {spec.name!r} has no availability objective to burn"
-            )
-        self.spec = spec
-        self.availability = spec.availability
-        self.registry = registry
-        self.windows_s = tuple(sorted(float(w) for w in windows_s))
-        if not self.windows_s or self.windows_s[0] <= 0:
-            raise ValueError("windows_s must be positive")
-        self._samples: deque[tuple[float, int, int]] = deque()
-
-    def sample(self, now: float | None = None) -> tuple[float, int, int]:
-        """Record one ``(t, total, good)`` observation of the metric."""
-        t = time.monotonic() if now is None else now
-        hist = self.registry.histogram(self.spec.metric)
-        entry = (t, hist.count, _good_count(hist, self.availability.threshold_ms))
-        self._samples.append(entry)
-        horizon = t - 2 * self.windows_s[-1]
-        while len(self._samples) > 2 and self._samples[1][0] <= horizon:
-            self._samples.popleft()
-        return entry
-
-    def burn_rate(self, window_s: float, now: float | None = None) -> float:
-        """Budget-consumption rate over the trailing *window_s* seconds
-        (``0.0`` when the window saw no traffic or has no samples)."""
-        if not self._samples:
-            return 0.0
-        t = self._samples[-1][0] if now is None else now
-        cutoff = t - window_s
-        base = self._samples[0]
-        for entry in self._samples:
-            if entry[0] <= cutoff:
-                base = entry
-            else:
-                break
-        t1, total1, good1 = self._samples[-1]
-        t0, total0, good0 = base
-        d_total = total1 - total0
-        if d_total <= 0:
-            return 0.0
-        bad_fraction = (d_total - (good1 - good0)) / d_total
-        return bad_fraction / self.availability.error_budget
-
-    def burn_rates(self, now: float | None = None) -> dict[float, float]:
-        return {w: self.burn_rate(w, now) for w in self.windows_s}
-
-    def alerting(self, factor: float = 1.0, now: float | None = None) -> bool:
-        """True when **every** window burns above *factor* — the
-        multi-window rule that needs both "burning now" (short window)
-        and "burning for a while" (long window)."""
-        rates = self.burn_rates(now)
-        return bool(rates) and all(rate > factor for rate in rates.values())
-
-    def export_gauges(
-        self, metrics: MetricsRegistry | None = None, prefix: str = "slo"
-    ) -> None:
-        """Burn rates as ``<prefix>.<name>.burn_rate.<window>s`` gauges."""
-        target = metrics if metrics is not None else self.registry
-        for window, rate in self.burn_rates().items():
-            target.set_gauge(f"{prefix}.{self.spec.name}.burn_rate.{window:g}s", rate)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BurnRateMonitor<{self.spec.name}, windows={self.windows_s}, "
-            f"{len(self._samples)} samples>"
-        )
+    return SLOResult(checks=tuple(checks))
 
 
 # -- exposition ---------------------------------------------------------------
@@ -564,7 +413,7 @@ def render_slo_text(result: SLOResult) -> str:
         )
     verdict = "PASS" if result.ok else "FAIL"
     lines.append(
-        f"SLO check ({result.source}): {verdict} — "
+        f"SLO check: {verdict} — "
         f"{len(result.checks) - len(result.failures)}/{len(result.checks)} checks ok"
     )
     return "\n".join(lines)

@@ -8,17 +8,20 @@ timeline, and the totals are its per-label span sums
 (:func:`repro.obs.report.stage_attribution`).  It records begin/end
 spans and instant events on the monotonic clock
 (``time.perf_counter_ns``), tagged with the recording thread's id,
-appended to one in-memory list (an ``list.append`` per event — safe to call from pool-transport worker
-threads under the GIL, which is exactly how the sharded stepper's
-per-shard spans land on distinct ``tid`` lanes).
+appended to one ``collections.deque`` (a ``deque.append`` per event —
+safe to call from pool-transport worker threads under the GIL, which is
+exactly how the sharded stepper's per-shard spans land on distinct
+``tid`` lanes).
+
+``TraceRecorder(capacity=N)`` keeps only the newest *N* events (the
+deque's ``maxlen``), so an always-on serving process holds fixed memory
+however long it runs; ``capacity=None`` keeps everything, which is what
+one benchmarked solve wants.  :meth:`TraceRecorder.snapshot` hands the
+newest spans out as JSON-safe dicts (what the slow-query log embeds).
 
 Export is the Chrome trace-event JSON format (``"X"`` complete events
 plus ``"i"`` instants), so any recorded run opens directly in Perfetto
 or ``chrome://tracing`` with no post-processing.
-
-The disabled path follows the null-object pattern:
-:data:`NO_TRACE` hands back one shared no-op span, so code threaded with
-a recorder but running without one costs a falsy check per choke point.
 """
 
 from __future__ import annotations
@@ -27,27 +30,14 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
-from typing import Any, Iterator, Protocol
+from typing import Any, Iterator
 
-__all__ = ["Span", "TraceRecorder", "NullTrace", "NO_TRACE"]
+__all__ = ["Span", "TraceRecorder"]
 
 #: one recorded event: phase, name, t0 ns, duration ns, thread id, args
 _Event = tuple[str, str, int, int, int, "dict[str, Any]"]
-
-
-class _EventStore(Protocol):
-    """What the recorder needs from its event storage — a plain list by
-    default; :class:`repro.obs.flight.FlightRecorder` substitutes a
-    bounded ring with the same surface."""
-
-    def append(self, event: _Event) -> None: ...
-
-    def clear(self) -> None: ...
-
-    def __len__(self) -> int: ...
-
-    def __iter__(self) -> Iterator[_Event]: ...
 
 
 def _json_safe(value: Any) -> Any:
@@ -95,7 +85,7 @@ class Span:
 
     def __exit__(self, *exc: object) -> bool:
         t1 = time.perf_counter_ns()
-        self._trace._record(
+        self._trace._events.append(
             ("X", self.name, self._t0, t1 - self._t0, threading.get_ident(), self.args)
         )
         return False
@@ -106,13 +96,16 @@ class TraceRecorder:
 
     Events are stored as plain tuples (no per-event object churn beyond
     the span itself); timestamps are monotonic nanoseconds rebased to
-    the recorder's construction time at export.
+    the recorder's construction time at export.  *capacity* bounds the
+    retained events to the newest *capacity* (``None`` = unbounded).
     """
 
     enabled = True
 
-    def __init__(self) -> None:
-        self._events: _EventStore = []
+    def __init__(self, capacity: int | None = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError("trace capacity must be >= 1")
+        self._events: deque[_Event] = deque(maxlen=capacity)
         self._t0 = time.perf_counter_ns()
         #: ambient-arg stack (see :meth:`context`); empty = zero overhead
         self._context: list[dict[str, Any]] = []
@@ -131,14 +124,9 @@ class TraceRecorder:
             merged = dict(self._context[-1])
             merged.update(args)
             args = merged
-        self._record(
+        self._events.append(
             ("i", name, time.perf_counter_ns(), 0, threading.get_ident(), args)
         )
-
-    def _record(self, event: _Event) -> None:
-        """Store one finished event (the flight recorder overrides this
-        to write into its ring and run anomaly triggers)."""
-        self._events.append(event)
 
     @contextmanager
     def context(self, **args: Any) -> Iterator[None]:
@@ -161,6 +149,11 @@ class TraceRecorder:
         finally:
             self._context.pop()
 
+    @property
+    def capacity(self) -> int | None:
+        """The retained-event bound (``None`` = unbounded)."""
+        return self._events.maxlen
+
     def __len__(self) -> int:
         return len(self._events)
 
@@ -177,7 +170,7 @@ class TraceRecorder:
         constructed — the same values the Chrome export carries.
         """
         out: list[dict[str, Any]] = []
-        for ph, ev_name, t0, dur, tid, args in self._events:
+        for ph, ev_name, t0, dur, tid, args in tuple(self._events):
             if ph != "X" or (name is not None and ev_name != name):
                 continue
             out.append(
@@ -189,6 +182,34 @@ class TraceRecorder:
                     "args": args,
                 }
             )
+        return out
+
+    def snapshot(
+        self, last: int | None = None, name: str | None = None
+    ) -> list[dict[str, Any]]:
+        """The newest complete spans as JSON-safe dicts, oldest first.
+
+        *last* keeps only the most recent N; *name* filters by span
+        name.  The walk starts at the newest event and stops after *last*
+        matches, so a slow-query entry costs O(last) however long the
+        trace is.  This is what the slow-query log embeds — small, plain,
+        serializable.
+        """
+        out: list[dict[str, Any]] = []
+        for ph, ev_name, t0, dur, _tid, args in reversed(tuple(self._events)):
+            if last is not None and len(out) >= last:
+                break
+            if ph != "X" or (name is not None and ev_name != name):
+                continue
+            out.append(
+                {
+                    "name": ev_name,
+                    "ts_us": round((t0 - self._t0) / 1e3, 1),
+                    "dur_us": round(dur / 1e3, 1),
+                    "args": {k: _json_safe(v) for k, v in args.items()},
+                }
+            )
+        out.reverse()
         return out
 
     def to_chrome(self, process_name: str = "repro") -> dict[str, Any]:
@@ -209,7 +230,7 @@ class TraceRecorder:
                 "args": {"name": process_name},
             }
         ]
-        for ph, name, t0, dur, tid, args in self._events:
+        for ph, name, t0, dur, tid, args in tuple(self._events):
             ev: dict[str, Any] = {
                 "name": name,
                 "ph": ph,
@@ -233,54 +254,3 @@ class TraceRecorder:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TraceRecorder<{len(self._events)} events>"
-
-
-class _NullSpan:
-    """Shared no-op span: reentrant, stateless, arg-swallowing."""
-
-    __slots__ = ()
-
-    def set(self, **_args: Any) -> "_NullSpan":
-        return self
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTrace:
-    """Disabled trace: same surface, no events, ~zero overhead."""
-
-    __slots__ = ()
-    enabled = False
-
-    def span(self, _name: str, **_args: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def instant(self, _name: str, **_args: Any) -> None:
-        pass
-
-    @contextmanager
-    def context(self, **_args: Any) -> Iterator[None]:
-        yield
-
-    def __len__(self) -> int:
-        return 0
-
-    def __bool__(self) -> bool:
-        return False
-
-    def clear(self) -> None:
-        pass
-
-    def spans(self, name: str | None = None) -> list[dict[str, Any]]:
-        return []
-
-
-#: shared disabled-trace singleton (the null-object pattern)
-NO_TRACE = NullTrace()

@@ -41,7 +41,7 @@ from ..faults.breaker import (
     MutationShedError,
 )
 from ..graphs.graph import Graph
-from ..obs.flight import FlightRecorder, SlowQueryLog
+from ..obs.flight import SlowQueryLog
 from ..obs.metrics import Histogram
 from ..sssp.delta import choose_delta
 from .batch import batch_delta_stepping
@@ -189,10 +189,10 @@ class QueryService:
         Latency threshold for the structured slow-query log: any
         response slower than this produces one
         :class:`repro.obs.SlowQueryLog` entry (request id, plan shape,
-        stepper spec, cache verdict, work-counter deltas, and — when the
-        recorder's trace is a :class:`repro.obs.FlightRecorder` — a
-        flight snapshot of the spans leading up to it).  Requires a
-        truthy *recorder*; ``None`` disables the log.
+        stepper spec, cache verdict, work-counter deltas, and a
+        ``flight`` snapshot of the newest 32 spans leading up to it, from
+        the recorder's trace).  Requires a truthy *recorder*; ``None``
+        disables the log.
     breaker:
         Optional :class:`repro.faults.CircuitBreaker` guarding the
         exact-solve path.  While open, exact solves for non-cached
@@ -366,10 +366,7 @@ class QueryService:
             else {}
         )
         stepper = (plan.stepper if plan is not None else None) or "delta"
-        trace = rec.trace
-        flight = (
-            trace.snapshot(last=32) if isinstance(trace, FlightRecorder) else None
-        )
+        flight = rec.trace.snapshot(last=32)
         for r in slow:
             entry = {
                 "request_id": r.query.request_id,
@@ -381,9 +378,8 @@ class QueryService:
                 "cache_hit": bool(r.from_cache),
                 "exact": bool(r.exact),
                 "counters": deltas,
+                "flight": flight,
             }
-            if flight is not None:
-                entry["flight"] = flight
             log.record(entry)
         rec.inc("service.slow_queries", len(slow))
 

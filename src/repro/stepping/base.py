@@ -281,7 +281,7 @@ class Stepper(ABC):
     Every registry member additionally accepts ``recorder=`` on
     ``solve`` (and, where implemented, ``resolve``): a truthy
     :class:`repro.obs.Recorder` receives trace spans and metrics;
-    ``None`` / ``NO_RECORDER`` is the zero-cost disabled path, and the
+    ``None`` is the zero-cost disabled path, and the
     obs test suite pins recorded runs bit-identical to unrecorded ones.
     """
 

@@ -217,6 +217,33 @@ class TestServeBench:
         assert ("[PASS]" in text) == head["passed"]
 
 
+class TestMutateBench:
+    def test_series_headline_and_render(self):
+        from repro.bench.mutate_bench import (
+            SPEEDUP_TARGET,
+            mutation_repair_headline,
+            mutation_repair_series,
+            render_mutation_repair,
+        )
+
+        rows = mutation_repair_series(suite="ci", fractions=(0.01,), repeats=1)
+        assert rows and all(r["fraction"] == 0.01 for r in rows)
+        assert all(r["verified"] == "ok" and r["speedup"] > 0 for r in rows)
+        head = mutation_repair_headline(rows)
+        assert set(head) == {
+            "criterion", "all_verified", "small_gmean_speedup", "small_worst",
+            "speedup_target", "passed",
+        }
+        assert head["all_verified"] is True
+        assert head["small_worst"]["speedup"] == min(r["speedup"] for r in rows)
+        assert head["passed"] == (head["small_gmean_speedup"] >= SPEEDUP_TARGET)
+        unverified = mutation_repair_headline([dict(rows[0], verified="FAIL")])
+        assert unverified["all_verified"] is False and unverified["passed"] is False
+        text = render_mutation_repair(rows)
+        assert "DYN" in text
+        assert ("[PASS]" in text) == head["passed"]
+
+
 class TestBenchJsonWriter:
     def test_write_and_path_env_override(self, tmp_path, monkeypatch):
         from repro.bench.registry import bench_json_path, write_bench_json

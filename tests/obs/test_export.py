@@ -1,19 +1,8 @@
-"""OpenMetrics exposition: text format, cumulative buckets, scrape endpoint."""
+"""OpenMetrics exposition: text format, cumulative buckets."""
 
 import math
-import urllib.error
-import urllib.request
 
-import pytest
-
-from repro.obs import (
-    OPENMETRICS_CONTENT_TYPE,
-    MetricsRegistry,
-    MetricsServer,
-    Recorder,
-    render_openmetrics,
-    sanitize_metric_name,
-)
+from repro.obs import MetricsRegistry, Recorder, render_openmetrics, sanitize_metric_name
 
 
 def _populated_registry():
@@ -88,63 +77,3 @@ class TestRenderOpenmetrics:
         text = render_openmetrics(reg)
         assert "repro_lat_count 0" in text
         assert "repro_lat_sum 0" in text
-
-
-class TestMetricsServer:
-    def test_scrape_round_trip(self):
-        reg = _populated_registry()
-        with MetricsServer(reg) as srv:
-            with urllib.request.urlopen(srv.url, timeout=5) as resp:
-                assert resp.status == 200
-                assert resp.headers["Content-Type"] == OPENMETRICS_CONTENT_TYPE
-                body = resp.read().decode()
-        assert body == render_openmetrics(reg)
-
-    def test_scrape_sees_live_updates(self):
-        reg = MetricsRegistry()
-        with MetricsServer(reg) as srv:
-            reg.inc("events", 1)
-            with urllib.request.urlopen(srv.url, timeout=5) as resp:
-                assert b"repro_events_total 1" in resp.read()
-            reg.inc("events", 41)
-            with urllib.request.urlopen(srv.url, timeout=5) as resp:
-                assert b"repro_events_total 42" in resp.read()
-
-    def test_healthz_endpoint(self):
-        import json
-
-        reg = MetricsRegistry()
-        with MetricsServer(reg) as srv:
-            health_url = srv.url.replace("/metrics", "/healthz")
-            with urllib.request.urlopen(health_url, timeout=5) as resp:
-                assert resp.status == 200
-                assert resp.headers["Content-Type"] == "application/json"
-                body = json.loads(resp.read())
-        assert body["status"] == "ok"
-        assert body["uptime_s"] >= 0
-        assert body["scrapes"] == 0  # health probes are not scrapes
-
-    def test_healthz_counts_metric_scrapes(self):
-        import json
-
-        with MetricsServer(MetricsRegistry()) as srv:
-            for _ in range(3):
-                urllib.request.urlopen(srv.url, timeout=5).read()
-            health_url = srv.url.replace("/metrics", "/healthz")
-            with urllib.request.urlopen(health_url, timeout=5) as resp:
-                assert json.loads(resp.read())["scrapes"] == 3
-
-    def test_unknown_path_is_404(self):
-        with MetricsServer(MetricsRegistry()) as srv:
-            bad = srv.url.replace("/metrics", "/nope")
-            with pytest.raises(urllib.error.HTTPError) as exc:
-                urllib.request.urlopen(bad, timeout=5)
-            assert exc.value.code == 404
-
-    def test_ephemeral_port_and_close(self):
-        srv = MetricsServer(MetricsRegistry())
-        assert srv.port != 0
-        assert srv.url == f"http://127.0.0.1:{srv.port}/metrics"
-        srv.close()
-        with pytest.raises(OSError):
-            urllib.request.urlopen(srv.url, timeout=1)

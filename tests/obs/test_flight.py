@@ -1,157 +1,10 @@
-"""FlightRecorder ring semantics, anomaly triggers, and the slow-query log."""
+"""The structured slow-query log."""
 
 import json
-import time
 
 import pytest
 
-from repro.obs import (
-    DEFAULT_FLIGHT_CAPACITY,
-    FlightRecorder,
-    FlightTrigger,
-    Recorder,
-    SlowQueryLog,
-    load_trace,
-)
-from repro.obs.flight import _Ring
-
-
-class TestRing:
-    def test_append_below_capacity_keeps_everything(self):
-        ring = _Ring(4)
-        for i in range(3):
-            ring.append(("i", f"e{i}", i, 0, 0, {}))
-        assert len(ring) == 3
-        assert ring.total == 3
-        assert [e[1] for e in ring] == ["e0", "e1", "e2"]
-
-    def test_wrap_retains_newest_in_chronological_order(self):
-        ring = _Ring(4)
-        for i in range(10):
-            ring.append(("i", f"e{i}", i, 0, 0, {}))
-        assert len(ring) == 4
-        assert ring.total == 10
-        assert [e[1] for e in ring] == ["e6", "e7", "e8", "e9"]
-
-    def test_clear_resets_everything(self):
-        ring = _Ring(2)
-        for i in range(5):
-            ring.append(("i", f"e{i}", i, 0, 0, {}))
-        ring.clear()
-        assert len(ring) == 0 and ring.total == 0
-        assert list(ring) == []
-
-
-class TestFlightRecorder:
-    def test_default_capacity(self):
-        rec = FlightRecorder()
-        assert rec.capacity == DEFAULT_FLIGHT_CAPACITY
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(0)
-
-    def test_bounded_retention_and_dropped_count(self):
-        rec = FlightRecorder(8)
-        for i in range(20):
-            with rec.span("work", i=i):
-                pass
-        assert rec.total_events == 20
-        assert rec.dropped == 12
-        kept = rec.spans("work")
-        assert len(kept) == 8
-        assert [s["args"]["i"] for s in kept] == list(range(12, 20))
-
-    def test_chrome_export_reads_the_ring(self, tmp_path):
-        rec = FlightRecorder(4)
-        for i in range(6):
-            with rec.span("s", i=i):
-                pass
-        path = rec.write(tmp_path / "flight.json")
-        spans = load_trace(path)
-        assert [s["args"]["i"] for s in spans] == [2, 3, 4, 5]
-
-    def test_snapshot_last_and_name_filters(self):
-        rec = FlightRecorder(64)
-        for i in range(5):
-            with rec.span("a", i=i):
-                pass
-            with rec.span("b", i=i):
-                pass
-        snap = rec.snapshot(last=3)
-        assert len(snap) == 3
-        assert snap[-1]["name"] == "b"
-        only_a = rec.snapshot(name="a")
-        assert {s["name"] for s in only_a} == {"a"}
-        # JSON-safe: must serialize without a custom encoder
-        json.dumps(snap)
-
-    def test_recorder_flight_constructor_wires_the_ring(self):
-        rec = Recorder.flight(capacity=2)
-        assert isinstance(rec.trace, FlightRecorder)
-        for i in range(5):
-            with rec.span("q", i=i):
-                pass
-        assert rec.trace.dropped == 3
-        # metrics facade still works alongside the ring
-        rec.inc("events", 5)
-        assert rec.summary()["counters"]["events"] == 5
-
-
-class TestFlightTrigger:
-    def test_needs_path_or_action(self):
-        with pytest.raises(ValueError):
-            FlightTrigger(10.0)
-
-    def test_fires_on_threshold_with_dump(self, tmp_path):
-        out = tmp_path / "dump-{n}.json"
-        rec = FlightRecorder(64, triggers=[
-            FlightTrigger(0.0, span="slow:", path=out, cooldown_s=0.0),
-        ])
-        with rec.span("fast:op"):
-            pass
-        assert rec.triggers[0].fired == 0  # prefix filter held it back
-        with rec.span("slow:op"):
-            time.sleep(0.001)
-        trig = rec.triggers[0]
-        assert trig.fired == 1
-        assert trig.last_path == str(tmp_path / "dump-0.json")
-        assert load_trace(trig.last_path)  # dump is a loadable Chrome trace
-
-    def test_threshold_filters_fast_spans(self):
-        fired = []
-        trig = FlightTrigger(1000.0, action=lambda r, name, ms: fired.append(name))
-        rec = FlightRecorder(16, triggers=[trig])
-        with rec.span("quick"):
-            pass
-        assert fired == [] and trig.fired == 0
-
-    def test_cooldown_coalesces_a_storm(self):
-        fired = []
-        trig = FlightTrigger(
-            0.0, action=lambda r, name, ms: fired.append(name), cooldown_s=3600.0
-        )
-        rec = FlightRecorder(16, triggers=[trig])
-        for _ in range(5):
-            with rec.span("anomaly"):
-                pass
-        assert trig.fired == 1 and fired == ["anomaly"]
-
-    def test_action_receives_recorder_and_duration(self):
-        seen = {}
-
-        def act(recorder, name, dur_ms):
-            seen["recorder"] = recorder
-            seen["name"] = name
-            seen["dur_ms"] = dur_ms
-
-        rec = FlightRecorder(16)
-        rec.add_trigger(FlightTrigger(0.0, action=act, cooldown_s=0.0))
-        with rec.span("op"):
-            time.sleep(0.001)
-        assert seen["recorder"] is rec
-        assert seen["name"] == "op"
-        assert seen["dur_ms"] >= 1.0
+from repro.obs import SlowQueryLog
 
 
 class TestSlowQueryLog:

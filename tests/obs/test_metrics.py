@@ -145,7 +145,6 @@ class TestRegistry:
         reg.inc("a")
         snap = reg.snapshot()
         assert list(snap["counters"]) == ["a", "b"]
-        assert reg.as_dict() == snap
 
     def test_reset_keeps_handles_valid(self):
         reg = MetricsRegistry()

@@ -1,12 +1,6 @@
-"""Recorder facade and the NO_RECORDER null object."""
+"""Recorder facade."""
 
-from repro.obs import (
-    NO_RECORDER,
-    MetricsRegistry,
-    NullRecorder,
-    Recorder,
-    TraceRecorder,
-)
+from repro.obs import MetricsRegistry, Recorder, TraceRecorder
 
 
 class TestRecorder:
@@ -46,22 +40,3 @@ class TestRecorder:
             pass
         path = rec.write_trace(tmp_path / "t.json")
         assert path == str(tmp_path / "t.json")
-
-
-class TestNullRecorder:
-    def test_falsy_disabled_singleton(self):
-        assert not NO_RECORDER
-        assert not NO_RECORDER.enabled
-        assert isinstance(NO_RECORDER, NullRecorder)
-        assert NO_RECORDER.trace is None and NO_RECORDER.metrics is None
-
-    def test_every_method_is_a_noop(self, tmp_path):
-        with NO_RECORDER.span("x", a=1) as sp:
-            sp.set(b=2)
-        NO_RECORDER.instant("y")
-        NO_RECORDER.inc("c")
-        NO_RECORDER.observe("h", 1.0)
-        NO_RECORDER.set_gauge("g", 2.0)
-        assert NO_RECORDER.write_trace(tmp_path / "never.json") is None
-        assert not (tmp_path / "never.json").exists()
-        assert NO_RECORDER.summary() == {}

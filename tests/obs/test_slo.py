@@ -1,4 +1,4 @@
-"""SLO engine: spec parsing, bucket-exact evaluation, budgets, burn rates."""
+"""SLO engine: spec parsing, bucket-exact evaluation, budgets."""
 
 import math
 
@@ -6,12 +6,10 @@ import pytest
 
 from repro.obs import (
     AvailabilityObjective,
-    BurnRateMonitor,
     LatencyTarget,
     MetricsRegistry,
     SLOSpec,
     evaluate,
-    evaluate_summary,
     export_slo_gauges,
     load_slo_path,
     parse_slo_data,
@@ -24,7 +22,6 @@ SLO_TOML = """\
 [[slo]]
 name = "query-latency"
 metric = "service.query_ms"
-window_s = 600
 
 [[slo.latency]]
 percentile = 50
@@ -80,7 +77,6 @@ class TestTomlLoading:
         assert [s.name for s in specs] == ["query-latency", "mutation-latency"]
         q = specs[0]
         assert q.metric == "service.query_ms"
-        assert q.window_s == 600.0
         assert [t.percentile for t in q.latency] == [50.0, 99.0]
         assert q.availability == AvailabilityObjective(0.99, 100.0)
         assert specs[1].availability is None
@@ -162,85 +158,12 @@ class TestEvaluate:
         assert avail.ok  # exactly on objective
 
 
-class TestEvaluateSummary:
-    def test_percentile_trio_checked(self):
-        summary = {"histograms": {"lat": {"count": 10, "p50": 1.0, "p90": 2.0, "p99": 50.0}}}
-        result = evaluate_summary(_specs(), summary)
-        lat = [c for c in result.checks if c.kind == "latency"][0]
-        assert not lat.ok and lat.observed == 50.0
-        assert result.source == "summary"
-
-    def test_availability_reported_as_skipped_not_evaluated(self):
-        summary = {"histograms": {"lat": {"count": 10, "p50": 1, "p90": 1, "p99": 1.0}}}
-        result = evaluate_summary(_specs(), summary)
-        avail = [c for c in result.checks if c.kind == "availability"][0]
-        assert avail.ok and "not computable" in avail.note
-
-    def test_unsupported_percentile_raises(self):
-        specs = [SLOSpec(name="q", metric="lat", latency=(LatencyTarget(75, 1.0),))]
-        summary = {"histograms": {"lat": {"count": 5, "p50": 1.0}}}
-        with pytest.raises(ValueError, match="p75"):
-            evaluate_summary(specs, summary)
-
-
-class TestBurnRateMonitor:
-    def test_requires_availability(self):
-        spec = SLOSpec(name="q", metric="lat", latency=(LatencyTarget(99, 1.0),))
-        with pytest.raises(ValueError):
-            BurnRateMonitor(spec, MetricsRegistry())
-
-    def test_burn_rate_differences_samples(self):
-        reg = _registry(good=0, bad=0)
-        mon = BurnRateMonitor(_specs()[0], reg, windows_s=(60.0, 600.0))
-        h = reg.histogram("lat")
-        mon.sample(now=0.0)
-        # one window of traffic: 10% bad against the 5% budget = 2x burn
-        for _ in range(90):
-            h.observe(1.0)
-        for _ in range(10):
-            h.observe(50.0)
-        mon.sample(now=60.0)
-        assert mon.burn_rate(60.0, now=60.0) == pytest.approx(0.10 / 0.05)
-        assert mon.alerting(factor=1.0, now=60.0)
-        assert not mon.alerting(factor=3.0, now=60.0)
-
-    def test_idle_window_burns_nothing(self):
-        reg = _registry(good=10, bad=0)
-        mon = BurnRateMonitor(_specs()[0], reg, windows_s=(60.0,))
-        mon.sample(now=0.0)
-        mon.sample(now=60.0)  # no new traffic between samples
-        assert mon.burn_rate(60.0, now=60.0) == 0.0
-        assert not mon.alerting(now=60.0)
-
-    def test_multi_window_rule_ignores_a_blip(self):
-        reg = _registry(good=0, bad=0)
-        mon = BurnRateMonitor(_specs()[0], reg, windows_s=(60.0, 600.0))
-        h = reg.histogram("lat")
-        mon.sample(now=0.0)
-        for _ in range(1000):  # long stretch of good traffic
-            h.observe(1.0)
-        mon.sample(now=540.0)
-        for _ in range(10):  # short burst of bad
-            h.observe(50.0)
-        mon.sample(now=600.0)
-        assert mon.burn_rate(60.0, now=600.0) > 1.0  # short window burning
-        assert mon.burn_rate(600.0, now=600.0) < 1.0  # hour-scale still fine
-        assert not mon.alerting(now=600.0)
-
-    def test_export_gauges(self):
-        reg = _registry(good=10, bad=0)
-        mon = BurnRateMonitor(_specs()[0], reg, windows_s=(60.0,))
-        mon.sample(now=0.0)
-        mon.export_gauges()
-        assert "slo.q.burn_rate.60s" in reg.as_dict()["gauges"]
-
-
 class TestExposition:
     def test_export_slo_gauges_and_openmetrics(self):
         reg = _registry(good=90, bad=10)
         result = evaluate(_specs(), reg)
         export_slo_gauges(result, reg)
-        gauges = reg.as_dict()["gauges"]
+        gauges = reg.snapshot()["gauges"]
         assert gauges["slo.q.ok"] == 0.0
         assert gauges["slo.q.p99_ok"] == 0.0  # 10% bad drags p99 over 10ms
         assert gauges["slo.q.p99_ms"] > 10.0
@@ -252,6 +175,6 @@ class TestExposition:
         result = evaluate(_specs(), _registry(good=90, bad=10))
         text = render_slo_text(result)
         assert "[FAIL] q:" in text
-        assert text.splitlines()[-1].startswith("SLO check (registry): FAIL")
+        assert text.splitlines()[-1].startswith("SLO check: FAIL")
         passing = render_slo_text(evaluate(_specs(), _registry(good=100, bad=0)))
         assert "PASS" in passing.splitlines()[-1]

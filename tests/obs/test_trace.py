@@ -1,4 +1,4 @@
-"""TraceRecorder: span/instant recording and Chrome trace-event export."""
+"""TraceRecorder: span/instant recording, bounded retention, Chrome export."""
 
 import json
 import time
@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.obs import NO_TRACE, NullTrace, TraceRecorder
+from repro.obs import DEFAULT_FLIGHT_CAPACITY, Recorder, TraceRecorder, load_trace
 
 
 class TestSpans:
@@ -66,6 +66,14 @@ class TestSpans:
             pass
         tr.clear()
         assert len(tr) == 0
+
+    def test_exceptions_propagate_through_spans(self):
+        tr = TraceRecorder()
+        with pytest.raises(RuntimeError):
+            with tr.span("boom"):
+                raise RuntimeError("x")
+        # the span still closed and recorded
+        assert len(tr.spans("boom")) == 1
 
 
 class TestChromeExport:
@@ -176,28 +184,58 @@ class TestChromeExport:
         assert xs[0]["ts"] <= xs[1]["ts"]
 
 
-class TestNullTrace:
-    def test_falsy_and_empty(self):
-        assert not NO_TRACE
-        assert len(NO_TRACE) == 0
-        assert NO_TRACE.spans() == []
+class TestBoundedTrace:
+    def test_default_capacity(self):
+        assert TraceRecorder().capacity is None
+        assert Recorder.flight().trace.capacity == DEFAULT_FLIGHT_CAPACITY
 
-    def test_span_is_reusable_noop(self):
-        with NO_TRACE.span("x", a=1) as sp:
-            sp.set(b=2)
-        with NO_TRACE.span("y") as sp2:
-            assert sp2 is sp  # one shared null span
-        NO_TRACE.instant("z")
-        NO_TRACE.clear()
-        assert len(NO_TRACE) == 0
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError):
+            TraceRecorder(0)
 
-    def test_singleton_type(self):
-        assert isinstance(NO_TRACE, NullTrace)
+    def test_bounded_retention_keeps_newest(self):
+        tr = TraceRecorder(8)
+        for i in range(20):
+            with tr.span("work", i=i):
+                pass
+        assert len(tr) == 8
+        assert [s["args"]["i"] for s in tr.spans("work")] == list(range(12, 20))
+        tr.clear()
+        assert len(tr) == 0 and tr.spans() == []
+        with tr.span("work", i=20):
+            pass
+        assert [s["args"]["i"] for s in tr.spans()] == [20]
 
-    def test_exceptions_propagate_through_spans(self):
+    def test_chrome_export_reads_the_retained_window(self, tmp_path):
+        tr = TraceRecorder(4)
+        for i in range(6):
+            with tr.span("s", i=i):
+                pass
+        path = tr.write(tmp_path / "flight.json")
+        spans = load_trace(path)
+        assert [s["args"]["i"] for s in spans] == [2, 3, 4, 5]
+
+    def test_snapshot_last_and_name_filters(self):
         tr = TraceRecorder()
-        with pytest.raises(RuntimeError):
-            with tr.span("boom"):
-                raise RuntimeError("x")
-        # the span still closed and recorded
-        assert len(tr.spans("boom")) == 1
+        for i in range(5):
+            with tr.span("a", i=i):
+                pass
+            with tr.span("b", i=i):
+                pass
+        snap = tr.snapshot(last=3)
+        assert [(s["name"], s["args"]["i"]) for s in snap] == [("b", 3), ("a", 4), ("b", 4)]
+        only_a = tr.snapshot(name="a")
+        assert [s["args"]["i"] for s in only_a] == [0, 1, 2, 3, 4]
+        assert {s["name"] for s in only_a} == {"a"}
+        # JSON-safe: must serialize without a custom encoder
+        json.dumps(snap)
+
+    def test_recorder_flight_bounds_the_trace(self):
+        rec = Recorder.flight(capacity=2)
+        for i in range(5):
+            with rec.span("q", i=i):
+                pass
+        assert [s["args"]["i"] for s in rec.trace.spans()] == [3, 4]
+        # metrics facade still works alongside the bounded trace
+        rec.inc("events", 5)
+        assert rec.summary()["counters"]["events"] == 5

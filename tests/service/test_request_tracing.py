@@ -111,6 +111,17 @@ class TestSlowQueryLog:
         assert e["flight"], "flight recorder must contribute a snapshot"
         assert all({"name", "ts_us", "dur_us", "args"} <= set(s) for s in e["flight"])
 
+    def test_every_recorder_embeds_spans_of_the_round(self, grid):
+        rec = Recorder()
+        svc = QueryService(grid, recorder=rec, slow_query_ms=0.0)
+        svc.query(0)
+        svc.query(1)
+        entries = svc.slow_query_log.entries()
+        assert len(entries) == 2
+        for e in entries:
+            assert e["flight"], "an unbounded trace must contribute a snapshot too"
+            assert e["flight"][-1]["args"]["request_id"] == e["request_id"]
+
     def test_counter_deltas_cover_only_this_round(self, grid):
         rec = Recorder()
         svc = QueryService(grid, recorder=rec, slow_query_ms=0.0)
