@@ -16,6 +16,7 @@ setup(
     name="repro-sssp",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro": ["py.typed"]},
+    # the compiled bucket loop is built from its C source at import
+    package_data={"repro": ["py.typed", "kernels/buckets.c"]},
     entry_points={"console_scripts": ["repro-sssp=repro.cli:main"]},
 )

@@ -25,13 +25,24 @@ is built from, extracted from the per-solver copies that used to live in
                                        bucket index that replaces the
                                        per-bucket full-``t`` scans in the
                                        classic Δ-stepper's outer loop
+:mod:`~repro.kernels.compiled`         the whole Δ-bucket loop in plain C
+                                       (``buckets.c``), built at import
+                                       with the system C compiler into a
+                                       per-user cache and called through
+                                       ``ctypes``; what
+                                       :func:`repro.sssp.fused.run_buckets`
+                                       runs for ``kernel="auto"``
 =====================================  ====================================
 
-The package sits *below* every solver layer (it imports only NumPy), so
-``sssp``, ``stepping``, ``shard``, ``service``, and ``dynamic`` all
-depend on it without cycles.  The KERNEL bench (``repro kernel-bench``)
-races the kernels against the frozen seed implementation and gates on
-bit-identity with Dijkstra.
+The package sits *below* every solver layer (it imports only NumPy and
+the standard library), so ``sssp``, ``stepping``, ``shard``,
+``service``, and ``dynamic`` all depend on it without cycles.  The
+NumPy primitives stay the fallback when no C compiler runs and the
+oracle the compiled loop is tested against: both give the same
+distances and the same four work counters.  The KERNEL bench
+(``repro kernel-bench``) races the kernels against the frozen seed
+implementation and gates on bit-identity with Dijkstra; its ``auto``
+row runs the compiled loop.
 """
 
 from __future__ import annotations

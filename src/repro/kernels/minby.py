@@ -26,7 +26,11 @@ ascending order — so swapping kernels can never change a distance
 (property-tested in ``tests/kernels``).  ``auto`` picks by wave density:
 the scatter kernel's dense compaction pays an O(n) mask scan, so it
 wins once the wave carries more than ~1/:data:`SCATTER_DENSITY` of the
-key space and loses to the sort below that.
+key space and loses to the sort below that.  In the Δ-bucket loop
+(:func:`repro.sssp.fused.run_buckets`) ``auto`` means more: the whole
+loop runs compiled (:mod:`repro.kernels.compiled`) when the library
+loaded, and this density pick applies only on the NumPy fallback;
+``argsort`` and ``scatter`` always pin the NumPy loop.
 
 Selection is threaded through stepper specs — ``"delta(kernel=scatter)"``,
 ``"rho(kernel=argsort)"`` — so the auto-tuner and the KERNEL bench can

@@ -10,9 +10,11 @@ split.  At CI graph sizes the allocator overhead rivals the kernels
 themselves; at scale it is pure waste (Dong et al. 2021 report the same
 observation for their LAB-PQ batches: the buffers must persist).
 
-:class:`RelaxWorkspace` owns those buffers once per solve: every resolve
-allocates its own, so concurrent solves on one graph never share
-scratch:
+:class:`RelaxWorkspace` owns those buffers once per NumPy solve: every
+resolve that runs the NumPy loop allocates its own, so concurrent solves
+on one graph never share scratch (the compiled loop,
+:mod:`repro.kernels.compiled`, allocates its scratch in C per call and
+takes no workspace):
 
 - ``req``/``touched`` — the dense per-target request vector and its
   touched mask, the state behind the O(m) scatter-min kernel

@@ -129,17 +129,19 @@ class Histogram:
     max: float
 
     def __init__(self, buckets: "Iterable[float] | str | None" = None) -> None:
-        if isinstance(buckets, str):
+        if buckets is None or isinstance(buckets, str):
+            # the presets are ascending by construction
             try:
-                buckets = BUCKET_PRESETS[buckets]
+                bounds = BUCKET_PRESETS["default" if buckets is None else buckets]
             except KeyError:
                 raise ValueError(
                     f"unknown bucket preset {buckets!r}; "
                     f"known: {', '.join(sorted(BUCKET_PRESETS))}"
                 ) from None
-        bounds = tuple(buckets) if buckets is not None else DEFAULT_LATENCY_BUCKETS_MS
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError("histogram buckets must be a non-empty ascending sequence")
+        else:
+            bounds = tuple(buckets)
+            if not bounds or list(bounds) != sorted(bounds):
+                raise ValueError("histogram buckets must be a non-empty ascending sequence")
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)  # +1 = overflow
         self.count = 0
@@ -267,10 +269,12 @@ class MetricsRegistry:
     # -- convenience single-call forms --------------------------------------
 
     def inc(self, name: str, n: int = 1) -> None:
-        self.counter(name).inc(n)
+        c = self._counters.get(name)
+        (c if c is not None else self.counter(name)).value += n
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
+        g = self._gauges.get(name)
+        (g if g is not None else self.gauge(name)).value = value
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)

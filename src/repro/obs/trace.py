@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading
-import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Iterator
+from threading import get_ident
+from time import perf_counter_ns
+from typing import Any
 
 __all__ = ["Span", "TraceRecorder"]
 
@@ -80,14 +79,36 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        self._t0 = time.perf_counter_ns()
+        self._t0 = perf_counter_ns()
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        t1 = time.perf_counter_ns()
+        t1 = perf_counter_ns()
         self._trace._events.append(
-            ("X", self.name, self._t0, t1 - self._t0, threading.get_ident(), self.args)
+            ("X", self.name, self._t0, t1 - self._t0, get_ident(), self.args)
         )
+        return False
+
+
+class _Context:
+    """What :meth:`TraceRecorder.context` returns: pushes the ambient args,
+    merged over the enclosing ones, on entry and pops them on exit."""
+
+    __slots__ = ("_stack", "_args")
+
+    _stack: "list[dict[str, Any]]"
+    _args: dict[str, Any]
+
+    def __init__(self, stack: "list[dict[str, Any]]", args: dict[str, Any]) -> None:
+        self._stack = stack
+        self._args = args
+
+    def __enter__(self) -> None:
+        stack = self._stack
+        stack.append({**stack[-1], **self._args} if stack else self._args)
+
+    def __exit__(self, *exc: object) -> bool:
+        self._stack.pop()
         return False
 
 
@@ -98,6 +119,9 @@ class TraceRecorder:
     the span itself); timestamps are monotonic nanoseconds rebased to
     the recorder's construction time at export.  *capacity* bounds the
     retained events to the newest *capacity* (``None`` = unbounded).
+    :meth:`span` times a ``with`` block; :meth:`complete` records an
+    interval the caller timed itself, which is what the serving tier's
+    per-request spans use (no span object, no extra clock reading).
     """
 
     enabled = True
@@ -106,30 +130,31 @@ class TraceRecorder:
         if capacity is not None and capacity < 1:
             raise ValueError("trace capacity must be >= 1")
         self._events: deque[_Event] = deque(maxlen=capacity)
-        self._t0 = time.perf_counter_ns()
+        self._t0 = perf_counter_ns()
         #: ambient-arg stack (see :meth:`context`); empty = zero overhead
         self._context: list[dict[str, Any]] = []
 
     def span(self, name: str, **args: Any) -> Span:
         """A context-managed span: ``with trace.span("phase", wave=8):``."""
         if self._context:
-            merged = dict(self._context[-1])
-            merged.update(args)
-            args = merged
+            args = {**self._context[-1], **args}
         return Span(self, name, args)
+
+    def complete(self, name: str, t0_ns: int, t1_ns: int, **args: Any) -> None:
+        """Record a span from *t0_ns* to *t1_ns* (``time.perf_counter_ns()``
+        readings): the cheap form for a call site that reads the clock
+        anyway, with no :class:`Span` object."""
+        if self._context:
+            args = {**self._context[-1], **args}
+        self._events.append(("X", name, t0_ns, t1_ns - t0_ns, get_ident(), args))
 
     def instant(self, name: str, **args: Any) -> None:
         """Record a zero-duration marker event."""
         if self._context:
-            merged = dict(self._context[-1])
-            merged.update(args)
-            args = merged
-        self._events.append(
-            ("i", name, time.perf_counter_ns(), 0, threading.get_ident(), args)
-        )
+            args = {**self._context[-1], **args}
+        self._events.append(("i", name, perf_counter_ns(), 0, get_ident(), args))
 
-    @contextmanager
-    def context(self, **args: Any) -> Iterator[None]:
+    def context(self, **args: Any) -> _Context:
         """Attach ambient args to every span/instant recorded inside.
 
         Contexts nest (inner values win on key collision), and the stack
@@ -141,13 +166,7 @@ class TraceRecorder:
         recorder), which is what makes the recorder-scoped stack sound.
         Explicit span args always beat ambient ones.
         """
-        merged = dict(self._context[-1]) if self._context else {}
-        merged.update(args)
-        self._context.append(merged)
-        try:
-            yield
-        finally:
-            self._context.pop()
+        return _Context(self._context, args)
 
     @property
     def capacity(self) -> int | None:

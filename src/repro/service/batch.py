@@ -15,11 +15,14 @@ One native engine, :func:`batch_fused_delta_stepping`, batches the
 over the K×n key space (``key = k·n + v``), and the engine runs the
 single-source solver's own Δ-bucket loop
 (:func:`repro.sssp.fused.run_buckets`) seeded with the K source keys
-``k·n + s_k``.  The one batch-specific piece is an int32 row-offset
-gather that expands each key's CSR row and keeps its targets in the
-key's own row; the loop's per-target min runs the ``scatter`` kernel
-over the K·n key space by default.  A one-source batch therefore walks
-exactly the single-source schedule, counters included.
+``k·n + s_k``, over the graph's light/heavy split cached per epoch.  By
+default that loop runs compiled, and the C code maps each key onto its
+CSR row itself.  On the NumPy fallback (no C compiler, or a pinned
+kernel) the one batch-specific piece is an int32 row-offset gather that
+expands each key's CSR row and keeps its targets in the key's own row,
+and the per-target min runs the ``scatter`` kernel over the K·n key
+space.  A one-source batch walks exactly the single-source schedule,
+counters included, on either back end.
 
 Every other registered stepper — ``graphblas`` included — batches as K
 independent solves (:func:`batch_stepper_loop`), with the same
@@ -40,9 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import RelaxWorkspace, check_kernel
+from ..kernels import RelaxWorkspace, check_kernel, compiled
 from ..sssp.delta import choose_delta
-from ..sssp.fused import run_buckets, split_csr_light_heavy
+from ..sssp.fused import cached_split, run_buckets
 from ..sssp.result import INF, SSSPResult
 
 __all__ = [
@@ -114,22 +117,24 @@ def _check_sources(graph: Graph, sources) -> np.ndarray:
 
 
 def batch_fused_delta_stepping(
-    graph: Graph, sources, delta: float = 1.0, kernel: str = "scatter"
+    graph: Graph, sources, delta: float = 1.0, kernel: str = "auto"
 ) -> BatchSSSPResult:
     """Fused batch engine: the shared Δ-bucket loop on the K·n key space.
 
     All state lives in one flat ``float64`` array of length K·n indexed
-    by ``key = k·n + v``.  The engine seeds :func:`repro.sssp.fused.run_buckets`
-    (the single-source solver's loop) with the K keys ``k·n + s_k`` and
-    hands it one thing of its own: an int32 row-offset gather that
-    expands each key's CSR row and offsets the targets into the owning
-    row (``k·n + neighbor``), so relaxations never cross rows.  One pass
-    of the shared per-target min kernel — by default
-    :func:`repro.kernels.min_by_target_scatter`, backed by a
-    :class:`~repro.kernels.RelaxWorkspace` sized to the flattened state —
-    then resolves the requests of all K searches at once.  *kernel*
-    defaults to ``scatter`` (the batching win); ``argsort``/``auto`` are
-    accepted for parity with the single-source engines.
+    by ``key = k·n + v``; the engine seeds the single-source solver's
+    loop (:func:`repro.sssp.fused.run_buckets`) with the K keys
+    ``k·n + s_k`` over the graph's cached light/heavy split.  With
+    ``kernel="auto"`` (the default) and the compiled loop loaded
+    (:func:`repro.kernels.compiled.run_buckets`), that is the whole
+    engine: the C loop maps each key onto its CSR row itself.  Otherwise
+    the NumPy loop runs with one thing of the engine's own: an int32 row-offset
+    gather that expands each key's CSR row and offsets the targets into
+    the owning row (``k·n + neighbor``), so relaxations never cross rows.
+    There, ``auto`` means ``scatter``
+    (:func:`repro.kernels.min_by_target_scatter` over a
+    :class:`~repro.kernels.RelaxWorkspace` sized to the flattened state,
+    the batching win); ``argsort`` and ``scatter`` pin a NumPy kernel.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -142,7 +147,29 @@ def batch_fused_delta_stepping(
             "chunk the sources (the service planner does this)"
         )
 
-    (ALp, ALi, ALw), (AHp, AHi, AHw) = split_csr_light_heavy(graph, delta)
+    split = cached_split(graph, delta)
+    t = np.full(K * n, INF, dtype=np.float64)
+    keys = np.arange(K, dtype=np.int64) * n + src
+    t[keys] = 0.0
+    counters = compiled.run_buckets(split, t, keys, delta) if kernel == "auto" else None
+    if counters is None:
+        counters = _numpy_batch(split, t, keys, delta, "scatter" if kernel == "auto" else kernel, n)
+    return BatchSSSPResult(
+        distances=t.reshape(K, n),
+        sources=src,
+        delta=delta,
+        method="batch-fused",
+        buckets_processed=counters["steps"],
+        phases=counters["phases"],
+        relaxations=counters["relaxations"],
+        updates=counters["updates"],
+    )
+
+
+def _numpy_batch(split, t: np.ndarray, keys: np.ndarray, delta: float, kernel: str,
+                 n: int) -> dict[str, int]:
+    """The NumPy loop on the K·n key space, with the engine's int32 gather."""
+    (ALp, ALi, ALw), (AHp, AHi, AHw) = split
     # K·n ≤ MAX_STATE_ENTRIES < 2^31, so int32 keys are safe and halve the
     # index traffic of the expansion (the hot path's memory bound)
     split = (ALp, ALi.astype(np.int32), ALw), (AHp, AHi.astype(np.int32), AHw)
@@ -169,22 +196,9 @@ def batch_fused_delta_stepping(
         targets = np.repeat(base, lengths) + indices[flat]
         return targets, np.repeat(t[frontier], lengths) + weights[flat]
 
-    t = np.full(K * n, INF, dtype=np.float64)
-    keys = np.arange(K, dtype=np.int64) * n + src
-    t[keys] = 0.0
     # request buffer + touched mask over the flattened state, reused per wave
-    counters = run_buckets(
-        split, t, keys, delta, kernel=kernel, workspace=RelaxWorkspace(K * n), gather=gather
-    )
-    return BatchSSSPResult(
-        distances=t.reshape(K, n),
-        sources=src,
-        delta=delta,
-        method="batch-fused",
-        buckets_processed=counters["steps"],
-        phases=counters["phases"],
-        relaxations=counters["relaxations"],
-        updates=counters["updates"],
+    return run_buckets(
+        split, t, keys, delta, kernel=kernel, workspace=RelaxWorkspace(len(t)), gather=gather
     )
 
 
@@ -259,10 +273,12 @@ def batch_delta_stepping(
         :func:`batch_fused_delta_stepping` and takes no spec params;
         every other spec runs through :func:`batch_stepper_loop`.
     recorder:
-        A truthy :class:`repro.obs.Recorder` wraps the native batch
-        engine in a ``batch:delta`` span (sources count as an arg) and
-        forwards into stepper-dispatched solves.  Recording never
-        changes the distances.
+        A truthy :class:`repro.obs.Recorder` forwards into
+        stepper-dispatched solves.  The native engine is one loop call
+        and records nothing itself: the caller's span around this call
+        covers it (the service's ``service:batch-solve`` carries its
+        phase and relaxation counts).  Recording never changes the
+        distances.
     """
     from ..stepping import resolve_stepper_spec
 
@@ -279,11 +295,4 @@ def batch_delta_stepping(
         )
     if delta is None:
         delta = choose_delta(graph)
-    if recorder:
-        with recorder.span(
-            "batch:delta", sources=int(np.size(np.asarray(sources)))
-        ) as sp:
-            result = batch_fused_delta_stepping(graph, sources, delta)
-            sp.set(phases=result.phases, relaxations=result.relaxations)
-        return result
     return batch_fused_delta_stepping(graph, sources, delta)

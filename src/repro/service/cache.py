@@ -98,7 +98,7 @@ class DistanceCache:
 
     def _tick(self, name: str, amount: int = 1) -> None:
         if self._metrics is not None:
-            self._metrics.inc(f"cache.{name}", amount)
+            self._metrics.inc(name, amount)
 
     def _gauge_size(self) -> None:
         if self._metrics is not None:
@@ -133,11 +133,11 @@ class DistanceCache:
             dist = self._entries.get(key)
             if dist is None:
                 self._misses += 1
-                self._tick("misses")
+                self._tick("cache.misses")
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            self._tick("hits")
+            self._tick("cache.hits")
             return dist
 
     def put(self, graph: Graph, source: int, weight_mode: str, distances: np.ndarray) -> np.ndarray:
@@ -157,7 +157,7 @@ class DistanceCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-                self._tick("evictions")
+                self._tick("cache.evictions")
             self._gauge_size()
         return dist
 
@@ -182,7 +182,7 @@ class DistanceCache:
                 del self._entries[key]
             if stale:
                 self._invalidations += 1
-                self._tick("invalidations")
+                self._tick("cache.invalidations")
                 self._gauge_size()
             return len(stale)
 

@@ -51,8 +51,8 @@ from .planner import Query, QueryPlan, QueryPlanner
 
 __all__ = ["QueryResponse", "MutationReport", "ServiceStats", "QueryService"]
 
-#: the disabled-recorder stand-in for a ``recorder.span(...)`` context
-_NO_SPAN = nullcontext()
+#: the disabled-recorder stand-in for a ``recorder.context(...)`` block
+_NO_CONTEXT = nullcontext()
 
 
 def _vertex_id(value, what: str) -> int:
@@ -320,19 +320,18 @@ class QueryService:
         rec = self.recorder
         if rec is None:
             return self._drain_round(queries)
-        # one synchronous round serves every pending request, so the
-        # ambient id is the (deduplicated) comma-joined set — a span
-        # belongs to a request iff the id appears in its request_id arg
-        request_id = ",".join(
-            dict.fromkeys(q.request_id for q in queries if q.request_id is not None)
+        # one synchronous round serves every pending request, so its id
+        # is the (deduplicated) comma-joined set — a span belongs to a
+        # request iff the id appears in its request_id arg
+        request_id = (
+            queries[0].request_id
+            if len(queries) == 1
+            else ",".join(dict.fromkeys(q.request_id for q in queries if q.request_id is not None))
         )
         counters_before = (
             rec.summary()["counters"] if self.slow_query_log is not None else None
         )
-        with rec.context(request_id=request_id):
-            with rec.span("service:drain", queries=len(queries)) as sp:
-                responses = self._drain_round(queries)
-                sp.set(exact=sum(1 for r in responses if r.exact))
+        responses = self._drain_round(queries, request_id)
         rec.inc("service.queries", len(responses))
         if counters_before is not None:
             self._log_slow(responses, counters_before)
@@ -383,21 +382,33 @@ class QueryService:
             log.record(entry)
         rec.inc("service.slow_queries", len(slow))
 
-    def _drain_round(self, queries: list[Query]) -> list[QueryResponse]:
-        """One planning/execution round (:meth:`drain` adds the spans)."""
-        rec = self.recorder
-        t0 = time.perf_counter()
-        with (
-            rec.span("service:plan", queries=len(queries)) if rec is not None else _NO_SPAN
-        ) as sp:
-            plan = self.planner.plan(
-                queries,
-                cache=self.cache,
-                graph=self.graph,
-                weight_mode=self.weight_mode,
+    def _drain_round(
+        self, queries: list[Query], request_id: str | None = None
+    ) -> list[QueryResponse]:
+        """One planning/execution round.
+
+        With a recorder, the round writes its ``service:plan``,
+        ``service:batch-solve`` and ``service:drain`` spans itself, timed
+        by the clock readings its latency takes anyway and tagged with
+        *request_id*; only a solver call runs under the ambient
+        ``request_id`` context, so that spans a stepper records are
+        tagged too.  The drain span is the interval every query of the
+        round observes as its latency.
+        """
+        trace = self.recorder.trace if self.recorder is not None else None
+        t0 = time.perf_counter_ns()
+        exact_before = self._exact
+        plan = self.planner.plan(
+            queries,
+            cache=self.cache,
+            graph=self.graph,
+            weight_mode=self.weight_mode,
+        )
+        if trace is not None:
+            trace.complete(
+                "service:plan", t0, time.perf_counter_ns(), request_id=request_id,
+                queries=len(queries), batches=len(plan.batches), cached=len(plan.cached),
             )
-            if sp is not None:
-                sp.set(batches=len(plan.batches), cached=len(plan.cached))
         self._last_plan = plan
         if self.tuner is not None and plan.batches and plan.stepper is None:
             # tuned routing: probe once per graph epoch (the tuner caches),
@@ -413,9 +424,10 @@ class QueryService:
         # invalidate an answer already in hand)
         cached_set = set(plan.cached)
         solved = dict(plan.cached)
-        exact_solved, degraded = self._execute(plan)
+        exact_solved, degraded = self._execute(plan, request_id)
         solved.update(exact_solved)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        t1 = time.perf_counter_ns()
+        elapsed_ms = (t1 - t0) / 1e6
         self._serving_seconds += elapsed_ms / 1e3
 
         # Synchronous round: every query in it observes the round's latency.
@@ -433,9 +445,16 @@ class QueryService:
                 )
             responses.append(resp)
         self._update_breaker_gauges()
+        if trace is not None:
+            trace.complete(
+                "service:drain", t0, t1, request_id=request_id,
+                queries=len(queries), exact=self._exact - exact_before,
+            )
         return responses
 
-    def _execute(self, plan: QueryPlan) -> tuple[dict[int, np.ndarray], list[int]]:
+    def _execute(
+        self, plan: QueryPlan, request_id: str | None = None
+    ) -> tuple[dict[int, np.ndarray], list[int]]:
         """Run the plan's batch solves; returns (source → distances, degraded).
 
         With a breaker attached, a batch whose solve fails (or arrives
@@ -460,16 +479,18 @@ class QueryService:
                 if rec is not None:
                     rec.inc("service.breaker_rejections", len(batch))
                 continue
+            t_solve = time.perf_counter_ns()
             try:
-                with (
-                    rec.span("service:batch-solve", batch=len(batch), method=str(method))
-                    if rec is not None
-                    else _NO_SPAN
-                ):
+                with rec.context(request_id=request_id) if rec is not None else _NO_CONTEXT:
                     result = self._solver(
                         self.graph, batch, delta=self.delta, method=method, recorder=rec
                     )
             except Exception:
+                if rec is not None:
+                    rec.trace.complete(
+                        "service:batch-solve", t_solve, time.perf_counter_ns(),
+                        request_id=request_id, batch=len(batch), method=str(method), failed=True,
+                    )
                 if breaker is None:
                     raise
                 breaker.record_failure()
@@ -479,6 +500,12 @@ class QueryService:
                     raise
                 degraded.extend(int(s) for s in batch)
                 continue
+            if rec is not None:
+                rec.trace.complete(
+                    "service:batch-solve", t_solve, time.perf_counter_ns(),
+                    request_id=request_id, batch=len(batch), method=str(method),
+                    phases=result.phases, relaxations=result.relaxations,
+                )
             if breaker is not None:
                 breaker.record_success()
             self._batches_solved += 1

@@ -1,4 +1,4 @@
-"""Fused delta-stepping: the paper's direct-C implementation, in NumPy.
+"""Fused delta-stepping: the paper's direct-C implementation, in C and in NumPy.
 
 The paper's fastest sequential version (§VI.B) abandons per-operation
 GraphBLAS calls and fuses:
@@ -33,7 +33,21 @@ object from the hot loop.  The primitives themselves live in
 
 That loop, :func:`run_buckets`, is shared: the solve seeds ``{source}``,
 repair seeds a dirty set (through :func:`fused_resolve`) and the fused
-batch engine seeds ``k·n + s_k``.
+batch engine seeds ``k·n + s_k``.  It has two back ends with the same
+distances and the same four counters:
+
+- ``kernel="auto"`` (the default) runs it compiled, as the paper does:
+  :mod:`repro.kernels.compiled` builds ``buckets.c`` with the system C
+  compiler when this module is imported and calls it once per loop,
+  with no NumPy dispatch per wave;
+- a pinned kernel, ``fuse_relax=False`` or a truthy ``recorder=`` runs
+  the NumPy loop below — also the fallback when no compiler runs
+  (``CC=false``) and the oracle the compiled loop is tested against.
+
+The light/heavy split a solve runs on is cached per graph epoch and Δ
+(:func:`cached_split`), so solves, batches and repairs on one epoch
+split once; recorded runs and ``fuse_matrix_split=False`` split afresh,
+so their ``filter:*`` stages stay measured.
 
 Both paper fusions stay independently toggleable so the fusion ablation
 (``benchmarks/bench_fusion_ablation.py``) can attribute the speedup:
@@ -47,7 +61,8 @@ Both paper fusions stay independently toggleable so the fusion ablation
 
 A truthy ``recorder=`` (:mod:`repro.obs`) receives every §VI.C stage —
 ``filter:*``, ``relax:*``, ``outer:check`` — as a span of that name; the
-``repro profile`` stage shares are the per-label span totals.
+``repro profile`` stage shares are the per-label span totals.  (Stage
+times come from the NumPy loop only: the compiled loop reports none.)
 """
 
 from __future__ import annotations
@@ -62,6 +77,7 @@ from ..kernels import (
     RelaxWorkspace,
     cached_row_ids,
     check_kernel,
+    compiled,
     gather_candidates,
     min_by_target,
 )
@@ -69,6 +85,7 @@ from ..kernels.bucketq import sort_unique
 from .result import INF, SSSPResult
 
 __all__ = [
+    "cached_split",
     "fused_delta_stepping",
     "fused_resolve",
     "run_buckets",
@@ -83,6 +100,9 @@ _EMPTY_V = np.empty(0, dtype=np.int64)
 
 #: the disabled-recorder stage context (reentrant, stateless)
 _NO_SPAN = nullcontext()
+
+#: ``graph.meta`` key of the ``(epoch, delta, (A_L, A_H))`` split cache
+_SPLIT_KEY = "_light_heavy_split"
 
 
 def _compact_csr(graph: Graph, keep: np.ndarray, values: np.ndarray | None = None):
@@ -128,6 +148,24 @@ def split_csr_light_heavy(graph: Graph, delta: float, fused: bool = True, record
     return AL, AH
 
 
+def cached_split(graph: Graph, delta: float):
+    """:func:`split_csr_light_heavy` of *graph* at *delta*, cached.
+
+    One split per ``(graph.epoch, delta)`` lives under a ``_``-prefixed
+    ``graph.meta`` key, so a mutation, :meth:`~repro.graphs.Graph.copy`
+    or a derived-cache drop retires it, and a new Δ replaces it.  A miss
+    calls the module-global :func:`split_csr_light_heavy`, so run-time
+    wrappers still count every split made.  Treat the arrays as
+    read-only — every solve on this epoch shares them.
+    """
+    entry = graph.meta.get(_SPLIT_KEY)
+    if entry is not None and entry[0] == graph.epoch and entry[1] == delta:
+        return entry[2]
+    split = split_csr_light_heavy(graph, delta)
+    graph.meta[_SPLIT_KEY] = (graph.epoch, delta, split)
+    return split
+
+
 def build_light_csr(graph: Graph, delta: float):
     """``A_L`` alone — one coarse task of the parallel decomposition."""
     return _compact_csr(graph, graph.weights <= delta)
@@ -150,9 +188,11 @@ def fused_delta_stepping(
 ) -> SSSPResult:
     """Sequential fused delta-stepping (the Fig. 3 "Fused C impl." series).
 
-    *kernel* picks the per-target min kernel (``auto``/``argsort``/
-    ``scatter``, see :mod:`repro.kernels.minby`); *workspace* is a
-    caller-owned buffer arena (by default each solve allocates its own).
+    *kernel* ``auto`` runs the compiled loop when it loaded (see
+    :func:`run_buckets`); ``argsort``/``scatter`` pin the NumPy loop's
+    per-target min kernel (:mod:`repro.kernels.minby`).  *workspace* is
+    a caller-owned buffer arena for the NumPy loop (by default each solve
+    allocates its own).
     A truthy *recorder* (:mod:`repro.obs`) receives the §VI.C stages as
     trace spans plus one ``bucket`` span per non-empty bucket (index,
     frontier size, phase count) — the per-bucket timeline the stage
@@ -192,12 +232,14 @@ def fused_resolve(
     if delta <= 0:
         raise ValueError("delta must be positive")
     check_kernel(kernel)
-    split = split_csr_light_heavy(graph, delta, fused=fuse_matrix_split, recorder=recorder)
+    if fuse_matrix_split and not recorder:
+        split = cached_split(graph, delta)
+    else:  # the ablation and recorded runs time their own filter:* stages
+        split = split_csr_light_heavy(graph, delta, fused=fuse_matrix_split, recorder=recorder)
     seeds = np.flatnonzero(active & np.isfinite(dist))
     active[:] = False
-    ws = workspace if workspace is not None else RelaxWorkspace(graph.num_vertices)
     return run_buckets(
-        split, dist, seeds, delta, kernel, ws, fuse_relax=fuse_relax, recorder=recorder
+        split, dist, seeds, delta, kernel, workspace, fuse_relax=fuse_relax, recorder=recorder
     )
 
 
@@ -212,12 +254,26 @@ def run_buckets(
     the key space (updated in place).  A :class:`~repro.kernels.BucketQueue`
     hands out each non-empty bucket; light phases run until it is
     quiescent, then one heavy phase relaxes its settled set.  Returns the
-    stepper counters (``steps`` are buckets).  *gather* replaces
-    :func:`~repro.kernels.gather_candidates` (the batch engine passes one
-    that maps ``k·n + v`` keys onto the CSR); ``fuse_relax=False`` is the
-    unfused ablation (dense full-length temporaries, one pass per op).
+    stepper counters (``steps`` are buckets).
+
+    ``kernel="auto"`` runs the compiled loop
+    (:mod:`repro.kernels.compiled`) when it loaded: keys are ``k·n + v``
+    with ``n`` the CSR's row count, so the batch engine's K·n state needs
+    no gather of its own.  A pinned kernel, ``fuse_relax=False``, a
+    *gather* or a truthy *recorder* runs the NumPy loop below, which is
+    also the fallback and the oracle; both give the same distances and
+    counters.  *gather* replaces :func:`~repro.kernels.gather_candidates`
+    (the batch engine's NumPy path passes one that maps ``k·n + v`` keys
+    onto the CSR); ``fuse_relax=False`` is the unfused ablation (dense
+    full-length temporaries, one pass per op).
     """
+    if kernel == "auto" and fuse_relax and gather is None and not recorder:
+        counters = compiled.run_buckets(split, t, seeds, delta)
+        if counters is not None:
+            return counters
     (ALp, ALi, ALw), (AHp, AHi, AHw) = split
+    if workspace is None:
+        workspace = RelaxWorkspace(len(t))
     # module globals resolved per call, so run-time wrappers (perf/tracer.py)
     # see every wave
     gather = gather_candidates if gather is None else gather

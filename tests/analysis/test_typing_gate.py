@@ -28,8 +28,11 @@ class TestGateArtifacts:
     def test_py_typed_marker_shipped(self):
         root, pkg, _ = repo_paths()
         assert (pkg / "py.typed").is_file()
-        # and setup.py actually packages it
-        assert 'package_data={"repro": ["py.typed"]}' in (root / "setup.py").read_text()
+        # and setup.py actually packages it (beside the compiled loop's C source)
+        assert (
+            'package_data={"repro": ["py.typed", "kernels/buckets.c"]}'
+            in (root / "setup.py").read_text()
+        )
 
     def test_mypy_config_pins_strict_gate(self):
         root, _, _ = repo_paths()

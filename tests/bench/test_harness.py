@@ -181,6 +181,24 @@ class TestKernelBench:
         assert "KERNEL" in text
         assert "seed" in text
 
+    def test_kernel_rows_split_once_per_solve(self, tiny_workloads, monkeypatch):
+        # the frozen seed splits on every solve; the timed kernel rows must
+        # too, or the per-epoch split cache reads as a kernel speedup
+        import repro.sssp.fused as fused
+        from repro.bench.kernel_bench import _variants
+
+        calls = []
+        real = fused.split_csr_light_heavy
+        monkeypatch.setattr(
+            fused, "split_csr_light_heavy", lambda g, d: calls.append(d) or real(g, d)
+        )
+        variants = _variants(tiny_workloads[0])
+        for name in ("argsort", "scatter", "auto"):
+            for _ in range(2):
+                before = len(calls)
+                variants[name]()
+                assert len(calls) == before + 1, name
+
     def test_seed_baseline_matches_dijkstra(self, tiny_workloads):
         from repro.bench.kernel_bench import seed_fused_delta_stepping
         from repro.sssp.reference import dijkstra

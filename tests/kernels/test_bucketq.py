@@ -6,28 +6,60 @@ import pytest
 from repro.kernels import BucketQueue
 
 
+#: the NumPy kernels, then ``auto`` — the compiled loop when it loaded
+#: (``argsort`` is then the oracle its counters are checked against)
+KERNELS = ("argsort", "scatter", "auto")
+
+
 def _arr(*xs):
     return np.asarray(xs, dtype=np.int64)
+
+
+def _counters(r):
+    return (r.buckets_processed, r.phases, r.relaxations, r.updates)
+
+
+def _solves_match_dijkstra(g, delta):
+    """The fused solve from 0 under every kernel: Dijkstra's distances and
+    the ``argsort`` run's four counters."""
+    from repro.sssp.fused import fused_delta_stepping
+    from repro.sssp.reference import dijkstra
+
+    oracle = dijkstra(g, 0).distances
+    runs = {k: fused_delta_stepping(g, 0, delta, kernel=k) for k in KERNELS}
+    for kernel, r in runs.items():
+        assert np.array_equal(r.distances, oracle), (delta, kernel)
+        assert _counters(r) == _counters(runs["argsort"]), (delta, kernel)
 
 
 def _batch_and_repair_match_dijkstra(g, delta, reweights):
     """The other callers of the shared bucket loop, against Dijkstra: the
     batch engine's rows over sources [0, 0, 3], then a repair from
-    source 0 after the *reweights* batch."""
+    source 0 after the *reweights* batch — under every kernel, with the
+    ``argsort`` run's counters."""
     from repro.dynamic import apply_edge_updates, repair_sssp
     from repro.service.batch import batch_fused_delta_stepping
     from repro.sssp.reference import dijkstra
 
     sources = [0, 0, 3]
-    for kernel in ("argsort", "scatter"):
-        rows = batch_fused_delta_stepping(g, sources, delta, kernel=kernel).distances
-        for row, s in zip(rows, sources):
+    batches = {k: batch_fused_delta_stepping(g, sources, delta, kernel=k) for k in KERNELS}
+    for kernel, b in batches.items():
+        for row, s in zip(b.distances, sources):
             assert np.array_equal(row, dijkstra(g, s).distances), (delta, kernel, s)
+        assert _counters(b) == _counters(batches["argsort"]), (delta, kernel)
     g = g.copy()
     d0 = dijkstra(g, 0).distances
     applied = apply_edge_updates(g, reweights=reweights)
-    rep = repair_sssp(g, 0, d0, applied, delta=delta)
-    assert np.array_equal(rep.distances, dijkstra(g, 0).distances), (delta, reweights)
+    oracle = dijkstra(g, 0).distances
+    repairs = {
+        k: repair_sssp(g, 0, d0, applied, delta=delta, stepper=f"delta(kernel={k})")
+        for k in KERNELS
+    }
+    for kernel, rep in repairs.items():
+        assert np.array_equal(rep.distances, oracle), (delta, reweights, kernel)
+        work = (rep.buckets, rep.phases, rep.relaxations, rep.updates)
+        ref = repairs["argsort"]
+        assert work == (ref.buckets, ref.phases, ref.relaxations, ref.updates), kernel
 
 
 class TestBasics:
@@ -102,15 +134,9 @@ class TestUlpBoundaryRegression:
 
     def test_confirmed_drop_case(self):
         from repro.graphs.graph import Graph
-        from repro.sssp.fused import fused_delta_stepping
-        from repro.sssp.reference import dijkstra
 
         g = Graph.from_edges([0, 1], [1, 2], [15.003965537540262, 1.0], n=3)
-        delta = 2.500660922923377
-        oracle = dijkstra(g, 0).distances
-        for kernel in ("argsort", "scatter"):
-            r = fused_delta_stepping(g, 0, delta, kernel=kernel)
-            assert np.array_equal(r.distances, oracle)
+        _solves_match_dijkstra(g, 2.500660922923377)
 
     def test_queue_never_loses_vertices_at_fuzzy_boundaries(self):
         rng = np.random.default_rng(11)
@@ -145,15 +171,10 @@ class TestUlpBoundaryRegression:
         than ±1 — push must still walk to a valid bucket and pop must
         make progress, like the seed's window scan did."""
         from repro.graphs.graph import Graph
-        from repro.sssp.fused import fused_delta_stepping
-        from repro.sssp.reference import dijkstra
 
         # vertex 3 is isolated: a batch row whose search ends at its source
         g = Graph.from_edges([0, 1], [1, 2], [1.455986969276348e17, 1.0], n=4)
-        oracle = dijkstra(g, 0).distances
-        for kernel in ("argsort", "scatter"):
-            r = fused_delta_stepping(g, 0, 6.405920704482398, kernel=kernel)
-            assert np.array_equal(r.distances, oracle)
+        _solves_match_dijkstra(g, 6.405920704482398)
         _batch_and_repair_match_dijkstra(g, 6.405920704482398, [(1, 2, 64.0)])
 
     def test_queue_level_ulp_starved_push_pop(self):
@@ -183,13 +204,12 @@ class TestUlpBoundaryRegression:
             new.phases, new.relaxations, new.updates,
         )
         assert new.buckets_processed <= seed.buckets_processed  # no phantoms
+        _solves_match_dijkstra(g, 1e-6)
         rows = kernel_bench_series([Workload("boundary", g, 0, 1e-6)], repeats=1)
         assert all(r["verified"] == "ok" for r in rows)
 
     def test_fused_fuzz_vs_dijkstra_random_deltas(self):
         from repro.graphs.graph import Graph
-        from repro.sssp.fused import fused_delta_stepping
-        from repro.sssp.reference import dijkstra
 
         rng = np.random.default_rng(5)
         pick_rng = np.random.default_rng(6)  # its own stream: rng draws the same 25 graphs
@@ -200,10 +220,7 @@ class TestUlpBoundaryRegression:
                 rng.uniform(0.0, 16.0, size=m), n=40,
             )
             delta = float(rng.uniform(0.05, 7.0))
-            oracle = dijkstra(g, 0).distances
-            for kernel in ("argsort", "scatter"):
-                r = fused_delta_stepping(g, 0, delta, kernel=kernel)
-                assert np.array_equal(r.distances, oracle), (delta, kernel)
+            _solves_match_dijkstra(g, delta)
             tails = g.row_sources()
             pick = pick_rng.choice(g.num_edges, size=3, replace=False)
             reweights = (tails[pick], g.indices[pick], pick_rng.uniform(0.0, 16.0, size=3))

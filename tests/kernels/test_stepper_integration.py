@@ -82,7 +82,9 @@ class TestRegistryBitIdentity:
 
 class TestFusedCounterParity:
     """Regression: fuse_relax=True/False count over different candidate
-    representations; the kernels must preserve their parity exactly."""
+    representations; the kernels must preserve their parity exactly.
+    Under ``auto`` the fused side is the compiled loop (when it loaded),
+    so those cases compare it with the unfused NumPy loop."""
 
     def _parity(self, g, source, delta, kernel):
         rs = [

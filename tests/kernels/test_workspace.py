@@ -34,7 +34,8 @@ class TestSteadyStateReuse:
         buffers with zero growths.
         """
         ws = _RecordingWorkspace(grid_graph.num_vertices)
-        fused_delta_stepping(grid_graph, 0, 1.0, workspace=ws)  # warmup: grows allowed
+        # warmup: grows allowed (a pinned kernel, so the NumPy loop uses the arena)
+        fused_delta_stepping(grid_graph, 0, 1.0, workspace=ws, kernel="scatter")
         ws.buffer_ids.clear()
         ws.waves = 0
         grows_before = ws.grows
@@ -148,6 +149,59 @@ class TestPerGraphCaching:
         entry = grid_graph.meta[_ROW_IDS_KEY]
         split_csr_light_heavy(grid_graph, 0.5, fused=False)
         assert grid_graph.meta[_ROW_IDS_KEY] is entry  # no recompute
+
+    @pytest.fixture
+    def split_calls(self, monkeypatch):
+        """Count the light/heavy splits solves make, through the module
+        global the split cache calls on a miss."""
+        from repro.sssp import fused
+
+        calls = []
+        real = fused.split_csr_light_heavy
+
+        def counting(graph, delta, *args, **kwargs):
+            calls.append(delta)
+            return real(graph, delta, *args, **kwargs)
+
+        monkeypatch.setattr(fused, "split_csr_light_heavy", counting)
+        return calls
+
+    def test_split_cached_per_epoch_and_delta(self, split_calls):
+        from repro.dynamic import apply_edge_updates
+        from repro.service import QueryService
+        from repro.service.batch import batch_fused_delta_stepping
+        from repro.sssp.fused import _SPLIT_KEY
+
+        g = generators.grid_2d(5, 5)
+        fused_delta_stepping(g, 0, 1.0)
+        batch_fused_delta_stepping(g, [0, 3], 1.0)
+        fused_delta_stepping(g, 7, 1.0, kernel="argsort")
+        assert split_calls == [1.0]  # one split serves every solve on the epoch
+        assert _SPLIT_KEY not in g.copy().meta  # copies start without it
+        fused_delta_stepping(g, 0, 0.5)
+        assert split_calls == [1.0, 0.5]  # a different Δ splits again
+        apply_edge_updates(g, reweights=[(0, 1, 3.0)])
+        r = fused_delta_stepping(g, 0, 0.5)
+        assert split_calls == [1.0, 0.5, 0.5]  # so does a mutation
+        assert np.array_equal(r.distances, dijkstra(g, 0).distances)
+        svc = QueryService(g)
+        svc.query(0)
+        n_before = len(split_calls)
+        svc.invalidate()
+        svc.query(0)
+        assert len(split_calls) == n_before + 1  # and a derived-cache drop
+
+    def test_recorded_and_unfused_split_solves_split_afresh(self, split_calls):
+        from repro.obs import Recorder
+
+        g = generators.grid_2d(4, 4)
+        fused_delta_stepping(g, 0, 1.0)
+        rec = Recorder()
+        for _ in range(2):
+            fused_delta_stepping(g, 0, 1.0, recorder=rec)
+            fused_delta_stepping(g, 0, 1.0, fuse_matrix_split=False)
+        assert len(split_calls) == 5
+        assert len(rec.trace.spans("filter:split")) == 2
 
     def test_solves_correct_after_mutation_with_caches(self):
         """The epoch key keeps cached expansions honest across mutations."""

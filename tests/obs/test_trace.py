@@ -67,6 +67,32 @@ class TestSpans:
         tr.clear()
         assert len(tr) == 0
 
+    def test_complete_records_the_given_interval_with_context(self):
+        tr = TraceRecorder()
+        t0 = time.perf_counter_ns()
+        with tr.context(request_id="q-1"):
+            tr.complete("round", t0, t0 + 2_500, queries=3)
+        tr.complete("outside", t0, t0)
+        first, second = tr.spans()
+        assert first["name"] == "round" and first["dur_us"] == 2.5
+        assert first["args"] == {"request_id": "q-1", "queries": 3}
+        assert second["args"] == {}
+
+    def test_contexts_nest_and_unwind(self):
+        tr = TraceRecorder()
+        with tr.context(request_id="q-1", shard=0):
+            with tr.context(shard=1):
+                with tr.span("inner"):
+                    pass
+            with tr.span("outer", request_id="mine"):
+                pass
+        with tr.span("after"):
+            pass
+        inner, outer, after = tr.spans()
+        assert inner["args"] == {"request_id": "q-1", "shard": 1}
+        assert outer["args"] == {"request_id": "mine", "shard": 0}
+        assert after["args"] == {}
+
     def test_exceptions_propagate_through_spans(self):
         tr = TraceRecorder()
         with pytest.raises(RuntimeError):

@@ -72,6 +72,27 @@ class TestSpanPropagation:
         assert all("q-000002" in str(s["args"]["request_id"]).split(",") for s in mine)
         assert not filter_spans_by_request(spans, "q-999999")
 
+    def test_batch_solve_span_carries_the_engine_counters(self, grid):
+        rec = Recorder()
+        svc = QueryService(grid, recorder=rec)
+        svc.query(0)
+        (span,) = rec.trace.spans("service:batch-solve")
+        assert span["args"]["phases"] > 0 and span["args"]["relaxations"] > 0
+        (drain,) = rec.trace.spans("service:drain")
+        assert span["dur_us"] <= drain["dur_us"]
+
+    def test_failed_solve_still_records_its_span(self, grid):
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver down")
+
+        rec = Recorder()
+        svc = QueryService(grid, recorder=rec, solver=broken)
+        with pytest.raises(RuntimeError):
+            svc.query(0)
+        (span,) = rec.trace.spans("service:batch-solve")
+        assert span["args"]["failed"] is True
+        assert span["args"]["request_id"] == "q-000001"
+
     def test_consecutive_drains_do_not_leak_context(self, grid):
         rec = Recorder()
         svc = QueryService(grid, recorder=rec)

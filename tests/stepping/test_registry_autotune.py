@@ -194,7 +194,9 @@ class TestAutoTuner:
             seen.append(kw)
             return real_solve(graph, source, **kw)
 
-        monkeypatch.setattr(sharded, "solve", spying_solve)
+        # shadow the bound method in the instance dict; undo deletes the key
+        # (setattr would write the bound method back as an instance attribute)
+        monkeypatch.setitem(vars(sharded), "solve", spying_solve)
         AutoTuner(
             candidates=("sharded(shards=2,transport=threads)",),
             num_sources=1, repeats=1,
