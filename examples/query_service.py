@@ -4,8 +4,8 @@
 The service layer turns the single-source reproduction into a throughput
 engine:
 
-- K queued queries from distinct sources become ONE batched
-  delta-stepping solve (shared light/heavy relaxation waves);
+- K queued queries from distinct sources become ONE batch: K
+  single-source delta-stepping solves on the compiled bucket loop;
 - repeat sources are answered from the LRU distance cache;
 - an ALT-style landmark index supplies certified [lower, upper] bounds,
   which the service answers with while a circuit breaker holds its
@@ -26,13 +26,13 @@ def main() -> None:
     rng = np.random.default_rng(11)
     print(f"graph: {graph}")
 
-    # --- the batch engine: K sources, one set of relaxation waves --------
+    # --- a batch: K sources, one single-source solve each ----------------
     sources = rng.choice(graph.num_vertices, size=16, replace=False)
     batch = batch_delta_stepping(graph, sources)
     oracle = dijkstra(graph, int(sources[0])).distances
     assert np.array_equal(batch.distances[0], oracle)
-    print(f"\nbatch engine: {batch}")
-    print(f"  {batch.num_sources} sources solved in {batch.phases} shared waves "
+    print(f"\nbatch: {batch}")
+    print(f"  {batch.num_sources} sources solved in {batch.phases} waves in all "
           f"({batch.relaxations} relaxation requests)")
     print("  row 0 matches Dijkstra exactly")
 

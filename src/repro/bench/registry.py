@@ -90,7 +90,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "SERVE": Experiment(
         id="SERVE",
         paper_artifact="Extension (service layer)",
-        claim="Batched multi-source engine serves >=2x the query throughput of a per-query fused loop over the CI suite (every batched answer bit-identical to Dijkstra)",
+        claim="Query service (coalesced batches of single-source solves) serves >=2x the query throughput of a per-query fused loop over the CI suite (every served answer bit-identical to Dijkstra)",
         run=lambda suite=None, **kw: service_throughput_series(suite_workloads(suite), **kw),
         render=render_service_throughput,
     ),

@@ -6,13 +6,16 @@ sources, deterministic seed) is answered two ways:
 - **loop** — the pre-service architecture: one
   :func:`repro.sssp.fused.fused_delta_stepping` run per query;
 - **service** — a cold :class:`repro.service.QueryService` that coalesces
-  the whole workload into batch-engine solves
-  (:func:`repro.service.batch.batch_delta_stepping`).
+  the whole workload into batches
+  (:func:`repro.service.batch.batch_delta_stepping`), each of them one
+  single-source solve per source on the same compiled loop the query
+  loop runs.  The ratio therefore measures what the service's planning,
+  caching and bookkeeping cost or save against the bare loop.
 
-Both sides answer exactly the same queries; the batch answers are
-verified bit-identical to per-source Dijkstra before timing (the batch
-engine replays the same ``d[u] + w`` additions along the same shortest
-paths, so on the unit-weight suite equality is exact, not approximate).
+Both sides answer exactly the same queries; every served answer is
+verified bit-identical to per-source Dijkstra before timing (a solve
+replays the same ``d[u] + w`` additions along the same shortest paths,
+so on the unit-weight suite equality is exact, not approximate).
 The headline (:func:`service_throughput_headline`) is the suite-level
 throughput ratio against :data:`SPEEDUP_TARGET`.
 """

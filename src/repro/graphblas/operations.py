@@ -360,8 +360,7 @@ def mxm(out, semiring: Semiring, A: Matrix, B: Matrix, mask=None, accum=None, de
     (``S = AᵀA ∘ A`` in §II.C): with a mask the kernel filters candidate
     products per chunk *before* reduction — for a regular mask keeping only
     in-mask keys, for a complemented mask dropping them — the standard
-    masked-mxm optimization.  The batch SSSP engine leans on this: its
-    frontier-matrix relaxation wave is one masked ``mxm`` per phase.
+    masked-mxm optimization.
     """
     desc = desc or NULL_DESC
     A = _resolve_input(A, desc, 0)
@@ -520,9 +519,7 @@ def assign_scalar_matrix(C: Matrix, value, rows=None, cols=None, mask=None, accu
     (``None`` means ALL, per the spec).  Unlike the whole-output
     operations, assign only *touches the region*: entries of *C* outside
     ``rows × cols`` always survive, while the accumulate→mask→replace
-    pipeline runs on the region's entries alone.  The batch SSSP engine
-    seeds its K×n tentative-distance matrix with this — one
-    ``t[k, s_k] = 0`` per source row.
+    pipeline runs on the region's entries alone.
     """
     desc = desc or NULL_DESC
     if mask is not None:

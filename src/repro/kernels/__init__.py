@@ -2,8 +2,8 @@
 
 The one implementation of the hot primitives every stepper in this repo
 is built from, extracted from the per-solver copies that used to live in
-``sssp/fused.py``, ``sssp/meyer_sanders.py``, ``sssp/reference.py``,
-``shard/``, and ``service/batch.py``:
+``sssp/fused.py``, ``sssp/meyer_sanders.py``, ``sssp/reference.py``
+and ``shard/``:
 
 =====================================  ====================================
 :mod:`~repro.kernels.minby`            per-target min-reduction kernels —

@@ -16,8 +16,9 @@ Dong et al. 2021 engineer their batched PQ):
   earlier bucket is simply dropped (its improvement pushed a fresh entry
   there), so no decrease-key ever happens.
 
-It schedules the shared Δ-bucket loop (:func:`repro.sssp.fused.run_buckets`)
-of single-source solves, the multi-source batch engine and repair.
+It schedules the NumPy back end of the shared Δ-bucket loop
+(:func:`repro.sssp.fused.run_buckets`) of single-source solves and
+repair.
 
 Work is O(pushes log buckets) overall instead of O(n) per bucket, and
 the frontier a pop returns is exactly the set the seed's window scan
@@ -44,8 +45,8 @@ _EMPTY: NDArray[np.int64] = np.empty(0, dtype=np.int64)
 
 def sort_unique(keys: NDArray[np.int64]) -> NDArray[np.int64]:
     """``np.unique(keys)`` by an in-place sort and compare — an order of
-    magnitude faster than recent NumPy's hashing ``np.unique`` on the
-    10⁵-key frontiers of dense batch waves."""
+    magnitude faster than recent NumPy's hashing ``np.unique`` on
+    10⁵-key frontiers."""
     keys.sort()
     keep = np.empty(len(keys), dtype=bool)
     keep[:1] = True

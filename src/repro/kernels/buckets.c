@@ -3,15 +3,12 @@
  *
  * The paper's fastest delta-stepping (§VI.B, Fig. 3's "Fused C impl.")
  * fuses the Hadamard product, the vxm and the vector filters into one
- * direct loop.  This file is that loop, for every caller of run_buckets:
- * single-source solves, the K·n batch engine and incremental repair.
- * Plain C ABI, no Python.h; repro.kernels.compiled builds it at import
- * and calls it through ctypes (which releases the GIL).
- *
- * Keys are k·n + v with n = len(indptr) - 1 and N = len(t), so a
- * single-source solve (N == n) and a batch of K sources (N == K·n) share
- * one entry point: a key's out-edges are row v of the CSR, and its
- * targets stay in the key's own block of n.
+ * direct loop over one source's vertices.  This file is that loop, for
+ * every caller of run_buckets: single-source solves (the service's
+ * batches are K of them) and incremental repair.  It relaxes one vertex
+ * space: t has one entry per CSR row.  Plain C ABI, no Python.h;
+ * repro.kernels.compiled builds it at import and calls it through ctypes
+ * (which releases the GIL).
  *
  * The schedule is the NumPy loop's, step for step, so distances and the
  * four counters (buckets, phases, relaxations, updates) match exactly:
@@ -40,7 +37,7 @@
 
 enum { RB_OK = 0, RB_OVERFLOW = 1, RB_BAD_CSR = 2, RB_NO_MEMORY = 3 };
 
-/* per-key mark bits: seen in this pop, settled in this bucket, holds a request */
+/* per-vertex mark bits: seen in this pop, settled in this bucket, holds a request */
 enum { M_POP = 1, M_SETTLED = 2, M_REQ = 4 };
 
 /* BucketQueue.push refuses distance/delta ratios from here on */
@@ -245,37 +242,34 @@ typedef struct {
  * request, min-reduced per target into req (NaN propagating, as in
  * np.minimum); the targets with a request are listed once each.  Rows
  * and columns are bounds-checked. */
-static int scan(const vec *frontier, const csr *A, int64_t N, int64_t n, const double *t,
-                double *req, unsigned char *mark, vec *touched, int64_t *relaxations)
+static int scan(const vec *frontier, const csr *A, int64_t n, const double *t, double *req,
+                unsigned char *mark, vec *touched, int64_t *relaxations)
 {
     touched->len = 0;
     for (int64_t f = 0; f < frontier->len; f++) {
         int64_t u = frontier->a[f];
-        int64_t v = N == n ? u : u % n;
-        int64_t base = u - v;
-        int64_t s = A->ptr[v], e = A->ptr[v + 1];
+        int64_t s = A->ptr[u], e = A->ptr[u + 1];
         if (s < 0 || e < s || e > A->nnz)
             return RB_BAD_CSR;
         double du = t[u];
         *relaxations += e - s;
         for (int64_t j = s; j < e; j++) {
-            int64_t col = A->idx[j];
-            if ((uint64_t)col >= (uint64_t)n)
+            int64_t v = A->idx[j];
+            if ((uint64_t)v >= (uint64_t)n)
                 return RB_BAD_CSR;
-            int64_t key = base + col;
             double c = du + A->w[j];
             /* a candidate that neither improves t nor is NaN cannot
              * change the wave's outcome (t is not written until the
              * wave applies) */
-            if (!(c < t[key]) && c == c)
+            if (!(c < t[v]) && c == c)
                 continue;
-            if (mark[key] & M_REQ) {
-                if (c < req[key] || c != c)
-                    req[key] = c;
+            if (mark[v] & M_REQ) {
+                if (c < req[v] || c != c)
+                    req[v] = c;
             } else {
-                mark[key] |= M_REQ;
-                req[key] = c;
-                if (!vec_push(touched, key))
+                mark[v] |= M_REQ;
+                req[v] = c;
+                if (!vec_push(touched, v))
                     return RB_NO_MEMORY;
             }
         }
@@ -360,15 +354,15 @@ static int pop_bucket(queue *q, const double *t, unsigned char *mark, vec *gathe
 }
 
 /*
- * Run the light/heavy bucket loop from *seeds* to quiescence over the key
- * space 0..N-1, updating t in place.  A_L and A_H are CSR triples over n
- * rows (ptr has n + 1 entries, idx and w at least nnz).  counters
- * receives buckets, phases, relaxations and updates.  Returns RB_OK, or
- * RB_OVERFLOW (a distance/delta ratio reached 2**62), RB_BAD_CSR (a row
- * or column out of range) or RB_NO_MEMORY; t is then partly updated.
- * The caller guarantees n > 0, N % n == 0 and 0 <= seeds[j] < N.
+ * Run the light/heavy bucket loop from *seeds* to quiescence over the
+ * vertices 0..n-1, updating t (n entries) in place.  A_L and A_H are CSR
+ * triples over n rows (ptr has n + 1 entries, idx and w at least nnz).
+ * counters receives buckets, phases, relaxations and updates.  Returns
+ * RB_OK, or RB_OVERFLOW (a distance/delta ratio reached 2**62),
+ * RB_BAD_CSR (a row or column out of range) or RB_NO_MEMORY; t is then
+ * partly updated.  The caller guarantees n > 0 and 0 <= seeds[j] < n.
  */
-int repro_run_buckets(int64_t N, double *t, int64_t n, const int64_t *seeds, int64_t num_seeds,
+int repro_run_buckets(double *t, int64_t n, const int64_t *seeds, int64_t num_seeds,
                       double delta, const int64_t *al_ptr, const int64_t *al_idx,
                       const double *al_w, int64_t al_nnz, const int64_t *ah_ptr,
                       const int64_t *ah_idx, const double *ah_w, int64_t ah_nnz,
@@ -380,8 +374,8 @@ int repro_run_buckets(int64_t N, double *t, int64_t n, const int64_t *seeds, int
     vec frontier = {0}, next = {0}, settled = {0}, touched = {0}, gathered = {0}, late = {0},
         idx = {0};
     queue q = {.delta = delta};
-    unsigned char *mark = calloc((size_t)N, 1);
-    double *req = malloc((size_t)N * sizeof *req);
+    unsigned char *mark = calloc((size_t)n, 1);
+    double *req = malloc((size_t)n * sizeof *req);
     if (!mark || !req)
         goto done;
 
@@ -408,7 +402,7 @@ int repro_run_buckets(int64_t N, double *t, int64_t n, const int64_t *seeds, int
                 }
             }
             if (status == RB_OK)
-                status = scan(&frontier, &AL, N, n, t, req, mark, &touched, &relaxations);
+                status = scan(&frontier, &AL, n, t, req, mark, &touched, &relaxations);
             if (status == RB_OK)
                 status = apply(&touched, t, req, mark, &q, b, hi, &next, &updates);
             vec_swap(&frontier, &next);
@@ -416,7 +410,7 @@ int repro_run_buckets(int64_t N, double *t, int64_t n, const int64_t *seeds, int
         /* one heavy phase over the settled set */
         phases++;
         if (status == RB_OK)
-            status = scan(&settled, &AH, N, n, t, req, mark, &touched, &relaxations);
+            status = scan(&settled, &AH, n, t, req, mark, &touched, &relaxations);
         if (status == RB_OK)
             status = apply(&touched, t, req, mark, &q, b, INFINITY, &next, &updates);
         if (status == RB_OK)

@@ -107,7 +107,7 @@ def _load() -> Any:
             # mapping outlives its file
             shutil.rmtree(cache, ignore_errors=True)
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, ptr, i64, ptr, i64, ctypes.c_double,
+    fn.argtypes = [ptr, i64, ptr, i64, ctypes.c_double,
                    ptr, ptr, ptr, i64, ptr, ptr, ptr, i64, ptr]
     fn.restype = ctypes.c_int
     return fn
@@ -134,33 +134,33 @@ def run_buckets(
 ) -> dict[str, int] | None:
     """The compiled :func:`repro.sssp.fused.run_buckets`, or ``None``.
 
-    Keys are ``k·n + v`` over ``len(t)`` with ``n = len(indptr) - 1``.
-    ``None`` means "run the NumPy loop": the library did not load, or the
-    input is outside what the C code accepts — a *t* that is not a
-    writable 1-D ``float64`` array, a key space that is not a multiple of
-    *n*, a seed out of range, or a Δ that is not positive.  CSR arrays of
-    other dtypes are converted, and a non-contiguous *t* runs on a copy
-    that is written back.  Raises ``OverflowError`` where
+    *t* holds one distance per vertex: ``len(t) == n`` with
+    ``n = len(indptr) - 1``.  ``None`` means "run the NumPy loop": the
+    library did not load, or the input is outside what the C code
+    accepts — a *t* that is not a writable 1-D ``float64`` array of
+    length *n*, a seed out of range, or a Δ that is not positive.  CSR
+    arrays of other dtypes are converted, and a non-contiguous *t* runs
+    on a copy that is written back.  Raises ``OverflowError`` where
     :class:`~repro.kernels.BucketQueue` would.
     """
     if _RUN is None:
         return None
     (ALp, ALi, ALw, al_nnz), (AHp, AHi, AHw, ah_nnz) = _csr(split[0]), _csr(split[1])
-    n, N = len(ALp) - 1, len(t)
+    n = len(ALp) - 1
     seeds = np.asarray(seeds)
     if (
-        n <= 0 or len(AHp) != n + 1 or N == 0 or N % n
+        n <= 0 or len(AHp) != n + 1 or len(t) != n
         or t.dtype != np.float64 or t.ndim != 1 or not t.flags.writeable
         or seeds.dtype.kind not in "iu" or not delta > 0
     ):
         return None
     seeds = np.ascontiguousarray(seeds.reshape(-1), dtype=np.int64)
-    if len(seeds) and (seeds.min() < 0 or seeds.max() >= N):
+    if len(seeds) and (seeds.min() < 0 or seeds.max() >= n):
         return None
     buf = t if t.flags.c_contiguous else np.ascontiguousarray(t)
     counters = np.zeros(len(_COUNTERS), dtype=np.int64)
     status = _RUN(
-        N, buf.ctypes.data, n, seeds.ctypes.data, len(seeds), float(delta),
+        buf.ctypes.data, n, seeds.ctypes.data, len(seeds), float(delta),
         ALp.ctypes.data, ALi.ctypes.data, ALw.ctypes.data, al_nnz,
         AHp.ctypes.data, AHi.ctypes.data, AHw.ctypes.data, ah_nnz,
         counters.ctypes.data,

@@ -105,8 +105,7 @@ def min_by_target_scatter(
     ``np.minimum.at`` folds the wave into ``workspace.req``; compaction
     is a touched-mask scan for dense waves (O(n), no sort) and a
     sorted-unique for thin ones (so a caller that pins ``scatter`` on a
-    huge key space — the batched multi-source engine — never rescans the
-    whole state for a sparse wave).  Only touched keys are reset, so the
+    large graph never rescans the whole state for a sparse wave).  Only touched keys are reset, so the
     workspace invariant costs O(m), not O(n).
     """
     if len(targets) == 0:

@@ -59,9 +59,7 @@ class RelaxWorkspace:
     Parameters
     ----------
     n:
-        Size of the per-target key space — the vertex count for
-        single-source solvers, ``K * n`` for the batched multi-source
-        engine's flattened state.
+        Size of the per-target key space: the vertex count.
 
     Attributes
     ----------

@@ -1,12 +1,12 @@
-"""Distance-query service: batch SSSP engine + cache + landmarks + server.
+"""Distance-query service: batch SSSP + cache + landmarks + server.
 
 The throughput layer on top of the reproduction.  Where :mod:`repro.sssp`
 answers "one source, one run", this package serves *query traffic*:
 
 ==========================  =================================================
-:mod:`~repro.service.batch`      K-source delta-stepping through shared
-                                 light/heavy relaxation waves (one Δ-bucket
-                                 loop over the K·n state instead of K solves)
+:mod:`~repro.service.batch`      K-source SSSP as K single-source solves of
+                                 one registered stepper (``delta``: the
+                                 compiled Δ-bucket loop), rows stacked K×n
 :mod:`~repro.service.cache`      LRU cache of full distance vectors with
                                  mutation invalidation
 :mod:`~repro.service.landmarks`  ALT-style triangle-inequality bounds for
@@ -30,11 +30,7 @@ Entry points::
 
 from __future__ import annotations
 
-from .batch import (
-    BatchSSSPResult,
-    batch_delta_stepping,
-    batch_fused_delta_stepping,
-)
+from .batch import BatchSSSPResult, batch_delta_stepping
 from .cache import CacheStats, DistanceCache
 from .landmarks import DistanceEstimate, LandmarkIndex, select_landmarks
 from .planner import MAX_BATCH_SIZE, Query, QueryPlan, QueryPlanner
@@ -43,7 +39,6 @@ from .server import MutationReport, QueryResponse, QueryService, ServiceStats
 __all__ = [
     "BatchSSSPResult",
     "batch_delta_stepping",
-    "batch_fused_delta_stepping",
     "DistanceCache",
     "CacheStats",
     "LandmarkIndex",

@@ -60,13 +60,14 @@ class DistanceCache:
     with two epochs: the graph's own ``epoch`` attribute (bumped by the
     mutation API, so every pre-mutation entry mismatches at once with no
     call into the cache) and a cache-local manual epoch that
-    :meth:`invalidate` bumps for raw in-place mutations.  A
-    ``weakref.finalize`` per graph drops its entries when the graph is
-    garbage-collected (which also protects against ``id`` reuse).  The
-    finalize callback can fire from the garbage collector at any
-    allocation point — possibly while this very cache holds its lock — so
-    it only *enqueues* the dead id; the locked public methods purge the
-    queue.
+    :meth:`invalidate` bumps for raw in-place mutations.  A weak reference
+    per graph drops its entries when the graph is garbage-collected
+    (which also protects against ``id`` reuse).  The cache holds those
+    references, so they die with it: a long-lived graph served by many
+    short-lived caches keeps no callback per dead cache.  The callback
+    can fire from the garbage collector at any allocation point —
+    possibly while this very cache holds its lock — so it only
+    *enqueues* the dead id; the locked public methods purge the queue.
     """
 
     def __init__(self, capacity: int = 128, metrics=None):
@@ -75,7 +76,8 @@ class DistanceCache:
         self.capacity = capacity
         self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._epochs: dict[int, int] = {}
-        self._dead_gids: deque[int] = deque()  # filled lock-free by finalizers
+        self._watches: dict[int, weakref.ref] = {}  # gid -> weak ref to the graph
+        self._dead_gids: deque[int] = deque()  # filled lock-free by their callbacks
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -112,7 +114,8 @@ class DistanceCache:
         if manual is None:
             manual = 0
             self._epochs[gid] = manual
-            weakref.finalize(graph, self._dead_gids.append, gid)
+            dead = self._dead_gids
+            self._watches[gid] = weakref.ref(graph, lambda _, gid=gid: dead.append(gid))
         return gid, getattr(graph, "epoch", 0), manual
 
     def _purge_dead(self) -> None:
@@ -120,6 +123,7 @@ class DistanceCache:
         while self._dead_gids:
             gid = self._dead_gids.popleft()
             self._epochs.pop(gid, None)
+            self._watches.pop(gid, None)
             for key in [k for k in self._entries if k[0] == gid]:
                 del self._entries[key]
 

@@ -1,4 +1,4 @@
-"""Query planning: coalesce pending queries into batches for the batch engine.
+"""Query planning: coalesce pending queries into batches of exact solves.
 
 The planner is the pure-decision half of the service (the server executes
 the plan).  Given the pending queries it:
@@ -6,9 +6,11 @@ the plan).  Given the pending queries it:
 1. deduplicates sources — fifty point queries from one source need one
    distance vector;
 2. answers whatever the cache already holds;
-3. packs the remaining sources into batch-engine groups of at most
-   :data:`MAX_BATCH_SIZE`, stamped with the exact-solve stepper (pinned
-   by the caller, or tuned per graph by the stepping auto-tuner).
+3. packs the remaining sources into batches of at most
+   :data:`MAX_BATCH_SIZE` (each solved as one single-source solve per
+   source, :func:`repro.service.batch.batch_delta_stepping`), stamped
+   with the exact-solve stepper (pinned by the caller, or tuned per
+   graph by the stepping auto-tuner).
 
 Keeping this logic free of I/O and timing makes it unit-testable.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 __all__ = ["MAX_BATCH_SIZE", "Query", "QueryPlan", "QueryPlanner"]
 
-#: upper bound on the K of one batch solve (bounds the K×n state)
+#: upper bound on the K of one batch solve (bounds its K×n result matrix)
 MAX_BATCH_SIZE = 64
 
 
@@ -49,9 +51,9 @@ class QueryPlan:
     fetched (probing and fetching are one operation — the server must
     not re-fetch, both for honest hit counting and because a shared
     cache could evict between plan and execution); ``batches`` are
-    source groups to hand to the batch engine.  ``stepper`` is the
+    source groups to hand to the batch solver.  ``stepper`` is the
     planner's algorithm choice for the exact solves (``None`` = the
-    server's default batch engine) — pinned by the caller or tuned per
+    server's default, ``delta``) — pinned by the caller or tuned per
     graph by the stepping auto-tuner.
     """
 
@@ -65,7 +67,7 @@ class QueryPlan:
 
 
 class QueryPlanner:
-    """Routes queries between the cache and the batch engine.
+    """Routes queries between the cache and the batch solver.
 
     Parameters
     ----------
@@ -74,7 +76,7 @@ class QueryPlanner:
         a name or a parameterized form like ``"sharded(shards=4)"``
         (stamped onto every plan).  ``None`` leaves the choice to the
         tuned pick (:meth:`set_tuned_stepper`) or, failing that, the
-        server's default batch engine.
+        server's default, ``delta``.
     """
 
     def __init__(self, stepper: str | None = None):

@@ -2,7 +2,7 @@
 
 :class:`QueryService` is the front door of the subsystem.  Callers
 ``submit`` point or one-to-many queries; ``drain`` executes one planning
-round — cache probes, then batched exact solves
+round — cache probes, then batches of exact single-source solves
 (:mod:`repro.service.batch`), degrading to landmark bounds
 (:mod:`repro.service.landmarks`) only while a circuit breaker holds the
 solver off — and returns every response in submission order.  ``query``
@@ -149,7 +149,8 @@ class QueryService:
     weight_mode:
         Cache-key tag for the weight configuration of *graph*.
     delta:
-        Δ for the batch engine (``None`` = auto).
+        Δ of the ``delta`` stepper's exact solves (``None`` = auto,
+        :func:`repro.sssp.delta.choose_delta`).
     cache:
         A :class:`DistanceCache` (one is created when omitted; pass a
         shared instance to pool across services).
@@ -160,7 +161,7 @@ class QueryService:
         accepted by :func:`repro.service.batch.batch_delta_stepping`,
         e.g. ``"rho"``).  Forwarded to the planner.  ``None`` leaves the
         choice to the tuner when one is set, and otherwise solves with
-        ``"delta"`` (the shared-wave fused batch engine).
+        ``"delta"`` (one compiled fused solve per source).
     autotune:
         Let the stepping auto-tuner pick the exact-solve algorithm per
         graph epoch: the first drain *that needs an exact solve* (and
@@ -174,7 +175,8 @@ class QueryService:
     recorder:
         A truthy :class:`repro.obs.Recorder` traces every drain round
         (``service:drain`` / ``service:plan`` / ``service:batch-solve``
-        spans, forwarded into the solves), feeds the per-query and
+        spans, forwarded into every stepper's solves but ``delta``'s,
+        which stay on the compiled loop), feeds the per-query and
         mutation latencies into ``service.query_ms`` /
         ``service.mutate_ms`` histograms (``latency-ms`` bucket preset:
         sub-ms resolution; without a recorder the service keeps its own

@@ -38,7 +38,7 @@ Entry points::
     print(res.extra["entries_carried"])          # communication volume
 
 Because ``"sharded"`` is a registered stepper with full ``resolve``
-support, the batch engine (``batch_delta_stepping(..., method="sharded")``),
+support, the service's batches (``batch_delta_stepping(..., method="sharded")``),
 incremental repair (``repair_sssp(..., stepper="sharded")``), the service
 planner, the auto-tuner, and the CLI all dispatch to it unchanged.
 """

@@ -14,7 +14,7 @@ Two cost-model pieces live here:
 
 - :class:`Outbox` buffers are dense per-sender request arrays
   (scatter-min accumulation, the same ``np.minimum.at`` idiom as the
-  batch engine), so duplicate candidates for one target collapse
+  ``scatter`` kernel), so duplicate candidates for one target collapse
   *before* they would cross a wire;
 - :class:`ExchangeStats` counts what a real multi-machine transport
   would pay — posted candidates, deduplicated entries actually carried,

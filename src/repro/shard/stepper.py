@@ -29,8 +29,8 @@ boundary, and a superstep is exactly a Δ*-stepping step:
 ``sharded(shards=1)`` walks Δ*'s schedule, counter for counter.
 
 ``resolve`` implements the full seeded contract, so incremental repair
-(:func:`repro.dynamic.repair_sssp`) and the batch engine dispatch to the
-sharded backend unchanged.
+(:func:`repro.dynamic.repair_sssp`) and the service's batches dispatch
+to the sharded backend unchanged.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ object from the hot loop.  The primitives themselves live in
   additionally count phantom empty buckets at misrounded float
   boundaries.)
 
-That loop, :func:`run_buckets`, is shared: the solve seeds ``{source}``,
-repair seeds a dirty set (through :func:`fused_resolve`) and the fused
-batch engine seeds ``k·n + s_k``.  It has two back ends with the same
+That loop, :func:`run_buckets`, is shared: the solve seeds ``{source}``
+and repair seeds a dirty set (both through :func:`fused_resolve`); the
+service's batches are K solves.  It has two back ends with the same
 distances and the same four counters:
 
 - ``kernel="auto"`` (the default) runs it compiled, as the paper does:
@@ -45,8 +45,8 @@ distances and the same four counters:
   (``CC=false``) and the oracle the compiled loop is tested against.
 
 The light/heavy split a solve runs on is cached per graph epoch and Δ
-(:func:`cached_split`), so solves, batches and repairs on one epoch
-split once; recorded runs and ``fuse_matrix_split=False`` split afresh,
+(:func:`cached_split`), so every solve and repair on one epoch splits
+once; recorded runs and ``fuse_matrix_split=False`` split afresh,
 so their ``filter:*`` stages stay measured.
 
 Both paper fusions stay independently toggleable so the fusion ablation
@@ -245,38 +245,30 @@ def fused_resolve(
 
 def run_buckets(
     split, t: np.ndarray, seeds: np.ndarray, delta: float, kernel: str = "auto",
-    workspace: RelaxWorkspace | None = None, gather=None, fuse_relax: bool = True,
-    recorder=None,
+    workspace: RelaxWorkspace | None = None, fuse_relax: bool = True, recorder=None,
 ) -> dict[str, int]:
     """The §VI.B light/heavy bucket loop, run from *seeds* to quiescence.
 
-    *split* is the ``(A_L, A_H)`` CSR pair and *t* the distances over
-    the key space (updated in place).  A :class:`~repro.kernels.BucketQueue`
+    *split* is the ``(A_L, A_H)`` CSR pair and *t* the distances of its
+    vertices (updated in place).  A :class:`~repro.kernels.BucketQueue`
     hands out each non-empty bucket; light phases run until it is
     quiescent, then one heavy phase relaxes its settled set.  Returns the
     stepper counters (``steps`` are buckets).
 
     ``kernel="auto"`` runs the compiled loop
-    (:mod:`repro.kernels.compiled`) when it loaded: keys are ``k·n + v``
-    with ``n`` the CSR's row count, so the batch engine's K·n state needs
-    no gather of its own.  A pinned kernel, ``fuse_relax=False``, a
-    *gather* or a truthy *recorder* runs the NumPy loop below, which is
-    also the fallback and the oracle; both give the same distances and
-    counters.  *gather* replaces :func:`~repro.kernels.gather_candidates`
-    (the batch engine's NumPy path passes one that maps ``k·n + v`` keys
-    onto the CSR); ``fuse_relax=False`` is the unfused ablation (dense
-    full-length temporaries, one pass per op).
+    (:mod:`repro.kernels.compiled`) when it loaded.  A pinned kernel,
+    ``fuse_relax=False`` or a truthy *recorder* runs the NumPy loop
+    below, which is also the fallback and the oracle; both give the same
+    distances and counters.  ``fuse_relax=False`` is the unfused
+    ablation (dense full-length temporaries, one pass per op).
     """
-    if kernel == "auto" and fuse_relax and gather is None and not recorder:
+    if kernel == "auto" and fuse_relax and not recorder:
         counters = compiled.run_buckets(split, t, seeds, delta)
         if counters is not None:
             return counters
     (ALp, ALi, ALw), (AHp, AHi, AHw) = split
     if workspace is None:
         workspace = RelaxWorkspace(len(t))
-    # module globals resolved per call, so run-time wrappers (perf/tracer.py)
-    # see every wave
-    gather = gather_candidates if gather is None else gather
     n = len(t)
     # dense scratch for the unfused ablation only; the fused relax needs
     # no full-length temporaries at all
@@ -288,7 +280,7 @@ def run_buckets(
     def relax_unfused(indptr, indices, weights, frontier, lo, hi, track_bucket):
         """Unfused variant: full-length dense temporaries, one op per pass
         (the op-by-op shape of Fig. 2, on dense storage)."""
-        targets, dists = gather(indptr, indices, weights, frontier, t, workspace)
+        targets, dists = gather_candidates(indptr, indices, weights, frontier, t, workspace)
         if targets is None:
             return np.empty(0, dtype=np.int64)
         counters["relaxations"] += len(targets)
@@ -327,7 +319,7 @@ def run_buckets(
         one pass, no dense temporaries."""
         with (recorder.span("relax:fused", kernel=kernel, wave=int(len(frontier)))
               if recorder else _NO_SPAN):
-            targets, dists = gather(indptr, indices, weights, frontier, t, workspace)
+            targets, dists = gather_candidates(indptr, indices, weights, frontier, t, workspace)
             if targets is None:
                 return _EMPTY_V
             counters["relaxations"] += len(targets)

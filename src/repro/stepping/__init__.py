@@ -44,7 +44,7 @@ The paper's five formulations are registered alongside the new steppers
 ("meyer-sanders", "graphblas", "capi", "delta" = the fused kernel,
 "parallel"), as are the "dijkstra" and "bellman-ford" baselines, so
 :data:`STEPPERS` is the one solver registry: ``repro run --stepper``,
-:func:`repro.sssp.delta_stepping` and the batch engine all look up here.
+:func:`repro.sssp.delta_stepping` and the service's batches all look up here.
 """
 
 from __future__ import annotations

@@ -106,14 +106,14 @@ class TestHotLoopAlloc:
         assert _on(run_lint(select=["hot-loop-alloc"], root=root), "kernels/mod.py") == []
 
     def test_hot_files_must_carry_markers(self, tmp_path):
-        root = _tree(tmp_path, {"service/batch.py": """\
+        root = _tree(tmp_path, {"sssp/fused.py": """\
             def relax():
                 return 0
             """})
         found = run_lint(select=["hot-loop-alloc"], root=root)
         # the marker-less known-hot file is flagged, so the contract
         # cannot rot away by deleting comments
-        assert any(f.path.endswith("service/batch.py")
+        assert any(f.path.endswith("sssp/fused.py")
                    and "no `# repro: hot` markers" in f.message for f in found)
 
     def test_repo_hot_files_all_marked(self):

@@ -339,8 +339,7 @@ class TestExtractAssign:
         ]
 
     def test_assign_scalar_matrix_preserves_outside_region(self):
-        """GrB_assign semantics: entries outside rows x cols survive —
-        the batch engine seeds one source per row in K separate calls."""
+        """GrB_assign semantics: entries outside rows x cols survive."""
         c = Matrix.new(FP64, 2, 3)
         assign_scalar_matrix(c, 1.0, rows=[0], cols=[0])
         assign_scalar_matrix(c, 2.0, rows=[1], cols=[2])

@@ -32,21 +32,13 @@ def _solves_match_dijkstra(g, delta):
         assert _counters(r) == _counters(runs["argsort"]), (delta, kernel)
 
 
-def _batch_and_repair_match_dijkstra(g, delta, reweights):
-    """The other callers of the shared bucket loop, against Dijkstra: the
-    batch engine's rows over sources [0, 0, 3], then a repair from
-    source 0 after the *reweights* batch — under every kernel, with the
-    ``argsort`` run's counters."""
+def _repair_matches_dijkstra(g, delta, reweights):
+    """The shared bucket loop's other caller, against Dijkstra: a repair
+    from source 0 after the *reweights* batch — under every kernel, with
+    the ``argsort`` run's counters."""
     from repro.dynamic import apply_edge_updates, repair_sssp
-    from repro.service.batch import batch_fused_delta_stepping
     from repro.sssp.reference import dijkstra
 
-    sources = [0, 0, 3]
-    batches = {k: batch_fused_delta_stepping(g, sources, delta, kernel=k) for k in KERNELS}
-    for kernel, b in batches.items():
-        for row, s in zip(b.distances, sources):
-            assert np.array_equal(row, dijkstra(g, s).distances), (delta, kernel, s)
-        assert _counters(b) == _counters(batches["argsort"]), (delta, kernel)
     g = g.copy()
     d0 = dijkstra(g, 0).distances
     applied = apply_edge_updates(g, reweights=reweights)
@@ -172,10 +164,9 @@ class TestUlpBoundaryRegression:
         make progress, like the seed's window scan did."""
         from repro.graphs.graph import Graph
 
-        # vertex 3 is isolated: a batch row whose search ends at its source
         g = Graph.from_edges([0, 1], [1, 2], [1.455986969276348e17, 1.0], n=4)
         _solves_match_dijkstra(g, 6.405920704482398)
-        _batch_and_repair_match_dijkstra(g, 6.405920704482398, [(1, 2, 64.0)])
+        _repair_matches_dijkstra(g, 6.405920704482398, [(1, 2, 64.0)])
 
     def test_queue_level_ulp_starved_push_pop(self):
         d = np.array([1.455986969276348e17])
@@ -224,7 +215,7 @@ class TestUlpBoundaryRegression:
             tails = g.row_sources()
             pick = pick_rng.choice(g.num_edges, size=3, replace=False)
             reweights = (tails[pick], g.indices[pick], pick_rng.uniform(0.0, 16.0, size=3))
-            _batch_and_repair_match_dijkstra(g, delta, reweights)
+            _repair_matches_dijkstra(g, delta, reweights)
 
 
 class TestBoundaryPlacement:

@@ -36,25 +36,32 @@ def _loop(g, t, kernel, delta=0.7):
     return run_buckets(split_csr_light_heavy(g, delta), t, np.array([0]), delta, kernel)
 
 
-@needs_compiled
-def test_compiled_loop_runs_for_auto(monkeypatch):
-    """With the library loaded, ``auto`` never enters the NumPy waves:
-    the single-source solve, the batch engine and repair all answer with
-    the NumPy gather and min kernel unreachable."""
-    from repro.dynamic import apply_edge_updates, repair_sssp
-    from repro.service.batch import batch_fused_delta_stepping
+def _numpy_waves_unreachable(monkeypatch):
+    """Make the NumPy loop's gather and min kernel raise when called."""
     from repro.sssp import fused
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the NumPy loop ran")
 
-    g = _graph()
-    d0 = dijkstra(g, 0).distances
     monkeypatch.setattr(fused, "gather_candidates", unreachable)
     monkeypatch.setattr(fused, "min_by_target", unreachable)
+
+
+@needs_compiled
+def test_compiled_loop_runs_for_auto(monkeypatch):
+    """With the library loaded, ``auto`` never enters the NumPy waves:
+    the single-source solve, a batch and repair all answer with the
+    NumPy gather and min kernel unreachable."""
+    from repro.dynamic import apply_edge_updates, repair_sssp
+    from repro.service.batch import batch_delta_stepping
+
+    g = _graph()
+    d0 = dijkstra(g, 0).distances
+    d5 = dijkstra(g, 5).distances
+    _numpy_waves_unreachable(monkeypatch)
     assert np.array_equal(fused_delta_stepping(g, 0, 0.7).distances, d0)
-    rows = batch_fused_delta_stepping(g, [0, 5], 0.7).distances
-    assert np.array_equal(rows[1], dijkstra(g, 5).distances)
+    rows = batch_delta_stepping(g, [0, 5], 0.7).distances
+    assert np.array_equal(rows[1], d5)
     tails = g.row_sources()
     applied = apply_edge_updates(g, reweights=[(tails[0], g.indices[0], 9.0)])
     rep = repair_sssp(g, 0, d0, applied, delta=0.7)
@@ -63,17 +70,34 @@ def test_compiled_loop_runs_for_auto(monkeypatch):
         fused_delta_stepping(g, 0, 0.7, kernel="scatter")
 
 
+@needs_compiled
+def test_recorded_service_batches_stay_compiled(monkeypatch):
+    """A recorder bound to a :class:`~repro.service.QueryService` does not
+    reach its ``delta`` solves, so a recorded drain still runs the
+    compiled loop: it answers with the NumPy waves unreachable."""
+    from repro.obs import Recorder
+    from repro.service import Query, QueryService
+
+    g = _graph()
+    want = {s: dijkstra(g, s).distances for s in (0, 5, 9)}
+    _numpy_waves_unreachable(monkeypatch)
+    rec = Recorder()
+    svc = QueryService(g, delta=0.7, recorder=rec)
+    for s in want:
+        svc.submit(Query(source=s))
+    for resp in svc.drain():
+        assert np.array_equal(resp.distances, want[resp.query.source])
+    (span,) = rec.trace.spans("service:batch-solve")
+    assert span["args"]["batch"] == 3 and span["args"]["relaxations"] > 0
+
+
 @pytest.mark.parametrize("kernel", ["argsort", "auto"])
 def test_overflow_guard_on_both_back_ends(kernel):
     """A distance/delta ratio of 2**62 or more raises OverflowError on
     either loop: from the heavy phase's push and from the seeds'."""
-    from repro.service.batch import batch_fused_delta_stepping
-
     g = Graph.from_edges([0, 1], [1, 2], [1.0, 2.0**62], n=3)
     with pytest.raises(OverflowError, match="too large"):
         fused_delta_stepping(g, 0, 1.0, kernel=kernel)
-    with pytest.raises(OverflowError, match="too large"):
-        batch_fused_delta_stepping(g, [1, 0], 1.0, kernel=kernel)
     t = np.full(3, INF)
     t[2] = 2.0**63
     with pytest.raises(OverflowError, match="too large"):
@@ -102,9 +126,10 @@ def test_strided_and_wrong_dtype_t_same_answer():
 
 @needs_compiled
 def test_boundary_checks():
-    """Out-of-range seeds and uneven key spaces are refused (``None``:
-    the caller runs the NumPy loop); a malformed CSR raises instead of
-    reading out of bounds; CSR dtypes are converted."""
+    """Out-of-range seeds and a *t* of any length but n are refused
+    (``None``: the caller runs the NumPy loop), the K·n batch state of
+    two sources included; a malformed CSR raises instead of reading out
+    of bounds; CSR dtypes are converted."""
     g = _graph()
     split = split_csr_light_heavy(g, 0.7)
     t = np.full(60, INF)
@@ -112,6 +137,9 @@ def test_boundary_checks():
     assert compiled.run_buckets(split, t, np.array([60]), 0.7) is None
     assert compiled.run_buckets(split, t, np.array([-1]), 0.7) is None
     assert compiled.run_buckets(split, np.full(61, INF), np.array([0]), 0.7) is None
+    two_rows = np.full(120, INF)
+    two_rows[[0, 65]] = 0.0
+    assert compiled.run_buckets(split, two_rows, np.array([0, 65]), 0.7) is None
     assert compiled.run_buckets(split, t.copy(), np.array([0.0]), 0.7) is None
     (Lp, Li, Lw), heavy = split
     assert Lp[1] > Lp[0]  # the seed has a light edge to scan

@@ -169,12 +169,12 @@ class TestPerGraphCaching:
     def test_split_cached_per_epoch_and_delta(self, split_calls):
         from repro.dynamic import apply_edge_updates
         from repro.service import QueryService
-        from repro.service.batch import batch_fused_delta_stepping
+        from repro.service.batch import batch_delta_stepping
         from repro.sssp.fused import _SPLIT_KEY
 
         g = generators.grid_2d(5, 5)
         fused_delta_stepping(g, 0, 1.0)
-        batch_fused_delta_stepping(g, [0, 3], 1.0)
+        batch_delta_stepping(g, [0, 3], 1.0)
         fused_delta_stepping(g, 7, 1.0, kernel="argsort")
         assert split_calls == [1.0]  # one split serves every solve on the epoch
         assert _SPLIT_KEY not in g.copy().meta  # copies start without it

@@ -1,17 +1,32 @@
-"""The batch engine's contract: K-source results == K independent Dijkstra runs."""
+"""The batch contract: K-source results == K independent single-source solves."""
 
 import numpy as np
 import pytest
 
 from repro.graphs import datasets
 from repro.graphs.graph import Graph
-from repro.service.batch import (
-    BatchSSSPResult,
-    batch_delta_stepping,
-    batch_fused_delta_stepping,
-)
+from repro.obs import Recorder
+from repro.service.batch import BatchSSSPResult, batch_delta_stepping
 from repro.sssp import dijkstra, fused_delta_stepping
 from repro.sssp.delta import choose_delta
+from repro.stepping import STEPPERS
+
+#: the bucket loop's adversarial inputs (``tests/kernels/test_bucketq.py``
+#: and the zero-weight chain), each as (graph, Δ, sources with a repeat)
+ADVERSARIAL = {
+    "zero-weight-chain": (
+        Graph.from_edges([0, 1, 2, 3], [1, 2, 3, 4], [1.0, 0.0, 0.0, 1.0], n=5),
+        1.0, [1, 0, 1, 4],
+    ),
+    "ulp-boundary-drop": (
+        Graph.from_edges([0, 1], [1, 2], [15.003965537540262, 1.0], n=3),
+        2.500660922923377, [0, 1, 0],
+    ),
+    "huge-weight-ratio": (
+        Graph.from_edges([0, 1], [1, 2], [1.455986969276348e17, 1.0], n=4),
+        6.405920704482398, [0, 3, 0, 1],
+    ),
+}
 
 
 def _work(r):
@@ -74,14 +89,30 @@ class TestBatchShape:
         assert res.relaxations > 0
         assert isinstance(res, BatchSSSPResult)
 
-    def test_shared_waves_fewer_phases_than_sum(self, grid_graph):
-        """The batching win: K sources share waves instead of summing them."""
-        sources = [0, 7, 56, 63]
-        batch = batch_delta_stepping(grid_graph, sources)
-        single_phases = sum(
-            fused_delta_stepping(grid_graph, s, 1.0).phases for s in sources
-        )
-        assert batch.phases < single_phases
+    @pytest.mark.parametrize("method", ["delta", "rho"])
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    def test_rows_and_counters_equal_k_single_solves(self, case, method):
+        """Row k is source k's own solve, bit for bit, and each counter is
+        the sum of the K solves' counters — for the native stepper and for
+        a stepper that takes no Δ."""
+        g, delta, sources = ADVERSARIAL[case]
+        res = batch_delta_stepping(g, sources, delta=delta, method=method)
+        params = {"delta": delta} if method == "delta" else {}
+        singles = [STEPPERS[method].solve(g, s, **params) for s in sources]
+        assert res.method == f"batch-loop:{method}"
+        for k, (s, single) in enumerate(zip(sources, singles)):
+            assert np.array_equal(res.distances[k], single.distances), (k, s)
+            assert np.array_equal(res.distances[k], dijkstra(g, s).distances), (k, s)
+        assert _work(res) == tuple(sum(c) for c in zip(*map(_work, singles)))
+
+    def test_recorder_reaches_every_spec_but_delta(self, grid_graph):
+        """A recorded ``delta`` solve would run the NumPy loop, so the
+        ``delta`` rows get no recorder; every other spec records its solves."""
+        rec = Recorder()
+        batch_delta_stepping(grid_graph, [0, 9], method="delta", recorder=rec)
+        assert rec.trace.spans() == []
+        batch_delta_stepping(grid_graph, [0, 9], method="rho", recorder=rec)
+        assert len(rec.trace.spans("solve:rho")) == 2
 
     def test_delta_auto_selection(self, grid_graph):
         res = batch_delta_stepping(grid_graph, [0])
@@ -104,11 +135,6 @@ class TestBatchValidation:
     def test_unknown_method(self, diamond_graph):
         with pytest.raises(ValueError, match="unknown batch method"):
             batch_delta_stepping(diamond_graph, [0], method="magic")
-
-    def test_state_size_guard(self):
-        g = Graph.empty(1 << 20)
-        with pytest.raises(ValueError, match="chunk the sources"):
-            batch_fused_delta_stepping(g, list(range(200)), 1.0)
 
     def test_disconnected_rows_are_inf(self):
         g = Graph.from_edges([0, 3], [1, 4], n=6)

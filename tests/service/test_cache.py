@@ -158,6 +158,32 @@ class TestInvalidation:
         gc.collect()
         assert len(cache) == 0
 
+    def test_short_lived_services_leave_no_callbacks_on_a_live_graph(self):
+        """Each cache's graph watch dies with the cache: a thousand
+        one-query services over one live graph add no weak references
+        (nor finalizers) to it, and a live cache still purges the graph's
+        entries once the graph is collected."""
+        import gc
+        import weakref
+
+        from repro.graphs import generators
+        from repro.service import QueryService
+
+        g = generators.grid_2d(8, 8)
+        survivor = DistanceCache()
+        survivor.put(g, 0, "unit", np.zeros(g.num_vertices))
+        gc.collect()
+        refs, finalizers = weakref.getweakrefcount(g), len(weakref.finalize._registry)
+        for i in range(1000):
+            QueryService(g).query(i % g.num_vertices, 5)
+        gc.collect()
+        assert weakref.getweakrefcount(g) <= refs + 1
+        assert len(weakref.finalize._registry) <= finalizers + 1
+        assert len(survivor) == 1
+        del g
+        gc.collect()
+        assert len(survivor) == 0
+
 
 class TestMetricsIntegration:
     def test_counters_mirror_into_registry(self):

@@ -1,5 +1,5 @@
 """ShardedDeltaStepper ≡ Dijkstra, across every partition/transport knob,
-plus the consumer integrations the registry promises (batch engine,
+plus the consumer integrations the registry promises (service batches,
 incremental repair, auto-tuner, view caching)."""
 
 import numpy as np

@@ -7,7 +7,6 @@ from repro.bench.mutate_bench import build_update_batch
 from repro.dynamic import apply_edge_updates, repair_sssp
 from repro.graphs import datasets
 from repro.service import Query, QueryPlanner, QueryService, batch_delta_stepping
-from repro.service.batch import batch_stepper_loop
 from repro.sssp import dijkstra
 from repro.sssp.fused import fused_delta_stepping
 from repro.stepping import AutoTuner
@@ -28,12 +27,6 @@ class TestBatchDispatch:
         for k, s in enumerate(sources):
             assert np.array_equal(res.distances[k], dijkstra(ws_graph, s).distances)
 
-    def test_delta_aliases_to_native_engine(self, ws_graph):
-        """"delta" IS batched delta-stepping: it routes to the shared-wave
-        fused engine, not the per-source loop."""
-        res = batch_delta_stepping(ws_graph, [0, 7], method="delta")
-        assert res.method == "batch-fused"
-
     def test_unknown_method_enumerates_both_registries(self, ws_graph):
         with pytest.raises(ValueError) as excinfo:
             batch_delta_stepping(ws_graph, [0], method="warp-drive")
@@ -45,7 +38,7 @@ class TestBatchDispatch:
             batch_delta_stepping(ws_graph, [0], method="fused")
 
     def test_stepper_loop_counters_aggregate(self, ws_graph):
-        res = batch_stepper_loop(ws_graph, [0, 7], stepper="rho")
+        res = batch_delta_stepping(ws_graph, [0, 7], method="rho")
         single = sum(
             __import__("repro.stepping", fromlist=["solve_with"]).solve_with(
                 "rho", ws_graph, s
