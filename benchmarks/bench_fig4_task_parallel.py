@@ -1,20 +1,18 @@
-"""FIG4 — Figure 4: task-based parallel speedup over sequential fused.
+"""FIG4 — Figure 4: task-based parallel speedup on real threads.
 
 Paper claim: OpenMP task parallelism yields average speedups of 1.44×
 with two threads and 1.5× with four, normalized to the fused sequential
 implementation; gains plateau past two threads because the two coarse
 matrix-filter tasks bound that phase's parallelism.
 
-Real-thread timings are recorded for 1/2/4 workers; the deterministic
-simulated schedule (host-independent — this is the headline Fig. 4
-instrument, see EXPERIMENTS.md on CPython-GIL limits of the real mode)
-is attached as ``extra_info``.
+Times the paper's task decomposition on 1, 2 and 4 real threads.  The
+1-thread run is every speedup's denominator, as in ``repro fig4``: the
+same decomposition on both sides, so the ratio measures the threads.
 
 Run::
 
     pytest benchmarks/bench_fig4_task_parallel.py --benchmark-only
-    python -m repro fig4 --suite paper          # simulated schedule
-    python -m repro fig4 --suite paper --real   # wall-clock threads
+    python -m repro fig4 --suite paper
 """
 
 from __future__ import annotations
@@ -23,17 +21,6 @@ import pytest
 
 from repro.sssp.fused import fused_delta_stepping
 from repro.sssp.parallel import parallel_delta_stepping
-
-
-def bench_sequential_fused_baseline(benchmark, workload):
-    """The denominator of every Fig. 4 speedup."""
-    benchmark.group = f"fig4:{workload.name}"
-    benchmark.pedantic(
-        lambda: fused_delta_stepping(workload.graph, workload.source, workload.delta),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -48,26 +35,6 @@ def bench_parallel_threads(benchmark, workload, threads):
         iterations=1,
         warmup_rounds=1,
     )
-    sim = parallel_delta_stepping(
-        workload.graph, workload.source, workload.delta, num_threads=threads, simulate=True
+    assert result.same_distances(
+        fused_delta_stepping(workload.graph, workload.source, workload.delta)
     )
-    benchmark.extra_info["simulated_speedup"] = sim.extra["simulated_speedup"]
-    assert result.num_reached == sim.num_reached
-
-
-def bench_fig4_simulated_schedule(benchmark, workload):
-    """The simulated-schedule speedups themselves (deterministic)."""
-    benchmark.group = f"fig4:{workload.name}"
-
-    def run():
-        out = {}
-        for t in (2, 4):
-            r = parallel_delta_stepping(
-                workload.graph, workload.source, workload.delta, num_threads=t, simulate=True
-            )
-            out[t] = r.extra["simulated_speedup"]
-        return out
-
-    speedups = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["speedup_2t"] = speedups[2]
-    benchmark.extra_info["speedup_4t"] = speedups[4]

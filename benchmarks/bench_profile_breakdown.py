@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.bench.figures import SEC6C_GROUPS, sec6c_shares
 from repro.obs import Recorder
 from repro.sssp.fused import fused_delta_stepping
-from repro.sssp.graphblas_sssp import graphblas_delta_stepping
 
 
 def bench_fused_instrumented(benchmark, workload):
@@ -35,20 +34,5 @@ def bench_fused_instrumented(benchmark, workload):
         rounds=3,
         iterations=1,
     )
-    for k, v in sec6c_shares(rec, SEC6C_GROUPS["fused"]).items():
-        benchmark.extra_info[f"{k}_pct"] = round(v, 1)
-
-
-def bench_unfused_instrumented(benchmark, workload):
-    """Same breakdown on the unfused GraphBLAS implementation."""
-    benchmark.group = f"sec6c:{workload.name}"
-    rec = Recorder()
-    benchmark.pedantic(
-        lambda: graphblas_delta_stepping(
-            workload.graph, workload.source, workload.delta, recorder=rec
-        ),
-        rounds=2,
-        iterations=1,
-    )
-    for k, v in sec6c_shares(rec, SEC6C_GROUPS["unfused"]).items():
+    for k, v in sec6c_shares(rec, SEC6C_GROUPS).items():
         benchmark.extra_info[f"{k}_pct"] = round(v, 1)

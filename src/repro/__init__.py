@@ -21,7 +21,7 @@ Top-level surface:
   the coalescing query server (``repro-sssp query`` / ``serve-bench``).
 - :mod:`repro.dynamic` — graph mutation batches + incremental SSSP
   repair (``repro-sssp mutate-bench``).
-- :mod:`repro.parallel` — OpenMP-task-like runtime (threads + simulator).
+- :mod:`repro.parallel` — OpenMP-task-like runtime (worker pool + chunking).
 - :mod:`repro.algorithms` — further algorithms built with the methodology.
 - :mod:`repro.bench` — harness regenerating every figure in the paper.
 

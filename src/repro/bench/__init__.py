@@ -3,8 +3,8 @@
 - :mod:`~repro.bench.workloads` — the graph suite (Fig. 3/4's x-axis).
 - :mod:`~repro.bench.figures` — series generators + ASCII renderers for
   Fig. 3, Fig. 4, and the §VI.C profile claim.
-- :mod:`~repro.bench.registry` — experiment table driving the CLI and
-  EXPERIMENTS.md.
+- :mod:`~repro.bench.registry` — experiment table driving the CLI's
+  figure commands (``repro fig3``, ``fig4``, ``profile``).
 - :mod:`~repro.bench.history` — bench provenance, the append-only
   ``BENCH_HISTORY.jsonl`` ledger, and the ``repro bench-diff``
   regression gate.

@@ -3,12 +3,12 @@
 - :func:`fig3_series` — Fig. 3: sequential runtime (ms) of the unfused
   GraphBLAS implementation vs the fused implementation, per graph,
   ascending node count; headline = average fused speedup (paper: 3.7×).
-- :func:`fig4_series` — Fig. 4: task-parallel speedup over the fused
-  sequential implementation at 2 and 4 threads (paper: 1.44× / 1.5×
-  averages), real threads or simulated schedule.
-- :func:`sec6c_profile` — §VI.C: share of sequential runtime spent in the
-  A_L/A_H matrix filtering (paper: 35–40%), from a recorded run's
-  per-stage span totals (:func:`sec6c_shares`).
+- :func:`fig4_series` — Fig. 4: task-parallel speedup at 2 and 4 real
+  threads over the same task decomposition on one thread (paper: 1.44× /
+  1.5× averages over its sequential fused C code).
+- :func:`sec6c_profile` — §VI.C: share of the fused sequential solve's
+  stage time spent in the A_L/A_H matrix filtering (paper: 35–40%), from
+  a recorded run's per-stage span totals (:func:`sec6c_shares`).
 
 Each returns plain dict-rows ready for
 :func:`repro.bench.reporting.format_table`; ``render_*`` wraps them in
@@ -22,6 +22,7 @@ from ..obs.report import build_span_tree, stage_attribution
 from ..sssp.fused import fused_delta_stepping
 from ..sssp.graphblas_sssp import graphblas_delta_stepping
 from ..sssp.parallel import parallel_delta_stepping
+from ..sssp.validate import ValidationError
 from .reporting import ascii_bar_chart, format_table, geometric_mean
 from .timing import time_callable
 from .workloads import Workload, suite_workloads
@@ -42,7 +43,11 @@ def fig3_series(
     repeats: int = 3,
     verify: bool = True,
 ) -> list[dict]:
-    """Unfused vs fused sequential runtimes per graph (Fig. 3 series)."""
+    """Unfused vs fused sequential runtimes per graph (Fig. 3 series).
+
+    With *verify*, each graph's unfused and fused distances must agree
+    (row ``verified: "ok"``), else :class:`ValidationError` is raised.
+    """
     workloads = workloads if workloads is not None else suite_workloads()
     rows = []
     for wl in workloads:
@@ -57,7 +62,8 @@ def fig3_series(
         if verify:
             a = graphblas_delta_stepping(wl.graph, wl.source, wl.delta)
             b = fused_delta_stepping(wl.graph, wl.source, wl.delta)
-            assert a.same_distances(b), f"{wl.name}: unfused != fused"
+            if not a.same_distances(b):
+                raise ValidationError(f"{wl.name}: unfused distances differ from fused")
         rows.append(
             {
                 "graph": wl.name,
@@ -66,6 +72,7 @@ def fig3_series(
                 "unfused_ms": unfused.best_ms,
                 "fused_ms": fused.best_ms,
                 "speedup": unfused.best / fused.best,
+                "verified": "ok" if verify else "-",
             }
         )
     return rows
@@ -74,56 +81,41 @@ def fig3_series(
 def fig4_series(
     workloads: list[Workload] | None = None,
     threads: tuple[int, ...] = (2, 4),
-    simulate: bool = True,
     repeats: int = 3,
 ) -> list[dict]:
-    """Task-parallel speedup over sequential fused, per graph (Fig. 4).
+    """Task-parallel speedup per graph (Fig. 4), timed on real threads.
 
-    ``simulate=True`` (default) uses the deterministic cost-model executor:
-    the paper's task decomposition is measured serially and scheduled onto
-    N modeled threads — host-independent, which matters here because
-    CPython's GIL prevents real-thread gains for the non-ufunc kernels
-    (gather/fancy-indexing) on this workload.  ``simulate=False`` times
-    real threads (honest but host- and GIL-gated; see EXPERIMENTS.md).
+    Each ``speedup_<t>t`` is the best time of
+    :func:`~repro.sssp.parallel.parallel_delta_stepping` on one thread
+    over its best time on *t* threads, both taken in this call: the same
+    task decomposition on both sides, so the ratio measures the threads
+    alone.  The paper's 1.44×/1.5× are over its sequential fused C code;
+    the compiled ``delta`` loop is not this decomposition, so no row
+    divides by it.
     """
     workloads = workloads if workloads is not None else suite_workloads()
     rows = []
     for wl in workloads:
-        row: dict = {"graph": wl.name, "nodes": wl.num_vertices}
-        if simulate:
-            for t in threads:
-                # self-consistent: serial and simulated time from the same
-                # run, so measurement noise cancels out of the ratio
-                r = parallel_delta_stepping(wl.graph, wl.source, wl.delta, num_threads=t, simulate=True)
-                row[f"speedup_{t}t"] = r.extra["simulated_speedup"]
-        else:
-            seq = time_callable(
-                lambda: fused_delta_stepping(wl.graph, wl.source, wl.delta),
-                repeats=repeats,
-            )
-            for t in threads:
-                par = time_callable(
-                    lambda: parallel_delta_stepping(wl.graph, wl.source, wl.delta, num_threads=t),
-                    repeats=repeats,
-                )
-                row[f"speedup_{t}t"] = seq.best / par.best
+
+        def solve(num_threads: int):
+            return parallel_delta_stepping(wl.graph, wl.source, wl.delta, num_threads=num_threads)
+
+        one = time_callable(lambda: solve(1), repeats=repeats)
+        row: dict = {"graph": wl.name, "nodes": wl.num_vertices, "ms_1t": one.best_ms}
+        for t in threads:
+            par = time_callable(lambda: solve(t), repeats=repeats)
+            row[f"speedup_{t}t"] = one.best / par.best
         rows.append(row)
     return rows
 
 
-#: stage-name groups for the §VI.C breakdown, per implementation
+#: stage-name groups for the §VI.C breakdown: every stage span the fused
+#: solve emits with the split unfused and the relaxation fused (``bucket``
+#: spans enclose stages, so they are no group's)
 SEC6C_GROUPS = {
-    "fused": {
-        "matrix_filter": ["filter:AL", "filter:AH", "filter:split"],
-        "vector_filter": ["filter:bucket", "filter:settled", "outer:check"],
-        "relaxation": ["relax:fused", "relax:tReq", "relax:tless", "relax:tB", "relax:minmerge"],
-    },
-    "unfused": {
-        "matrix_filter": ["filter:AL", "filter:AH"],
-        "vector_filter": ["filter:bucket", "filter:reenter", "outer:check"],
-        "vxm": ["vxm:light", "vxm:heavy"],
-        "vector_other": ["vector:S", "vector:minmerge", "vector:clear"],
-    },
+    "matrix_filter": ["filter:AL", "filter:AH"],
+    "vector_filter": ["filter:settled", "outer:check"],
+    "relaxation": ["relax:fused"],
 }
 
 
@@ -143,30 +135,24 @@ def sec6c_shares(recorder: Recorder, groups: dict[str, list[str]]) -> dict[str, 
     return {g: 100.0 * ms / whole for g, ms in merged.items()}
 
 
-def sec6c_profile(
-    workloads: list[Workload] | None = None,
-    implementation: str = "fused",
-) -> list[dict]:
-    """Share of sequential runtime per stage group (§VI.C).
+def sec6c_profile(workloads: list[Workload] | None = None) -> list[dict]:
+    """Share of the fused sequential solve's stage time per group (§VI.C).
 
     The paper's 35-40% matrix-filter share is measured on its *fused
-    sequential C* implementation (with A_L and A_H still built
-    separately, as the task decomposition requires); ``implementation``
-    selects ``"fused"`` (default, matching the paper) or ``"unfused"``.
+    sequential C* implementation, with A_L and A_H still built
+    separately, as the task decomposition requires.  This runs the fused
+    solve the same way; the recorder makes it take the NumPy loop, whose
+    stages are spans.
     """
     workloads = workloads if workloads is not None else suite_workloads()
-    groups = SEC6C_GROUPS[implementation]
     rows = []
     for wl in workloads:
         rec = Recorder()
-        if implementation == "fused":
-            fused_delta_stepping(
-                wl.graph, wl.source, wl.delta, fuse_matrix_split=False, recorder=rec
-            )
-        else:
-            graphblas_delta_stepping(wl.graph, wl.source, wl.delta, recorder=rec)
+        fused_delta_stepping(
+            wl.graph, wl.source, wl.delta, fuse_matrix_split=False, recorder=rec
+        )
         row = {"graph": wl.name, "nodes": wl.num_vertices}
-        for gname, pct in sec6c_shares(rec, groups).items():
+        for gname, pct in sec6c_shares(rec, SEC6C_GROUPS).items():
             row[f"{gname}_pct"] = pct
         rows.append(row)
     return rows
@@ -179,7 +165,7 @@ def render_fig3(rows: list[dict]) -> str:
     """The Fig. 3 panel: table + log-scale runtime chart + headline."""
     table = format_table(
         rows,
-        columns=["graph", "nodes", "edges", "unfused_ms", "fused_ms", "speedup"],
+        columns=["graph", "nodes", "edges", "unfused_ms", "fused_ms", "speedup", "verified"],
     )
     chart = ascii_bar_chart(
         [r["graph"] for r in rows],
@@ -201,12 +187,12 @@ def render_fig3(rows: list[dict]) -> str:
     )
 
 
-def render_fig4(rows: list[dict], simulate: bool = False) -> str:
+def render_fig4(rows: list[dict]) -> str:
     """The Fig. 4 panel: per-graph speedup bars + averages."""
     threads = sorted(
         int(k.split("_")[1][:-1]) for k in rows[0] if k.startswith("speedup_")
     )
-    table = format_table(rows, columns=["graph", "nodes"] + [f"speedup_{t}t" for t in threads])
+    table = format_table(rows, columns=["graph", "nodes", "ms_1t"] + [f"speedup_{t}t" for t in threads])
     chart = ascii_bar_chart(
         [r["graph"] for r in rows],
         {f"{t} threads": [r[f"speedup_{t}t"] for r in rows] for t in threads},
@@ -216,13 +202,13 @@ def render_fig4(rows: list[dict], simulate: bool = False) -> str:
         t: sum(r[f"speedup_{t}t"] for r in rows) / len(rows) for t in threads
     }
     means_text = ", ".join(f"{t} threads: {m:.2f}x" for t, m in means.items())
-    mode = "simulated schedule" if simulate else "real threads"
     return (
-        f"Fig. 4 — Task-parallel speedup over sequential fused ({mode}, "
-        "graphs ascending by node count)\n\n"
+        "Fig. 4 — Task-parallel speedup over the same task decomposition on "
+        "one thread (real threads, graphs ascending by node count)\n\n"
         f"{table}\n\n{chart}\n\n"
         f"Average speedup: {means_text} "
-        "(paper reports 1.44x at 2 threads, 1.5x at 4 threads)\n"
+        "(paper reports 1.44x at 2 threads, 1.5x at 4 threads, "
+        "over its sequential fused C code)\n"
     )
 
 
@@ -232,7 +218,8 @@ def render_sec6c(rows: list[dict]) -> str:
     table = format_table(rows, columns=cols)
     avg_filter = sum(r["matrix_filter_pct"] for r in rows) / len(rows)
     return (
-        "§VI.C — Share of unfused sequential runtime by operation group\n\n"
+        "§VI.C — Share of the fused sequential solve's stage time by "
+        "operation group (NumPy loop, recorded)\n\n"
         f"{table}\n\n"
         f"Average A_L/A_H matrix-filter share: {avg_filter:.1f}% "
         "(paper reports 35-40%)\n"

@@ -1,8 +1,9 @@
 """Experiment registry: one entry per paper artifact.
 
-Each experiment knows how to produce its rows and render its panel; the
-CLI and EXPERIMENTS.md generation iterate this table so no figure can be
-silently dropped.
+Each experiment knows how to produce its rows and render its panel;
+``repro fig3``, ``fig4``, ``profile``, ``serve-bench`` and ``mutate-bench``
+run through this table, and the tests check it lists every paper
+artifact, so no figure can be silently dropped.
 
 The registry is also where the repo's **perf trajectory** is written:
 :func:`write_bench_json` is the one shared writer every bench runner
@@ -61,10 +62,6 @@ class Experiment:
     render: Callable[[list[dict]], str] = None  # type: ignore[assignment]
 
 
-def _fig4_render(rows):
-    return render_fig4(rows)
-
-
 EXPERIMENTS: dict[str, Experiment] = {
     "FIG3": Experiment(
         id="FIG3",
@@ -78,7 +75,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         paper_artifact="Figure 4",
         claim="OpenMP-task parallelism gains ~1.44x (2T) and ~1.5x (4T) over sequential fused",
         run=lambda suite=None, **kw: fig4_series(suite_workloads(suite), **kw),
-        render=_fig4_render,
+        render=render_fig4,
     ),
     "SEC6C": Experiment(
         id="SEC6C",
@@ -130,18 +127,15 @@ def run_experiment_rows(exp_id: str, suite: str | None = None, **kwargs) -> list
     return EXPERIMENTS[exp_id.upper()].run(suite=suite, **kwargs)
 
 
-def render_experiment(exp_id: str, rows: list[dict], **kwargs) -> str:
+def render_experiment(exp_id: str, rows: list[dict]) -> str:
     """Render previously produced rows as the experiment's text panel."""
-    exp = EXPERIMENTS[exp_id.upper()]
-    if exp_id.upper() == "FIG4":
-        return render_fig4(rows, simulate=kwargs.get("simulate", True))
-    return exp.render(rows)
+    return EXPERIMENTS[exp_id.upper()].render(rows)
 
 
 def run_experiment(exp_id: str, suite: str | None = None, **kwargs) -> str:
     """Run one experiment end-to-end and return its rendered panel."""
     rows = run_experiment_rows(exp_id, suite=suite, **kwargs)
-    return render_experiment(exp_id, rows, **kwargs)
+    return render_experiment(exp_id, rows)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Plain-text rendering of benchmark series: tables and ASCII charts.
 
 The harness prints the same rows/series the paper's figures plot; these
-helpers keep that output aligned and diff-friendly (EXPERIMENTS.md embeds
-it verbatim).
+helpers keep that output aligned and diff-friendly (``repro fig3``,
+``fig4`` and ``profile`` print it verbatim).
 """
 
 from __future__ import annotations

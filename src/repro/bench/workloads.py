@@ -67,7 +67,8 @@ def active_suite_name(default: str = "ci") -> str:
     """Suite selection for pytest benches: ``REPRO_SUITE=ci|paper``.
 
     ``ci`` (default) keeps ``pytest benchmarks/`` fast; ``paper`` runs the
-    full Fig. 3/Fig. 4 suite (minutes, used to produce EXPERIMENTS.md).
+    full Fig. 3/Fig. 4 suite (minutes; the graphs of
+    ``repro fig3 --suite paper``).
     """
     return os.environ.get("REPRO_SUITE", default)
 

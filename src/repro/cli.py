@@ -5,7 +5,7 @@ utilities:
 
 ==========  ==================================================================
 fig3        regenerate Figure 3 (unfused vs fused sequential runtime)
-fig4        regenerate Figure 4 (task-parallel speedup; simulated by default)
+fig4        regenerate Figure 4 (task-parallel speedup on real threads)
 profile     regenerate the §VI.C operation-share breakdown
 run         one SSSP run with any registered stepper, printing the summary
 query       answer distance queries through the service layer (cache + batch)
@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         if fig == "fig3":
             sp.add_argument("--repeats", type=int, default=3)
         if fig == "fig4":
-            sp.add_argument("--real", action="store_true", help="time real threads instead of the simulated schedule")
             sp.add_argument("--threads", type=int, nargs="+", default=[2, 4])
 
     def add_stepper_flags(sp):
@@ -296,7 +295,6 @@ def _cmd_fig(args) -> int:
     if args.command == "fig3":
         kwargs["repeats"] = args.repeats
     if args.command == "fig4":
-        kwargs["simulate"] = not args.real
         kwargs["threads"] = tuple(args.threads)
     print(run_experiment(exp, suite=args.suite, **kwargs))
     return 0

@@ -3,8 +3,8 @@
 Fig. 3 and Fig. 4 order their x-axes by ascending node count and overlay
 node counts on a secondary axis; :func:`graph_stats` computes those plus
 the structural quantities (degree distribution, component count,
-effective diameter proxy) used in EXPERIMENTS.md to argue the synthetic
-suite spans the same regimes as SNAP.
+effective diameter proxy) that ``repro suite`` prints to argue the
+synthetic suite spans the same regimes as SNAP.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ __all__ = ["fuse_program", "FusionReport"]
 
 @dataclass
 class FusionReport:
-    """What the pass did — quoted by the fusion example and EXPERIMENTS.md."""
+    """What the pass did — quoted by the fusion example and ``repro translate``."""
 
     calls_before: int
     calls_after: int

@@ -1,10 +1,10 @@
-"""Work partitioning: even chunking and cost-balanced task assignment."""
+"""Work partitioning: even and cost-balanced contiguous chunking."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["chunk_ranges", "chunk_by_cost", "balanced_partition"]
+__all__ = ["chunk_ranges", "chunk_by_cost"]
 
 
 def chunk_ranges(n: int, num_chunks: int) -> list[tuple[int, int]]:
@@ -47,25 +47,3 @@ def chunk_by_cost(costs: np.ndarray, num_chunks: int) -> list[tuple[int, int]]:
         merged.pop()
     merged.append(n)
     return [(merged[k], merged[k + 1]) for k in range(len(merged) - 1)]
-
-
-def balanced_partition(costs: list[float], bins: int) -> list[list[int]]:
-    """Greedy LPT (longest processing time first) assignment of task
-    indices to *bins*, minimizing the maximum bin load.
-
-    This is the list-scheduling model used by the simulated executor; it
-    also mirrors how an OpenMP runtime's work-stealing converges for
-    independent tasks.
-    """
-    if bins <= 0:
-        return []
-    order = sorted(range(len(costs)), key=lambda k: -costs[k])
-    loads = [0.0] * bins
-    assignment: list[list[int]] = [[] for _ in range(bins)]
-    for k in order:
-        # ties broken by item count, then index: an all-zero cost array
-        # round-robins instead of piling every task onto bin 0
-        b = min(range(bins), key=lambda j: (loads[j], len(assignment[j]), j))
-        assignment[b].append(k)
-        loads[b] += costs[k]
-    return assignment

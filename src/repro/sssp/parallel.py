@@ -6,27 +6,20 @@ performed by splitting the vector into evenly-sized tasks."  This module
 reproduces that decomposition exactly:
 
 - ``A_L`` and ``A_H`` construction: **one coarse task each** (hence ≤2-way
-  parallelism for the 35-40% filtering share — the reason Fig. 4's
-  4-thread bars barely beat the 2-thread bars);
+  parallelism for the 35-40% filtering share — the paper's reason its
+  Fig. 4 4-thread bars barely beat the 2-thread bars);
 - every dense vector op in the bucket loop: ``num_threads`` evenly-sized
   chunk tasks;
 - the relaxation gather/min: chunked by frontier edge count, with a
   sequential merge of per-chunk partial minima.
 
-Two executors share this decomposition:
-
-- real threads (:class:`repro.parallel.pool.WorkerPool`) — NumPy kernels
-  release the GIL, so chunks overlap on real cores;
-- the deterministic simulator
-  (:class:`repro.parallel.simulate.SimulatedExecutor`) — each task is
-  measured serially and the parallel makespan is computed by list
-  scheduling, making the Fig. 4 reproduction independent of host core
-  count.
+Every task batch runs on real threads
+(:meth:`repro.parallel.pool.WorkerPool.run_batch`): NumPy kernels release
+the GIL, so chunks overlap on real cores.  ``num_threads=1`` runs the same
+decomposition inline, which is Fig. 4's baseline (``repro fig4``).
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -34,66 +27,17 @@ from ..graphs.graph import Graph
 from ..kernels import min_by_target
 from ..parallel.partition import chunk_by_cost, chunk_ranges
 from ..parallel.pool import get_pool
-from ..parallel.simulate import SimulatedExecutor
 from .fused import build_heavy_csr, build_light_csr
 from .result import INF, SSSPResult
 
 __all__ = ["parallel_delta_stepping"]
 
-#: real-thread minimum edge work for a chunked relaxation batch (below
-#: this, Python task-dispatch overhead exceeds the kernel time)
+#: minimum edge work for a chunked relaxation batch (below this, Python
+#: task-dispatch overhead exceeds the kernel time)
 MIN_PARALLEL_SIZE = 1 << 16
-#: real-thread minimum vector length for chunked dense vector ops — these
-#: are ~µs-scale ufunc sweeps, so the bar is much higher than for relax
+#: minimum vector length for chunked dense vector ops — these are
+#: ~µs-scale ufunc sweeps, so the bar is much higher than for relax
 MIN_VECTOR_PARALLEL_SIZE = 1 << 17
-
-
-class _RealExecutor:
-    """Runs task batches on the shared thread pool."""
-
-    def __init__(self, num_threads: int):
-        self.num_threads = num_threads
-        self.pool = get_pool(num_threads)
-
-    def batch(self, fns):
-        return self.pool.run_batch(fns)
-
-    def finalize(self, result: SSSPResult) -> None:
-        result.extra["num_threads"] = self.num_threads
-        result.extra["mode"] = "threads"
-
-
-class _SimulatedExecutor:
-    """Runs tasks serially, measuring each; accumulates simulated makespan."""
-
-    def __init__(self, num_threads: int):
-        self.num_threads = num_threads
-        self.sim = SimulatedExecutor(threads=num_threads)
-        self._outside_start = time.perf_counter()
-
-    def batch(self, fns):
-        # account code between batches as sequential time
-        now = time.perf_counter()
-        self.sim.sequential(now - self._outside_start)
-        results = []
-        costs = []
-        for fn in fns:
-            t0 = time.perf_counter()
-            results.append(fn())
-            costs.append(time.perf_counter() - t0)
-        self.sim.batch(costs)
-        self._outside_start = time.perf_counter()
-        return results
-
-    def finalize(self, result: SSSPResult) -> None:
-        self.sim.sequential(time.perf_counter() - self._outside_start)
-        rep = self.sim.report
-        result.extra["num_threads"] = self.num_threads
-        result.extra["mode"] = "simulated"
-        result.extra["simulated_seconds"] = rep.simulated_seconds
-        result.extra["serial_seconds"] = rep.serial_seconds
-        result.extra["simulated_speedup"] = rep.speedup
-        result.extra["task_batches"] = rep.task_batches
 
 
 def parallel_delta_stepping(
@@ -101,36 +45,31 @@ def parallel_delta_stepping(
     source: int,
     delta: float = 1.0,
     num_threads: int = 2,
-    simulate: bool = False,
-    min_parallel_size: int | None = None,
+    min_parallel_size: int = MIN_PARALLEL_SIZE,
 ) -> SSSPResult:
     """Delta-stepping with the paper's OpenMP-task decomposition.
 
     Parameters
     ----------
     num_threads:
-        Worker count (the paper reports 2 and 4).
-    simulate:
-        Use the deterministic simulated-time executor; the simulated
-        makespan and speedup land in ``result.extra``.
+        Worker count (the paper reports 2 and 4); 1 runs every task
+        inline.
     min_parallel_size:
-        Arrays below this size run as one inline task.  Defaults to
-        :data:`MIN_PARALLEL_SIZE` on real threads (dispatch overhead) and
-        0 under simulation (the simulator models dispatch itself, so the
-        paper's always-chunked decomposition is used verbatim).
+        A relaxation batch with less edge work than this runs as one
+        inline task (Python task dispatch would cost more than the
+        kernel); 0 chunks every relaxation.  Vector ops chunk only at
+        :data:`MIN_VECTOR_PARALLEL_SIZE` and above.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
-    if min_parallel_size is None:
-        min_parallel_size = 0 if simulate else MIN_PARALLEL_SIZE
-    vec_min_size = min_parallel_size if simulate else max(min_parallel_size, MIN_VECTOR_PARALLEL_SIZE)
-    ex = _SimulatedExecutor(num_threads) if simulate else _RealExecutor(num_threads)
+    vec_min_size = max(min_parallel_size, MIN_VECTOR_PARALLEL_SIZE)
+    run_batch = get_pool(num_threads).run_batch
 
     # -- matrix split: one coarse task per matrix (the paper's decomposition)
-    split_results = ex.batch(
+    split_results = run_batch(
         [
             lambda: build_light_csr(graph, delta),
             lambda: build_heavy_csr(graph, delta),
@@ -152,7 +91,7 @@ def parallel_delta_stepping(
         def work(lo, hi):
             np.logical_and(t[lo:hi] >= lo_val, t[lo:hi] < hi_val, out=in_bucket[lo:hi])
 
-        ex.batch([_bind_range(work, lo, hi) for lo, hi in vec_chunks])
+        run_batch([_bind_range(work, lo, hi) for lo, hi in vec_chunks])
         return np.nonzero(in_bucket)[0]
 
     def remaining_min(i_val: float):
@@ -163,7 +102,7 @@ def parallel_delta_stepping(
             m = seg[np.isfinite(seg) & (seg >= i_val)]
             return m.min() if len(m) else INF
 
-        partials = ex.batch([_bind_range(work, lo, hi) for lo, hi in vec_chunks])
+        partials = run_batch([_bind_range(work, lo, hi) for lo, hi in vec_chunks])
         return min(partials)
 
     def relax(indptr, indices, weights, frontier, lo_val, hi_val, track_bucket):
@@ -191,7 +130,7 @@ def parallel_delta_stepping(
             # allocation-free argsort kernel is the right default here
             return min_by_target(targets, dists)
 
-        partials = [p for p in ex.batch([_bind_range(work, flo, fhi) for flo, fhi in spans]) if p is not None]
+        partials = [p for p in run_batch([_bind_range(work, flo, fhi) for flo, fhi in spans]) if p is not None]
         if not partials:
             return np.empty(0, dtype=np.int64)
         if len(partials) == 1:
@@ -234,13 +173,13 @@ def parallel_delta_stepping(
         distances=t,
         source=source,
         delta=delta,
-        method=f"parallel[{num_threads}]" + ("-sim" if simulate else ""),
+        method=f"parallel[{num_threads}]",
         buckets_processed=counters["buckets"],
         phases=counters["phases"],
         relaxations=counters["relaxations"],
         updates=counters["updates"],
     )
-    ex.finalize(result)
+    result.extra["num_threads"] = num_threads
     return result
 
 

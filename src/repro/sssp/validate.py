@@ -1,7 +1,7 @@
 """Cross-validation of SSSP results.
 
-Three independent checks, used by tests and by ``EXPERIMENTS.md``'s
-correctness appendix:
+Three independent checks, used by tests; ``repro run --verify`` runs the
+first:
 
 1. **Oracle comparison** — distances must match Dijkstra exactly
    (tolerance for float addition order).

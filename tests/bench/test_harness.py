@@ -4,6 +4,7 @@ reporting, registry) on miniature inputs."""
 import numpy as np
 import pytest
 
+from repro.bench import figures
 from repro.bench.figures import (
     fig3_series,
     fig4_series,
@@ -15,8 +16,9 @@ from repro.bench.figures import (
 )
 from repro.bench.registry import EXPERIMENTS, run_experiment
 from repro.bench.reporting import ascii_bar_chart, format_table, geometric_mean
-from repro.bench.timing import time_callable
+from repro.bench.timing import TimingStats, time_callable
 from repro.bench.workloads import suite_workloads, workload_for
+from repro.sssp.validate import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -68,11 +70,57 @@ class TestFigureSeries:
             assert row["unfused_ms"] > 0
             assert row["fused_ms"] > 0
             assert row["speedup"] > 1.0  # fusion always wins here
+            assert row["verified"] == "ok"
 
-    def test_fig4_simulated_rows(self, tiny_workloads):
-        rows = fig4_series(tiny_workloads, threads=(2,), simulate=True)
-        assert all("speedup_2t" in r for r in rows)
-        assert all(r["speedup_2t"] > 0 for r in rows)
+    def test_fig3_divergent_unfused_solve_raises(self, tiny_workloads, monkeypatch):
+        real = figures.graphblas_delta_stepping
+
+        def divergent(graph, source, delta):
+            r = real(graph, source, delta)
+            r.distances[r.distances > 0] += 1.0
+            return r
+
+        monkeypatch.setattr(figures, "graphblas_delta_stepping", divergent)
+        with pytest.raises(ValidationError, match="ci-ws"):
+            fig3_series(tiny_workloads, repeats=1, verify=True)
+
+    def test_fig4_rows(self, tiny_workloads):
+        rows = fig4_series(tiny_workloads, threads=(2,), repeats=1)
+        assert [r["graph"] for r in rows] == ["ci-ws", "ci-road"]
+        assert all(r["ms_1t"] > 0 and r["speedup_2t"] > 0 for r in rows)
+
+    def test_fig4_divides_one_thread_by_t_threads(self, tiny_workloads, monkeypatch):
+        """Every speedup is the same decomposition on 1 thread over t
+        threads, both timed in the call; the compiled loop is no baseline."""
+        real = figures.parallel_delta_stepping
+        solved = []
+
+        def parallel_spy(graph, source, delta, num_threads):
+            solved.append(num_threads)
+            return real(graph, source, delta, num_threads=num_threads)
+
+        timed = []
+
+        def time_spy(fn, repeats=3):
+            fn()
+            t = solved[-1]
+            stats = TimingStats(best=1e-3 * (1 + 0.25 * t), median=1.0, mean=1.0, repeats=1)
+            timed.append((t, stats.best))
+            return stats
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fig4 must not time the fused solve")
+
+        monkeypatch.setattr(figures, "parallel_delta_stepping", parallel_spy)
+        monkeypatch.setattr(figures, "time_callable", time_spy)
+        monkeypatch.setattr(figures, "fused_delta_stepping", forbidden)
+        rows = fig4_series(tiny_workloads, threads=(2, 4), repeats=1)
+        assert [t for t, _ in timed] == [1, 2, 4] * len(tiny_workloads)
+        for k, row in enumerate(rows):
+            best = dict(timed[3 * k:3 * k + 3])
+            assert row["ms_1t"] == best[1] * 1e3
+            for t in (2, 4):
+                assert row[f"speedup_{t}t"] == best[1] / best[t]
 
     def test_sec6c_rows(self, tiny_workloads):
         rows = sec6c_profile(tiny_workloads)
@@ -102,11 +150,14 @@ class TestFigureSeries:
         rows = fig3_series(tiny_workloads, repeats=1, verify=False)
         text = render_fig3(rows)
         assert "3.7x" in text
-        rows4 = fig4_series(tiny_workloads, threads=(2, 4), simulate=True)
-        text4 = render_fig4(rows4, simulate=True)
+        rows4 = fig4_series(tiny_workloads, threads=(2, 4), repeats=1)
+        text4 = render_fig4(rows4)
         assert "1.44x" in text4
+        assert "same task decomposition on one thread" in text4
         rows6 = sec6c_profile(tiny_workloads)
-        assert "35-40%" in render_sec6c(rows6)
+        text6 = render_sec6c(rows6)
+        assert "35-40%" in text6
+        assert "unfused" not in text6
 
 
 class TestReporting:

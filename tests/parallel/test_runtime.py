@@ -1,13 +1,12 @@
-"""Unit tests for the parallel runtime: partitioning, pool, simulator."""
+"""Unit tests for the parallel runtime: partitioning and the pool."""
 
 import threading
 
 import numpy as np
 import pytest
 
-from repro.parallel.partition import balanced_partition, chunk_by_cost, chunk_ranges
+from repro.parallel.partition import chunk_by_cost, chunk_ranges
 from repro.parallel.pool import WorkerPool, get_pool, shutdown_all_pools
-from repro.parallel.simulate import SimulatedExecutor, simulate_makespan
 
 
 class TestChunkRanges:
@@ -71,36 +70,6 @@ class TestChunkByCost:
     def test_single_item_cost_array(self):
         assert chunk_by_cost(np.array([3.0]), 4) == [(0, 1)]
         assert chunk_by_cost(np.array([0.0]), 4) == [(0, 1)]
-
-
-class TestBalancedPartition:
-    def test_all_assigned_once(self):
-        costs = [5.0, 3.0, 2.0, 2.0]
-        bins = balanced_partition(costs, 2)
-        flat = sorted(i for b in bins for i in b)
-        assert flat == [0, 1, 2, 3]
-
-    def test_lpt_quality(self):
-        costs = [4.0, 3.0, 3.0, 2.0]
-        bins = balanced_partition(costs, 2)
-        loads = [sum(costs[i] for i in b) for b in bins]
-        assert max(loads) == 6.0  # optimal here
-
-    def test_zero_bins(self):
-        assert balanced_partition([1.0], 0) == []
-
-    def test_all_zero_costs_round_robin(self):
-        """Zero-cost tasks must spread across bins (the load tie-break
-        used to pile everything onto bin 0)."""
-        bins = balanced_partition([0.0] * 7, 3)
-        counts = sorted(len(b) for b in bins)
-        assert sum(counts) == 7
-        assert counts[-1] - counts[0] <= 1
-
-    def test_single_item(self):
-        bins = balanced_partition([2.5], 3)
-        assert sorted(i for b in bins for i in b) == [0]
-        assert sum(1 for b in bins if b) == 1
 
 
 class TestWorkerPool:
@@ -184,43 +153,3 @@ class TestPoolLifecycle:
         for t in threads:
             t.join()
         assert pool.closed
-
-
-class TestSimulator:
-    def test_single_thread_sums(self):
-        assert np.isclose(simulate_makespan([1.0, 2.0], 1, overhead=0.0), 3.0)
-
-    def test_two_threads_balance(self):
-        assert np.isclose(simulate_makespan([1.0, 1.0], 2, overhead=0.0), 1.0)
-
-    def test_imbalanced_task_dominates(self):
-        assert np.isclose(simulate_makespan([10.0, 1.0, 1.0], 4, overhead=0.0), 10.0)
-
-    def test_overhead_charged_per_task(self):
-        assert np.isclose(simulate_makespan([1.0], 1, overhead=0.5), 1.5)
-
-    def test_empty(self):
-        assert simulate_makespan([], 4) == 0.0
-
-    def test_executor_accumulates_speedup(self):
-        sim = SimulatedExecutor(threads=2, overhead=0.0)
-        sim.sequential(1.0)
-        sim.batch([2.0, 2.0])  # perfectly parallel
-        rep = sim.report
-        assert np.isclose(rep.serial_seconds, 5.0)
-        assert np.isclose(rep.simulated_seconds, 3.0)
-        assert np.isclose(rep.speedup, 5.0 / 3.0)
-
-    def test_coarse_matrix_tasks_cap_scaling(self):
-        """The Fig. 4 plateau: two coarse tasks can't use four threads."""
-        two = SimulatedExecutor(threads=2, overhead=0.0)
-        four = SimulatedExecutor(threads=4, overhead=0.0)
-        for sim in (two, four):
-            sim.batch([1.0, 1.0])  # A_L and A_H builds
-        assert two.report.simulated_seconds == four.report.simulated_seconds
-
-    def test_amdahl_effect(self):
-        sim = SimulatedExecutor(threads=16, overhead=0.0)
-        sim.sequential(1.0)
-        sim.batch([0.1] * 16)
-        assert sim.report.speedup < 16 / 6  # sequential part dominates

@@ -71,8 +71,8 @@ class TestDispatcher:
         assert r.delta == 1.0
 
     def test_kwargs_forwarded(self, grid_graph):
-        r = delta_stepping(grid_graph, 0, 1.0, method="parallel", num_threads=2, simulate=True)
-        assert r.extra["mode"] == "simulated"
+        r = delta_stepping(grid_graph, 0, 1.0, method="parallel", num_threads=2)
+        assert r.extra["num_threads"] == 2
 
 
 class TestMeyerSanders:
@@ -150,17 +150,6 @@ class TestParallel:
         r = parallel_delta_stepping(random_weighted_graph, 0, 0.4, num_threads=threads)
         assert r.same_distances(oracle)
         assert r.extra["num_threads"] == threads
-
-    def test_simulated_mode_reports_schedule(self, grid_graph):
-        r = parallel_delta_stepping(grid_graph, 0, 1.0, num_threads=2, simulate=True)
-        assert r.extra["mode"] == "simulated"
-        assert r.extra["simulated_seconds"] > 0
-        assert r.extra["serial_seconds"] > 0
-        assert r.extra["task_batches"] > 0
-
-    def test_simulated_speedup_monotone_reasonable(self, grid_graph):
-        r2 = parallel_delta_stepping(grid_graph, 0, 1.0, num_threads=2, simulate=True)
-        assert 0.5 < r2.extra["simulated_speedup"] < 2.0
 
     def test_forced_chunking_still_correct(self, grid_graph):
         oracle = dijkstra(grid_graph, 0)

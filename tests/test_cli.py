@@ -16,9 +16,11 @@ class TestParser:
         assert args.repeats == 3
 
     def test_fig4_flags(self):
-        args = build_parser().parse_args(["fig4", "--real", "--threads", "2", "4", "8"])
-        assert args.real
+        args = build_parser().parse_args(["fig4", "--threads", "2", "4", "8"])
         assert args.threads == [2, 4, 8]
+        assert build_parser().parse_args(["fig4"]).threads == [2, 4]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig4", "--real"])
 
     def test_run_arguments(self):
         args = build_parser().parse_args(["run", "ci-ws", "--stepper", "capi", "--delta", "2.0"])
