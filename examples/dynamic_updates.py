@@ -5,8 +5,8 @@ The dynamic layer (`repro.dynamic`) turns the frozen-graph service into a
 living one:
 
 - `apply_edge_updates` applies insert/delete/reweight batches, keeps the
-  CSR canonical, and bumps `graph.epoch` — the counter the distance
-  cache keys on, so stale answers miss automatically;
+  CSR canonical, and bumps `graph.epoch` — the version every cache of
+  derived state keys on, so stale answers miss automatically;
 - `repair_sssp` patches a cached distance vector after a batch, seeding
   delta-stepping buckets from only the affected region, bit-identical to
   a full recompute;
@@ -74,7 +74,7 @@ def main() -> None:
     print(f"after closure: d({source} -> {target}) = {after.distance:g} "
           f"[cache hit, repaired in place, matches Dijkstra]")
 
-    assert service.landmarks.stale  # marked, not yet rebuilt: lazy policy
+    assert service.landmarks.stale  # the epoch moved; not yet rebuilt: lazy policy
     service.landmarks.ensure_fresh()
     est = service.landmarks.estimate(source, target)
     print(f"landmarks rebuilt lazily ({service.landmarks.rebuilds} rebuild): "

@@ -27,6 +27,7 @@ import numpy as np
 from ..service import Query, QueryService
 from ..sssp.fused import fused_delta_stepping
 from ..sssp.reference import dijkstra
+from ..sssp.validate import ValidationError
 from .reporting import format_table, geometric_mean
 from .timing import time_callable
 from .workloads import Workload, suite_workloads
@@ -63,7 +64,7 @@ def service_throughput_series(
     ``stepper`` pins the service's exact solves to one stepping-registry
     algorithm; ``autotune`` lets the per-graph tuner pick instead (the
     probe cost is paid inside the timed service run, as it would be in
-    production).
+    production).  *verify* raises :class:`ValidationError` on a mismatch.
     """
     workloads = workloads if workloads is not None else suite_workloads()
     rows = []
@@ -82,9 +83,8 @@ def service_throughput_series(
             responses = svc.drain()
             for s, resp in zip(sources, responses):
                 oracle = dijkstra(wl.graph, int(s)).distances
-                assert np.array_equal(resp.distances, oracle), (
-                    f"{wl.name}: batch source {s} differs from Dijkstra"
-                )
+                if not np.array_equal(resp.distances, oracle):
+                    raise ValidationError(f"{wl.name}: batch source {s} differs from Dijkstra")
 
         def run_loop():
             for s in sources:

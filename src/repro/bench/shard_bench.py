@@ -29,6 +29,7 @@ import numpy as np
 from ..shard import ShardedDeltaStepper, partition_graph
 from ..shard.partition import PARTITIONERS
 from ..sssp.reference import dijkstra
+from ..sssp.validate import ValidationError
 from ..stepping import get_stepper
 from .reporting import format_table
 from .timing import time_callable
@@ -51,7 +52,8 @@ def sharded_scaling_series(
     "-"``, 1 shard); configuration rows carry speedup over that
     baseline, the partition's cut fraction, and the run's communication
     volume.  ``verified`` is ``"ok"`` only when the configuration's
-    distances matched Dijkstra bitwise.
+    distances matched Dijkstra bitwise (*verify* raises
+    :class:`ValidationError` on a mismatch).
     """
     workloads = workloads if workloads is not None else suite_workloads()
     partitioners = (
@@ -88,10 +90,8 @@ def sharded_scaling_series(
                     wl.graph, wl.source, sharded=sg, transport=transport
                 )
                 res = run()
-                ok = oracle is None or bool(np.array_equal(res.distances, oracle))
-                assert ok, (
-                    f"{wl.name}: sharded({part}, {k}) differs from Dijkstra"
-                )
+                if oracle is not None and not np.array_equal(res.distances, oracle):
+                    raise ValidationError(f"{wl.name}: sharded({part}, {k}) differs from Dijkstra")
                 ms = time_callable(run, repeats=repeats).best_ms
                 rows.append(
                     {

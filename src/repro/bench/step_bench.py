@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sssp.reference import dijkstra
+from ..sssp.validate import ValidationError
 from ..stepping import DEFAULT_CANDIDATES, AutoTuner, resolve_stepper_spec
 from .reporting import format_table, geometric_mean
 from .timing import time_callable
@@ -38,7 +39,8 @@ def stepping_portfolio_series(
     Every row carries the tuner pick for its graph (``picked`` marks the
     row the tuner chose; ``vs_best`` is the row's slowdown over the best
     measured row), so the render can check the pick quality without
-    re-deriving group structure.
+    re-deriving group structure.  *verify* raises
+    :class:`ValidationError` on a mismatch.
     """
     workloads = workloads if workloads is not None else suite_workloads()
     steppers = tuple(steppers) if steppers is not None else DEFAULT_CANDIDATES
@@ -50,9 +52,8 @@ def stepping_portfolio_series(
             s, params = resolve_stepper_spec(name)
             if verify:
                 r = s.solve(wl.graph, wl.source, **params)
-                assert np.array_equal(r.distances, oracle), (
-                    f"{wl.name}: stepper {name} differs from Dijkstra"
-                )
+                if not np.array_equal(r.distances, oracle):
+                    raise ValidationError(f"{wl.name}: stepper {name} differs from Dijkstra")
             stats = time_callable(
                 lambda: s.solve(wl.graph, wl.source, **params), repeats=repeats
             )

@@ -23,10 +23,9 @@ lookups (:meth:`Graph.edge_weight`, the mutation API in
 (:meth:`Graph.from_matrix`) are canonicalized on construction.
 
 Mutation goes through :func:`repro.dynamic.apply_edge_updates`, which
-keeps the CSR canonical and bumps :attr:`Graph.epoch` — the monotone
-counter that caches (:class:`repro.service.cache.DistanceCache`) key on,
-so a topology change invalidates every derived answer without manual
-bookkeeping.
+keeps the CSR canonical and bumps :attr:`Graph.epoch` — the version of
+the arrays, which every per-graph cache keys on, so an edit retires
+every derived answer without manual bookkeeping.
 """
 
 from __future__ import annotations
@@ -81,17 +80,18 @@ class Graph:
     meta:
         Free-form metadata (dataset family, provenance).  Keys starting
         with ``_`` are derived caches owned by other layers (e.g. the
-        shard layer's partition views) and are dropped by :meth:`copy`,
-        :meth:`with_weights` and :meth:`drop_derived_caches` — they
-        describe *this* object's arrays, not the graph's identity.
+        shard layer's partition views), each tagged with the epoch it
+        was built at; :meth:`copy` and :meth:`with_weights` drop them —
+        they describe *this* object's arrays, not the graph's identity.
     directed:
         Whether the graph was built from directed edges.  Undirected
         graphs are stored with both orientations present.
     epoch:
-        Mutation counter.  Starts at 0 and increases monotonically with
-        every :func:`repro.dynamic.apply_edge_updates` batch; caches key
-        derived answers on ``(id(graph), epoch)`` so stale entries miss
-        automatically after a mutation.
+        The version of the CSR arrays: starts at 0 and never decreases.
+        Every update batch, every announced raw edit (``g.epoch += 1``,
+        or :meth:`repro.service.QueryService.invalidate`) and every
+        rolled-back mutation bumps it; derived caches key on
+        ``(id(graph), epoch)``, so anything built before an edit misses.
     """
 
     indptr: np.ndarray
@@ -255,13 +255,15 @@ class Graph:
         """Sort every row by target and min-combine duplicates, in place.
 
         Returns ``self``.  No-op (and no copies) when the CSR is already
-        canonical, so constructors can call it unconditionally.
+        canonical, so constructors can call it unconditionally; otherwise
+        the arrays change, so :attr:`epoch` bumps.
         """
         if self.has_canonical_rows():
             return self
         self.indptr, self.indices, self.weights = build_canonical_csr(
             self.row_sources(), self.indices, self.weights, self.num_vertices
         )
+        self.epoch += 1
         return self
 
     # -- conversions -----------------------------------------------------------
@@ -285,16 +287,6 @@ class Graph:
         return Graph.from_edges(
             dst, src, w, n=self.num_vertices, name=f"{self.name}-rev", directed=self.directed
         )
-
-    def drop_derived_caches(self) -> None:
-        """Delete the ``_``-prefixed derived caches from :attr:`meta`.
-
-        Partition views and the CSR row-id expansion are built against
-        the CSR arrays as they were; after the arrays are edited or
-        swapped in place, they must go (they rebuild on next use).
-        """
-        for key in [k for k in self.meta if isinstance(k, str) and k.startswith("_")]:
-            del self.meta[key]
 
     def _public_meta(self) -> dict:
         """Metadata minus the ``_``-prefixed derived caches (see class

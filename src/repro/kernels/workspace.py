@@ -33,9 +33,9 @@ takes no workspace):
 
 :func:`cached_row_ids` is the companion per-graph cache for the CSR
 row-id expansion (used by every light/heavy matrix split), keyed on the
-graph's mutation epoch and stored under an underscore-prefixed
-``graph.meta`` key so copies drop it, per the derived-cache convention
-of :class:`repro.graphs.graph.Graph`.
+graph's epoch — the version of its CSR arrays — and stored under an
+underscore-prefixed ``graph.meta`` key so copies drop it, per the
+derived-cache convention of :class:`repro.graphs.graph.Graph`.
 """
 
 from __future__ import annotations
@@ -166,14 +166,15 @@ def cached_row_ids(graph: Any) -> NDArray[np.int64]:
     that needs each stored edge's source) used to recompute this O(m)
     expansion per call; it only changes when the sparsity pattern does,
     so it is cached per ``(graph, epoch)`` in ``graph.meta`` and
-    recomputed after mutations.  Treat the result as read-only — it is
+    recomputed after an epoch bump, with the stale expansion freed
+    before the new one is built.  Treat the result as read-only — it is
     shared by every caller.
     """
     entry: tuple[int, NDArray[np.int64]] | None = graph.meta.get(_ROW_IDS_KEY)
-    if entry is not None:
-        epoch, ids = entry
-        if epoch == graph.epoch and len(ids) == graph.num_edges:
-            return ids
+    if entry is not None and entry[0] == graph.epoch:
+        return entry[1]
+    del entry  # drop both references to a stale expansion before the build
+    graph.meta.pop(_ROW_IDS_KEY, None)
     fresh: NDArray[np.int64] = graph.row_sources()
     graph.meta[_ROW_IDS_KEY] = (graph.epoch, fresh)
     return fresh

@@ -7,8 +7,8 @@ answers "one source, one run", this package serves *query traffic*:
 :mod:`~repro.service.batch`      K-source SSSP as K single-source solves of
                                  one registered stepper (``delta``: the
                                  compiled Δ-bucket loop), rows stacked K×n
-:mod:`~repro.service.cache`      LRU cache of full distance vectors with
-                                 mutation invalidation
+:mod:`~repro.service.cache`      LRU cache of full distance vectors, keyed
+                                 on the graph's epoch
 :mod:`~repro.service.landmarks`  ALT-style triangle-inequality bounds for
                                  breaker-degraded answers
 :mod:`~repro.service.planner`    coalesces pending queries: dedupe, cache
@@ -26,6 +26,9 @@ Entry points::
     svc = QueryService(graph)
     print(svc.query(source=0, target=99).distance)
     svc.mutate(reweights=[(0, 99, 0.5)])   # repairs hot cache entries in place
+
+``graph.epoch`` is the one staleness signal: it only grows, a mutation
+batch bumps it, and so does ``svc.invalidate()`` after a raw edit.
 """
 
 from __future__ import annotations

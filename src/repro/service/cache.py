@@ -1,14 +1,11 @@
 """An LRU cache of full distance vectors, keyed by (graph, source, weights).
 
 One SSSP run answers *every* point query from its source, so the natural
-cache unit is the whole distance array.  Keys combine the graph identity
-— ``id`` plus the graph's own :attr:`~repro.graphs.graph.Graph.epoch`
-counter, which :func:`repro.dynamic.apply_edge_updates` bumps on every
-mutation batch, so topology changes invalidate implicitly — the source
-vertex, and the weight mode, because the same catalog graph is routinely
-queried under both unit and distribution weights.  A manual epoch
-(:meth:`DistanceCache.invalidate`) remains for in-place array mutations
-that bypass the mutation API.
+cache unit is the whole distance array.  Keys are ``(id(graph),
+graph.epoch, source, weight_mode)``: any edit bumps the epoch (the
+version of the graph's arrays), retiring every cache's rows at once; the
+weight mode is there because one catalog graph is routinely queried
+under both unit and distribution weights.
 
 Cached arrays are stored read-only: handing out a mutable view of a
 shared answer would let one caller corrupt every later hit.
@@ -53,21 +50,20 @@ class CacheStats:
 
 
 class DistanceCache:
-    """LRU map ``(graph, source, weight_mode) → distance array``.
+    """LRU map ``(graph, epoch, source, weight_mode) → distance array``.
 
     Thread-safe (one lock around the ordered map — lookups are tiny next
     to the SSSP runs they save).  Graph identity is ``id(graph)`` paired
-    with two epochs: the graph's own ``epoch`` attribute (bumped by the
-    mutation API, so every pre-mutation entry mismatches at once with no
-    call into the cache) and a cache-local manual epoch that
-    :meth:`invalidate` bumps for raw in-place mutations.  A weak reference
-    per graph drops its entries when the graph is garbage-collected
-    (which also protects against ``id`` reuse).  The cache holds those
-    references, so they die with it: a long-lived graph served by many
-    short-lived caches keeps no callback per dead cache.  The callback
-    can fire from the garbage collector at any allocation point —
-    possibly while this very cache holds its lock — so it only
-    *enqueues* the dead id; the locked public methods purge the queue.
+    with the graph's ``epoch``, which only grows: an entry of an earlier
+    epoch never matches again (:meth:`invalidate` frees them early).  A
+    weak reference per graph drops its entries when the graph is
+    garbage-collected (which also protects against ``id`` reuse).  The
+    cache holds those references, so they die with it: a long-lived
+    graph served by many short-lived caches keeps no callback per dead
+    cache.  The callback can fire from the garbage collector at any
+    allocation point — possibly while this very cache holds its lock —
+    so it only *enqueues* the dead id; the locked public methods purge
+    the queue.
     """
 
     def __init__(self, capacity: int = 128, metrics=None):
@@ -75,7 +71,6 @@ class DistanceCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._epochs: dict[int, int] = {}
         self._watches: dict[int, weakref.ref] = {}  # gid -> weak ref to the graph
         self._dead_gids: deque[int] = deque()  # filled lock-free by their callbacks
         self._lock = threading.Lock()
@@ -108,21 +103,17 @@ class DistanceCache:
 
     # -- graph identity ----------------------------------------------------
 
-    def _graph_token(self, graph: Graph) -> tuple[int, int, int]:
+    def _graph_token(self, graph: Graph) -> tuple[int, int]:
         gid = id(graph)
-        manual = self._epochs.get(gid)
-        if manual is None:
-            manual = 0
-            self._epochs[gid] = manual
+        if gid not in self._watches:
             dead = self._dead_gids
             self._watches[gid] = weakref.ref(graph, lambda _, gid=gid: dead.append(gid))
-        return gid, getattr(graph, "epoch", 0), manual
+        return gid, graph.epoch
 
     def _purge_dead(self) -> None:
         """Drop entries of collected graphs (called under the lock)."""
         while self._dead_gids:
             gid = self._dead_gids.popleft()
-            self._epochs.pop(gid, None)
             self._watches.pop(gid, None)
             for key in [k for k in self._entries if k[0] == gid]:
                 del self._entries[key]
@@ -166,12 +157,10 @@ class DistanceCache:
         return dist
 
     def invalidate(self, graph: Graph) -> int:
-        """Drop every entry of *graph* (call after raw in-place mutation).
+        """Drop every entry of *graph*, of any epoch; returns how many.
 
-        Mutations through :func:`repro.dynamic.apply_edge_updates` do not
-        need this — they bump ``graph.epoch``, which is part of the key.
-        Returns the number of entries dropped.  The manual epoch is
-        bumped, so any concurrent holder of the old token also misses.
+        Staleness needs no call here — an edit bumps ``graph.epoch``,
+        which is part of the key — so this only frees the rows early.
         Only *real* invalidations — calls that actually dropped entries —
         are counted in :class:`CacheStats`, so the counter stays truthful
         for graphs the cache has never seen.
@@ -179,8 +168,6 @@ class DistanceCache:
         with self._lock:
             self._purge_dead()
             gid = id(graph)
-            if gid in self._epochs:
-                self._epochs[gid] += 1
             stale = [k for k in self._entries if k[0] == gid]
             for key in stale:
                 del self._entries[key]
@@ -209,8 +196,8 @@ class DistanceCache:
             taken: dict[tuple[int, str], np.ndarray] = {}
             for key in [k for k in self._entries if k[0] == token[0]]:
                 entry = self._entries.pop(key)
-                if key[:3] == token:
-                    taken[(key[3], key[4])] = entry
+                if key[:2] == token:
+                    taken[(key[2], key[3])] = entry
             self._gauge_size()
             return taken
 

@@ -88,14 +88,15 @@ class LandmarkIndex:
         ``dist_from`` for undirected graphs).
 
     Indexes built with :meth:`build` stay bound to their graph and
-    support the *lazy rebuild* policy for dynamic graphs: a mutation
-    makes the index stale — the bound graph's epoch moves past the one
-    the tables were solved at, or a caller flips the flag with
-    :meth:`mark_stale` — and the distance tables are re-solved only
-    when the next approximate answer actually needs them
+    support the *lazy rebuild* policy for dynamic graphs: the index is
+    stale once the bound graph's epoch moves past the one the tables
+    were solved at — any mutation batch or announced raw edit, through
+    whichever service or none — and the distance tables are re-solved
+    only when the next approximate answer actually needs them
     (:meth:`ensure_fresh`).  The landmark *selection* is kept —
     re-selecting on every batch would churn the tables for marginal
-    quality — only the two batch solves repeat.
+    quality — only the two batch solves repeat.  An index constructed
+    directly, without a graph, is never stale.
     """
 
     def __init__(
@@ -111,7 +112,6 @@ class LandmarkIndex:
         self.dist_to = dist_to
         self._graph = graph
         self._delta = delta
-        self._stale = False
         #: the bound graph's epoch when the tables were last solved
         self._epoch = graph.epoch if graph is not None else 0
         self.rebuilds = 0
@@ -140,32 +140,19 @@ class LandmarkIndex:
 
     @property
     def stale(self) -> bool:
-        """True when the bound graph mutated after the last table solve:
-        the index was marked stale, or the graph's epoch moved."""
-        return self._stale or (
-            self._graph is not None and self._graph.epoch != self._epoch
-        )
-
-    def mark_stale(self) -> None:
-        """Note a graph mutation; tables rebuild lazily on next use."""
-        self._stale = True
+        """True when the bound graph's epoch moved after the last table
+        solve."""
+        return self._graph is not None and self._graph.epoch != self._epoch
 
     def ensure_fresh(self) -> bool:
         """Re-solve the distance tables if stale; returns True on a rebuild.
 
         The lazy half of the rebuild policy: mutation batches stay cheap
         and the (two batch solves) rebuild cost lands on the first
-        approximate answer that needs current tables.  Raises
-        ``RuntimeError`` for a stale index that was constructed directly
-        without a bound graph — it has nothing to rebuild from.
+        approximate answer that needs current tables.
         """
         if not self.stale:
             return False
-        if self._graph is None:
-            raise RuntimeError(
-                "stale LandmarkIndex has no bound graph to rebuild from; "
-                "construct with LandmarkIndex.build() to enable lazy rebuilds"
-            )
         self.dist_from = batch_delta_stepping(self._graph, self.landmarks, delta=self._delta).distances
         if self._graph.directed:
             self.dist_to = batch_delta_stepping(
@@ -173,7 +160,6 @@ class LandmarkIndex:
             ).distances
         else:
             self.dist_to = self.dist_from
-        self._stale = False
         self._epoch = self._graph.epoch
         self.rebuilds += 1
         return True

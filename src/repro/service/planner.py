@@ -9,8 +9,9 @@ the plan).  Given the pending queries it:
 3. packs the remaining sources into batches of at most
    :data:`MAX_BATCH_SIZE` (each solved as one single-source solve per
    source, :func:`repro.service.batch.batch_delta_stepping`), stamped
-   with the exact-solve stepper (pinned by the caller, or tuned per
-   graph by the stepping auto-tuner).
+   with the caller's pinned exact-solve stepper, if any.  An unpinned
+   plan is routed by the server: through the auto-tuner's pick for the
+   graph's current epoch, when it has a tuner, else ``delta``.
 
 Keeping this logic free of I/O and timing makes it unit-testable.
 """
@@ -52,9 +53,8 @@ class QueryPlan:
     not re-fetch, both for honest hit counting and because a shared
     cache could evict between plan and execution); ``batches`` are
     source groups to hand to the batch solver.  ``stepper`` is the
-    planner's algorithm choice for the exact solves (``None`` = the
-    server's default, ``delta``) — pinned by the caller or tuned per
-    graph by the stepping auto-tuner.
+    algorithm of the exact solves: the caller's pin, or ``None``, which
+    the server fills with its tuner's pick or reads as ``delta``.
     """
 
     cached: dict[int, "np.ndarray"] = field(default_factory=dict)
@@ -75,33 +75,12 @@ class QueryPlanner:
         Pin the exact-solve algorithm to one stepping-registry spec —
         a name or a parameterized form like ``"sharded(shards=4)"``
         (stamped onto every plan).  ``None`` leaves the choice to the
-        tuned pick (:meth:`set_tuned_stepper`) or, failing that, the
-        server's default, ``delta``.
+        server.  A pin encodes caller intent, not measurement, so no
+        mutation moves it.
     """
 
     def __init__(self, stepper: str | None = None):
-        self._pinned_stepper = stepper
-        self._tuned_stepper: str | None = None
-
-    def note_mutation(self) -> None:
-        """Drop the tuned stepper pick after a graph mutation.
-
-        The tuner's pick is a function of the topology, so it falls with
-        the old epoch and the next exact drain re-tunes; a pinned choice
-        survives — it encodes caller intent, not measurement.
-        """
-        self._tuned_stepper = None
-
-    # -- stepper routing ----------------------------------------------------
-
-    def set_tuned_stepper(self, name: str | None) -> None:
-        """Install the auto-tuner's per-graph pick (cleared on mutation)."""
-        self._tuned_stepper = name
-
-    @property
-    def stepper(self) -> str | None:
-        """The effective exact-solve algorithm: pinned beats tuned."""
-        return self._pinned_stepper or self._tuned_stepper
+        self.stepper = stepper
 
     # -- planning ----------------------------------------------------------
 

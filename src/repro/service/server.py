@@ -9,11 +9,11 @@ solver off — and returns every response in submission order.  ``query``
 wraps submit+drain for the interactive one-off case.
 
 Graphs served here are *mutable*: :meth:`QueryService.mutate` applies an
-edge-update batch through :mod:`repro.dynamic`, repairs the hot cached
-distance vectors incrementally (no cold recompute), marks the landmark
-index stale for lazy rebuild, and clears the planner's tuned stepper
-pick.  The cache keys on ``graph.epoch``, so anything not repaired
-simply misses.
+edge-update batch through :mod:`repro.dynamic` and repairs the hot cached
+distance vectors incrementally (no cold recompute).  The batch bumps
+``graph.epoch``, the one staleness signal, so anything else derived from
+the old arrays (cache rows, landmark tables, the tuner's pick) retires
+unasked; :meth:`QueryService.invalidate` bumps it after a raw edit.
 
 Each query observes the latency of the round that served it, once, into
 one ``latency-ms`` histogram (the bound recorder's ``service.query_ms``,
@@ -145,7 +145,7 @@ class QueryService:
     graph:
         The served graph.  Mutate it through :meth:`mutate` (which
         repairs cached answers in place); after a *raw* in-place edit
-        call :meth:`invalidate` instead.
+        call :meth:`invalidate` (or bump ``graph.epoch`` yourself).
     weight_mode:
         Cache-key tag for the weight configuration of *graph*.
     delta:
@@ -164,10 +164,10 @@ class QueryService:
         ``"delta"`` (one compiled fused solve per source).
     autotune:
         Let the stepping auto-tuner pick the exact-solve algorithm per
-        graph epoch: the first drain *that needs an exact solve* (and
-        the first after each mutation) probes the portfolio once and
-        installs the winner on the planner — cache-only drains never pay
-        the probe.  A pinned ``stepper`` beats the tuned pick.
+        graph epoch: the first drain *that needs an exact solve* after
+        each epoch bump probes the portfolio once (the tuner caches its
+        pick per epoch) — cache-only drains never pay the probe.  A
+        pinned ``stepper`` beats the tuned pick.
     tuner:
         Optional pre-configured :class:`repro.stepping.AutoTuner`
         (implies ``autotune``); pass a shared instance to pool probe
@@ -413,14 +413,11 @@ class QueryService:
             )
         self._last_plan = plan
         if self.tuner is not None and plan.batches and plan.stepper is None:
-            # tuned routing: probe once per graph epoch (the tuner caches),
-            # install the winner; a mutation clears it for re-tuning.  The
-            # probe only runs when the plan has exact solves to route —
-            # cache-only drains never pay it — and inside the timed round,
-            # so its cost shows in the latency stats it affects.
-            pick = self.tuner.best_stepper(self.graph)
-            self.planner.set_tuned_stepper(pick)
-            plan.stepper = pick
+            # tuned routing: the tuner caches its pick per graph epoch, so
+            # it probes only on the first exact drain after an epoch bump
+            # — cache-only drains never pay it — and inside the timed
+            # round, so its cost shows in the latency stats it affects.
+            plan.stepper = self.tuner.best_stepper(self.graph)
         # the plan carries the fetched cache hits (a later eviction — e.g.
         # by this round's own puts into a small shared cache — can't
         # invalidate an answer already in hand)
@@ -580,18 +577,19 @@ class QueryService:
         modes are always dropped: their weight arrays no longer describe
         this graph.
 
-        The landmark index (if any) is marked stale and rebuilds lazily
-        on the next degraded answer; the planner's tuned stepper pick is
-        cleared.  Pending (submitted, undrained) queries are
-        answered against the post-mutation graph.
+        The epoch bump alone makes the landmark index (if any) rebuild
+        lazily on the next degraded answer and the auto-tuner probe again
+        on the next exact drain.  Pending (submitted, undrained) queries
+        are answered against the post-mutation graph.
 
         With an *open* circuit breaker attached, the batch is shed with
         :class:`~repro.faults.MutationShedError` before anything is
         touched: while the solver is failing, a repair that dies
         mid-flight would only widen the blast radius, and the current
         epoch snapshot can still answer.  If a repair *does* fail
-        mid-flight, the graph, epoch, Δ, and cache are rolled back to
-        the pre-mutation snapshot before the error propagates.
+        mid-flight, the graph's arrays, Δ and cache are rolled back to
+        the pre-mutation snapshot, under an epoch past the aborted one,
+        before the error propagates.
         """
         breaker = self.breaker
         if breaker is not None and not breaker.allow_mutation():
@@ -630,7 +628,6 @@ class QueryService:
             self.graph.indptr,
             self.graph.indices,
             self.graph.weights.copy(),
-            self.graph.epoch,
             self.delta,
         )
         try:
@@ -638,8 +635,9 @@ class QueryService:
                 self.graph, inserts=inserts, deletes=deletes, reweights=reweights, strict=strict
             )
         except Exception:
-            # batch rejected before the graph changed (epoch untouched):
-            # the harvested entries are still valid — put them back
+            # batch rejected before any distance changed (at most the
+            # rows were canonicalized): the harvested entries are still
+            # valid — put them back
             for (source, wmode), dist in harvested.items():
                 self.cache.put(self.graph, source, wmode, dist)
             raise
@@ -658,14 +656,11 @@ class QueryService:
                 repaired += 1
         except Exception:
             # mid-repair failure: the epoch already advanced and some
-            # entries were re-put under it — rewind everything to the
-            # pre-mutation snapshot so the service keeps answering
-            # exactly what it answered before the call
+            # entries were re-put under it — restore the pre-mutation
+            # snapshot so the service keeps answering exactly what it
+            # answered before the call
             self._rollback_mutation(snapshot, harvested)
             raise
-        if self.landmarks is not None:
-            self.landmarks.mark_stale()
-        self.planner.note_mutation()
         self._mutations += 1
         self._entries_repaired += repaired
         return MutationReport(
@@ -676,44 +671,31 @@ class QueryService:
         )
 
     def _rollback_mutation(self, snapshot, harvested) -> None:
-        """Rewind a mid-repair mutation failure to the pre-mutation state.
+        """Restore the pre-mutation state after a mid-repair failure.
 
-        Restores the CSR arrays, epoch, and Δ from *snapshot*, drops
-        anything cached under the aborted epoch (including partially
-        repaired entries this call re-put), clears derived ``meta``
-        caches built against the aborted arrays, and re-inserts the
-        *harvested* pre-mutation entries — so every source that answered
-        from cache before the call still does, with identical vectors.
+        Puts back the CSR arrays and Δ of *snapshot*, moves the epoch
+        past the aborted one (it never decreases), drops the aborted
+        epoch's rows and re-inserts the *harvested* entries — so every
+        source that answered from cache before the call still does, with
+        identical vectors.
         """
-        indptr, indices, weights, epoch, delta = snapshot
         g = self.graph
-        # evict the aborted epoch's entries before rewinding the counter
-        # (afterwards they would key as current and shadow the snapshot)
+        g.indptr, g.indices, g.weights, self.delta = snapshot
+        g.epoch += 1
         self.cache.take_entries(g)
-        g.indptr = indptr
-        g.indices = indices
-        g.weights = weights
-        g.epoch = epoch
-        self.delta = delta
-        g.drop_derived_caches()
         for (source, wmode), dist in harvested.items():
             self.cache.put(g, source, wmode, dist)
 
     # -- maintenance & reporting -------------------------------------------
 
     def invalidate(self) -> int:
-        """Forget everything derived from the graph after a *raw*
-        in-place edit of its arrays; returns the cache entries dropped.
-
-        Empties the distance cache, deletes the graph's derived ``meta``
-        caches (partition views, row-id expansion) and marks the
-        landmark index stale.  Batches applied through :meth:`mutate` or
-        :func:`repro.dynamic.apply_edge_updates` never need this — they
-        bump ``graph.epoch``, which retires all of those automatically.
+        """Announce a *raw* in-place edit of the graph's arrays: bump
+        ``graph.epoch``, which retires everything derived from the old
+        arrays in every holder, and drop this cache's rows now; returns
+        how many.  Batches applied through :meth:`mutate` or
+        :func:`repro.dynamic.apply_edge_updates` bump the epoch themselves.
         """
-        self.graph.drop_derived_caches()
-        if self.landmarks is not None:
-            self.landmarks.mark_stale()
+        self.graph.epoch += 1
         return self.cache.invalidate(self.graph)
 
     def stats(self) -> ServiceStats:

@@ -91,9 +91,10 @@ def sharded_view(graph: Graph, num_shards: int, partitioner: str) -> ShardedGrap
     # built by hand around another graph's meta dict
     if hit is not None and hit.graph is graph and not hit.is_stale():
         return hit
+    del hit  # a stale view must not live on through the rebuild below
     if any(v.is_stale() for v in views.values()):
-        # a mutation bumped the epoch: every cached view is stale, not
-        # just this key's — drop them all rather than leak one per epoch
+        # an epoch bump: every cached view is stale, not just this
+        # key's — drop them all before building, rather than hold two
         views.clear()
     view = partition_graph(graph, num_shards, partitioner)
     views[key] = view

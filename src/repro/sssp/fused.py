@@ -32,7 +32,7 @@ object from the hot loop.  The primitives themselves live in
   boundaries.)
 
 That loop, :func:`run_buckets`, is shared: the solve seeds ``{source}``
-and repair seeds a dirty set (both through :func:`fused_resolve`); the
+and repair seeds a dirty set (through :func:`fused_resolve`); the
 service's batches are K solves.  It has two back ends with the same
 distances and the same four counters:
 
@@ -152,18 +152,32 @@ def cached_split(graph: Graph, delta: float):
     """:func:`split_csr_light_heavy` of *graph* at *delta*, cached.
 
     One split per ``(graph.epoch, delta)`` lives under a ``_``-prefixed
-    ``graph.meta`` key, so a mutation, :meth:`~repro.graphs.Graph.copy`
-    or a derived-cache drop retires it, and a new Δ replaces it.  A miss
-    calls the module-global :func:`split_csr_light_heavy`, so run-time
-    wrappers still count every split made.  Treat the arrays as
+    ``graph.meta`` key, so an epoch bump or :meth:`~repro.graphs.Graph.copy`
+    retires it, and a new Δ replaces it (the stale split is freed first).
+    A miss calls the module-global :func:`split_csr_light_heavy`, so
+    run-time wrappers still count every split made.  Treat the arrays as
     read-only — every solve on this epoch shares them.
     """
     entry = graph.meta.get(_SPLIT_KEY)
     if entry is not None and entry[0] == graph.epoch and entry[1] == delta:
         return entry[2]
+    del entry  # drop both references to a stale split before the build
+    graph.meta.pop(_SPLIT_KEY, None)
     split = split_csr_light_heavy(graph, delta)
     graph.meta[_SPLIT_KEY] = (graph.epoch, delta, split)
     return split
+
+
+def _solve_split(graph: Graph, delta: float, kernel: str, fuse_matrix_split: bool, recorder):
+    """Check Δ and *kernel*, and return the light/heavy split a solve runs
+    on: the epoch's cached split, or a fresh one for the ablation and
+    recorded runs, which time their own ``filter:*`` stages."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    check_kernel(kernel)
+    if fuse_matrix_split and not recorder:
+        return cached_split(graph, delta)
+    return split_csr_light_heavy(graph, delta, fused=fuse_matrix_split, recorder=recorder)
 
 
 def build_light_csr(graph: Graph, delta: float):
@@ -202,12 +216,12 @@ def fused_delta_stepping(
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
+    split = _solve_split(graph, delta, kernel, fuse_matrix_split, recorder)
     t = np.full(n, INF, dtype=np.float64)
     t[source] = 0.0
-    active = np.zeros(n, dtype=bool)
-    active[source] = True
-    c = fused_resolve(
-        graph, t, active, delta, fuse_relax, fuse_matrix_split, kernel, workspace, recorder
+    c = run_buckets(
+        split, t, np.array([source], dtype=np.int64), delta, kernel, workspace,
+        fuse_relax=fuse_relax, recorder=recorder,
     )
     return SSSPResult(
         distances=t,
@@ -229,13 +243,7 @@ def fused_resolve(
     """The ``delta`` stepper's :meth:`~repro.stepping.Stepper.resolve`:
     :func:`run_buckets` over *graph*'s light/heavy split, seeded with
     every *active* vertex of finite *dist* (*active* is consumed)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    check_kernel(kernel)
-    if fuse_matrix_split and not recorder:
-        split = cached_split(graph, delta)
-    else:  # the ablation and recorded runs time their own filter:* stages
-        split = split_csr_light_heavy(graph, delta, fused=fuse_matrix_split, recorder=recorder)
+    split = _solve_split(graph, delta, kernel, fuse_matrix_split, recorder)
     seeds = np.flatnonzero(active & np.isfinite(dist))
     active[:] = False
     return run_buckets(

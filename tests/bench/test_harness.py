@@ -26,6 +26,23 @@ def tiny_workloads():
     return [workload_for("ci-ws"), workload_for("ci-road")]
 
 
+@pytest.fixture
+def divergent_dijkstra(monkeypatch):
+    """Make a bench module's ``dijkstra`` oracle disagree with every solve."""
+
+    def patch(module):
+        real = module.dijkstra
+
+        def divergent(graph, source):
+            r = real(graph, source)
+            r.distances[r.distances > 0] += 1.0
+            return r
+
+        monkeypatch.setattr(module, "dijkstra", divergent)
+
+    return patch
+
+
 class TestTiming:
     def test_basic_measurement(self):
         stats = time_callable(lambda: sum(range(1000)), repeats=3, warmup=1)
@@ -206,6 +223,16 @@ class TestShardBench:
         assert "PASS" in text
         assert "exchanged" in text
 
+    def test_divergent_answer_raises(self, tiny_workloads, divergent_dijkstra):
+        from repro.bench import shard_bench
+
+        divergent_dijkstra(shard_bench)
+        with pytest.raises(ValidationError, match="ci-ws"):
+            shard_bench.sharded_scaling_series(
+                tiny_workloads[:1], shard_counts=(2,), partitioners=("contiguous",),
+                transport="inline", repeats=1,
+            )
+
     def test_rejects_empty_shard_counts(self, tiny_workloads):
         from repro.bench.shard_bench import sharded_scaling_series
 
@@ -284,6 +311,23 @@ class TestServeBench:
         text = render_service_throughput(rows)
         assert "SERVE" in text and "verified bit-identical" in text
         assert ("[PASS]" in text) == head["passed"]
+
+
+    def test_divergent_answer_raises(self, tiny_workloads, divergent_dijkstra):
+        from repro.bench import service_bench
+
+        divergent_dijkstra(service_bench)
+        with pytest.raises(ValidationError, match="ci-ws"):
+            service_bench.service_throughput_series(tiny_workloads[:1], num_queries=2, repeats=1)
+
+
+class TestStepBench:
+    def test_divergent_answer_raises(self, tiny_workloads, divergent_dijkstra):
+        from repro.bench import step_bench
+
+        divergent_dijkstra(step_bench)
+        with pytest.raises(ValidationError, match="ci-ws"):
+            step_bench.stepping_portfolio_series(tiny_workloads[:1], steppers=("delta",), repeats=1)
 
 
 class TestMutateBench:

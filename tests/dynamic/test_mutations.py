@@ -203,9 +203,12 @@ class TestCanonicalization:
         assert g.has_canonical_rows()
         assert g.num_edges == 2
         assert g.edge_weight(0, 1) == 2.0
+        assert g.epoch == 1  # the arrays changed, so their version did
 
     def test_canonicalize_noop_on_canonical(self):
         g = _directed_graph()
         indices = g.indices
+        epoch = g.epoch
         g.canonicalize_rows()
         assert g.indices is indices  # untouched
+        assert g.epoch == epoch

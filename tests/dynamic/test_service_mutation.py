@@ -151,13 +151,6 @@ class TestLandmarkStaleness:
         assert lm.ensure_fresh() is False
         assert lm.rebuilds == 0
 
-    def test_unbound_stale_index_raises(self):
-        lm = LandmarkIndex.build(_graph(), 2)
-        unbound = LandmarkIndex(lm.landmarks, lm.dist_from, lm.dist_to)
-        unbound.mark_stale()
-        with pytest.raises(RuntimeError, match="no bound graph"):
-            unbound.ensure_fresh()
-
     def test_approximate_answer_triggers_rebuild(self, degrading_service):
         g = _graph()
         lm = LandmarkIndex.build(g, 3)

@@ -189,7 +189,31 @@ class TestPerGraphCaching:
         n_before = len(split_calls)
         svc.invalidate()
         svc.query(0)
-        assert len(split_calls) == n_before + 1  # and a derived-cache drop
+        assert len(split_calls) == n_before + 1  # and an announced raw edit
+
+    def test_stale_split_and_row_ids_freed_before_the_rebuild(self, monkeypatch):
+        """An epoch bump never holds two splits, nor two expansions."""
+        import weakref
+
+        from repro.graphs.graph import Graph
+        from repro.sssp import fused
+
+        g = generators.grid_2d(5, 5)
+        old_split = weakref.ref(fused.cached_split(g, 1.0)[0][1])
+        old_ids = weakref.ref(cached_row_ids(g))
+        alive = []
+        split, row_sources = fused.split_csr_light_heavy, Graph.row_sources
+        monkeypatch.setattr(
+            fused, "split_csr_light_heavy",
+            lambda graph, delta: alive.append(old_split() is not None) or split(graph, delta),
+        )
+        monkeypatch.setattr(
+            Graph, "row_sources",
+            lambda graph: alive.append(old_ids() is not None) or row_sources(graph),
+        )
+        g.epoch += 1
+        fused.cached_split(g, 1.0)
+        assert alive == [False, False]
 
     def test_recorded_and_unfused_split_solves_split_afresh(self, split_calls):
         from repro.obs import Recorder

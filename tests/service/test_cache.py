@@ -85,14 +85,16 @@ class TestInvalidation:
         assert cache.get(g2, 0) is not None
 
     def test_mutation_workflow(self):
-        """The documented in-place mutation pattern: mutate, invalidate,
-        recompute — stale distances never come back."""
+        """The documented in-place mutation pattern: edit, bump the epoch,
+        recompute — stale distances never come back, and
+        :meth:`invalidate` frees them early."""
         cache = DistanceCache()
         g = _graph()
         cache.put(g, 0, "unit", np.array([0.0, 1.0, 2.0, 3.0]))
         g.weights[:] = 5.0  # in-place mutation
-        cache.invalidate(g)
+        g.epoch += 1  # announced, as QueryService.invalidate does
         assert cache.get(g, 0) is None
+        assert cache.invalidate(g) == 1
         cache.put(g, 0, "unit", np.array([0.0, 5.0, 10.0, 15.0]))
         assert cache.get(g, 0)[1] == 5.0
 

@@ -2,9 +2,10 @@
 
 The hot-repair loop runs *after* the epoch has advanced and may have
 re-put some entries under the new epoch before dying.  The service must
-rewind to the pre-mutation snapshot — graph arrays, epoch, Δ, and cache
-— so every source that answered from cache before the call still
-answers bit-identically after the failure.
+restore the pre-mutation snapshot — graph arrays, Δ and cache — under an
+epoch past the aborted one (the epoch never decreases), so every source
+that answered from cache before the call still answers bit-identically
+after the failure.
 """
 
 import numpy as np
@@ -31,15 +32,18 @@ def reweight_batch(graph):
 
 def failing_repairs(monkeypatch, fail_after=1):
     """Patch repair_sssp to die after *fail_after* successful repairs —
-    a genuine mid-flight failure, some entries already re-put."""
+    a genuine mid-flight failure, some entries already re-put.  The
+    returned dict also records the graph's (aborted) epoch at the
+    failure."""
     calls = {"n": 0}
     real = server_mod.repair_sssp
 
-    def flaky(*args, **kwargs):
+    def flaky(graph, *args, **kwargs):
         calls["n"] += 1
         if calls["n"] > fail_after:
+            calls["aborted_epoch"] = graph.epoch
             raise RuntimeError("repair kernel died mid-flight")
-        return real(*args, **kwargs)
+        return real(graph, *args, **kwargs)
 
     monkeypatch.setattr(server_mod, "repair_sssp", flaky)
     return calls
@@ -56,13 +60,29 @@ class TestRollback:
         with pytest.raises(RuntimeError, match="mid-flight"):
             service.mutate(reweights=reweight_batch(graph), strict=False)
 
-        assert graph.epoch == epoch_before
+        assert graph.epoch > epoch_before + 1  # past the aborted epoch, not rewound
         assert service.delta == delta_before
         np.testing.assert_array_equal(graph.weights, weights_before)
         # structure arrays are only ever replaced wholesale; a pure
         # reweight rollback must hand back the very same objects
         assert graph.indptr is indptr_before
         assert graph.indices is indices_before
+
+    def test_epoch_moves_past_the_aborted_one(self, service, graph, monkeypatch):
+        before = {s: service.query(s) for s in (0, 1)}
+        weights_before, delta_before = graph.weights.copy(), service.delta
+        calls = failing_repairs(monkeypatch, fail_after=1)
+        with pytest.raises(RuntimeError, match="mid-flight"):
+            service.mutate(reweights=reweight_batch(graph), strict=False)
+
+        assert calls["aborted_epoch"] > 0
+        assert graph.epoch > calls["aborted_epoch"]
+        np.testing.assert_array_equal(graph.weights, weights_before)
+        assert service.delta == delta_before
+        for s, resp in before.items():
+            again = service.query(s)
+            assert again.from_cache
+            np.testing.assert_array_equal(again.distances, resp.distances)
 
     def test_service_answers_from_pre_mutation_snapshot(
         self, service, graph, monkeypatch

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dynamic import apply_edge_updates
-from repro.graphs import datasets
+from repro.graphs import datasets, generators
 from repro.graphs.graph import Graph
 from repro.service import (
     MAX_BATCH_SIZE,
@@ -187,6 +187,29 @@ class TestDerivedStateAfterEdits:
         assert resp.degraded and not resp.exact
         assert dijkstra(g, 0).distances[4] == 20.0
         assert resp.distance >= 20.0  # an upper bound, not the deleted walk's 4
+
+    def test_invalidate_retires_every_services_rows(self):
+        g = generators.grid_2d(6, 6)
+        a, b = QueryService(g), QueryService(g)
+        b.query(0)
+        g.weights *= 3.0
+        a.invalidate()  # announced through a; b's cache holds the old rows
+        resp = b.query(0)
+        assert not resp.from_cache
+        assert np.array_equal(resp.distances, dijkstra(g, 0).distances)
+
+    def test_invalidate_makes_an_outside_landmark_index_stale(self):
+        g = generators.grid_2d(6, 6)
+        lm = LandmarkIndex.build(g, num_landmarks=2)
+        a = QueryService(g)
+        g.weights *= 3.0
+        a.invalidate()
+        assert lm.stale
+        assert lm.ensure_fresh() and not lm.stale
+        for s in range(g.num_vertices):
+            true = dijkstra(g, s).distances
+            upper = [lm.upper_bound(s, t) for t in range(g.num_vertices)]
+            assert np.all(np.asarray(upper) >= true), s
 
     def test_epoch_move_outside_the_service_makes_landmarks_stale(self, degrading_service):
         g = _path_with_detour()

@@ -266,6 +266,23 @@ class TestViewCache:
         views = g.meta["_shard_views"]
         assert all(not v.is_stale() for v in views.values())
 
+    def test_stale_view_freed_before_the_rebuild(self, monkeypatch):
+        import weakref
+
+        import repro.shard.stepper as stepper_mod
+
+        g = gen.grid_2d(5, 5)
+        old = weakref.ref(sharded_view(g, 2, "contiguous"))
+        alive = []
+        build = stepper_mod.partition_graph
+        monkeypatch.setattr(
+            stepper_mod, "partition_graph",
+            lambda *args: alive.append(old() is not None) or build(*args),
+        )
+        g.epoch += 1
+        sharded_view(g, 2, "contiguous")
+        assert alive == [False]  # the graph never holds two views of a key
+
     def test_graph_copy_does_not_inherit_views(self):
         """Graph.copy() drops the `_`-prefixed view cache, so a copy
         builds its own views and the two caches stay independent."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench.mutate_bench import build_update_batch
 from repro.dynamic import apply_edge_updates, repair_sssp
-from repro.graphs import datasets
+from repro.graphs import datasets, generators
 from repro.service import Query, QueryPlanner, QueryService, batch_delta_stepping
 from repro.sssp import dijkstra
 from repro.sssp.fused import fused_delta_stepping
@@ -15,6 +15,41 @@ from repro.stepping import AutoTuner
 @pytest.fixture(scope="module")
 def ws_graph():
     return datasets.load("ci-ws")
+
+
+class _StubTuner:
+    """A tuner stand-in: picks ``picks[epoch]`` (the last one for later
+    epochs) and records the epoch of every ask."""
+
+    def __init__(self, *picks):
+        self.picks, self.asked = picks, []
+
+    def best_stepper(self, graph):
+        self.asked.append(graph.epoch)
+        return self.picks[min(graph.epoch, len(self.picks) - 1)]
+
+
+def _recording_solver(methods):
+    """The default batch solver, appending each batch's method to *methods*."""
+
+    def solve(graph, sources, **kwargs):
+        methods.append(kwargs["method"])
+        return batch_delta_stepping(graph, sources, **kwargs)
+
+    return solve
+
+
+def _probe_epochs(tuner):
+    """Record the graph epoch of every probe *tuner* runs."""
+    epochs = []
+    probe = tuner.probe
+
+    def counted(graph, sources=None):
+        epochs.append(graph.epoch)
+        return probe(graph, sources)
+
+    tuner.probe = counted
+    return epochs
 
 
 class TestBatchDispatch:
@@ -54,25 +89,38 @@ class TestPlannerRouting:
         plan = planner.plan([Query(source=0)])
         assert plan.stepper == "rho"
 
-    def test_tuned_stepper_used_when_unpinned(self):
-        planner = QueryPlanner()
-        planner.set_tuned_stepper("radius")
-        assert planner.plan([Query(source=0)]).stepper == "radius"
+    def test_tuned_stepper_used_when_unpinned(self, ws_graph):
+        methods = []
+        svc = QueryService(
+            ws_graph, tuner=_StubTuner("radius"), solver=_recording_solver(methods)
+        )
+        resp = svc.query(0)
+        assert methods == ["radius"]
+        assert np.array_equal(resp.distances, dijkstra(ws_graph, 0).distances)
 
-    def test_pinned_beats_tuned(self):
-        planner = QueryPlanner(stepper="rho")
-        planner.set_tuned_stepper("radius")
-        assert planner.stepper == "rho"
+    def test_pinned_beats_tuned(self, ws_graph):
+        methods, tuner = [], _StubTuner("radius")
+        svc = QueryService(
+            ws_graph, stepper="rho", tuner=tuner, solver=_recording_solver(methods)
+        )
+        svc.query(0)
+        assert methods == ["rho"]
+        assert tuner.asked == []  # a pinned plan never consults the tuner
 
     def test_mutation_clears_tuned_keeps_pinned(self):
-        planner = QueryPlanner(stepper="rho")
-        planner.set_tuned_stepper("radius")
-        planner.note_mutation()
-        assert planner.stepper == "rho"
-        planner = QueryPlanner()
-        planner.set_tuned_stepper("radius")
-        planner.note_mutation()
-        assert planner.stepper is None
+        # the tuned pick belongs to the epoch it was made for; a pin stays
+        for pin, expected in (("rho", ["rho", "rho"]), (None, ["radius", "delta-star"])):
+            g = datasets.load("ci-ws").copy()
+            methods = []
+            svc = QueryService(
+                g, stepper=pin, tuner=_StubTuner("radius", "delta-star"),
+                solver=_recording_solver(methods),
+            )
+            svc.query(0)
+            svc.mutate(reweights=[(0, int(g.indices[0]), 0.5)])
+            resp = svc.query(9)
+            assert methods == expected, pin
+            assert np.array_equal(resp.distances, dijkstra(g, 9).distances)
 
 
 class TestServiceStepping:
@@ -82,29 +130,43 @@ class TestServiceStepping:
         assert np.array_equal(resp.distances, dijkstra(ws_graph, 0).distances)
 
     def test_autotune_service_answers_exactly(self, ws_graph):
-        svc = QueryService(ws_graph, tuner=AutoTuner(num_sources=1, repeats=1))
+        tuner, methods = AutoTuner(num_sources=1, repeats=1), []
+        svc = QueryService(ws_graph, tuner=tuner, solver=_recording_solver(methods))
         resp = svc.query(3)
         assert np.array_equal(resp.distances, dijkstra(ws_graph, 3).distances)
-        # the tuned pick landed on the planner
-        assert svc.planner.stepper in AutoTuner().candidates
+        # the exact solve ran the tuned pick
+        assert methods == [tuner.best_stepper(ws_graph)]
+        assert methods[0] in AutoTuner().candidates
 
     def test_autotune_retunes_after_mutation(self):
         g = datasets.load("ci-ws").copy()
-        svc = QueryService(g, tuner=AutoTuner(num_sources=1, repeats=1))
+        tuner = AutoTuner(num_sources=1, repeats=1)
+        probed = _probe_epochs(tuner)
+        svc = QueryService(g, tuner=tuner)
         svc.query(0)
-        assert svc.planner.stepper is not None
+        assert probed == [0]
         svc.mutate(reweights=[(0, int(g.indices[0]), 0.5)])
-        assert svc.planner.stepper is None  # cleared; re-tunes lazily
         # source 0 was repaired in place: a cache-only drain must answer
         # exactly WITHOUT paying a re-probe
         resp = svc.query(0)
         assert resp.from_cache
-        assert svc.planner.stepper is None
+        assert probed == [0]
         assert np.array_equal(resp.distances, dijkstra(g, 0).distances)
-        # the next cold source needs an exact solve -> the probe runs
+        # the next cold source needs an exact solve -> the new epoch probes
         resp = svc.query(9)
-        assert svc.planner.stepper is not None
+        assert probed == [0, 1]
         assert np.array_equal(resp.distances, dijkstra(g, 9).distances)
+
+    def test_autotune_reprobes_after_invalidate(self):
+        g = generators.grid_2d(6, 6)
+        svc = QueryService(g, autotune=True)
+        probed = _probe_epochs(svc.tuner)
+        svc.query(0)
+        g.weights *= 3.0  # a raw edit, announced below
+        svc.invalidate()
+        resp = svc.query(1)
+        assert probed == [0, 1]
+        assert np.array_equal(resp.distances, dijkstra(g, 1).distances)
 
     def test_autotune_probe_skipped_on_cached_drain(self, ws_graph):
         tuner = AutoTuner(num_sources=1, repeats=1)
