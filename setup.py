@@ -14,6 +14,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-sssp",
+    python_requires=">=3.11",
     package_dir={"": "src"},
     packages=find_packages("src"),
     # the compiled bucket loop is built from its C source at import

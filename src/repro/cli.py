@@ -753,9 +753,7 @@ def _cmd_steppers(args) -> int:
         return 0
 
     rows = [
-        {"name": s.name, "kind": s.kind,
-         "resolve": "yes" if s.supports_resolve else "no",
-         "description": s.description}
+        {"name": s.name, "kind": s.kind, "description": s.description}
         for s in STEPPERS.values()
     ]
     print("Stepping-algorithm registry (repro.stepping.STEPPERS):\n")

@@ -5,11 +5,10 @@ Given a distance vector solved against the *pre-mutation* graph and the
 :func:`repair_sssp` produces the distance vector of the *post-mutation*
 graph — bit-identical to a full :func:`repro.sssp.fused.fused_delta_stepping`
 recompute — while touching only the region the updates actually reach.
-The repair waves are the fused solver's own Δ-bucket loop, reached as
-the ``delta`` stepper's :meth:`~repro.stepping.Stepper.resolve` (the
-stepping-algorithm view of Dong et al. 2021); what changes is the
-seeding, following the dynamic-SSSP decomposition of SSSP-Del
-(Javanrood & Ripeanu):
+The repair waves are one run of the fused solver's own Δ-bucket loop
+(:func:`repro.sssp.fused.run_buckets`, compiled when it loaded) over the
+epoch's cached light/heavy split; what changes is the seeding, following
+the dynamic-SSSP decomposition of SSSP-Del (Javanrood & Ripeanu):
 
 - **decrease-only batches** (inserts, weight decreases): the cached
   distances remain valid upper bounds, so the repair scatter-mins
@@ -44,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..kernels import expand_rows
+from ..kernels import cached_row_ids, expand_rows
 from ..sssp.delta import choose_delta
+from ..sssp.fused import cached_split, fused_delta_stepping, run_buckets
 from ..sssp.result import INF
-from ..stepping import resolve_stepper_spec
 from .mutations import AppliedUpdates
 
 __all__ = ["RepairResult", "repair_sssp", "affected_vertices"]
@@ -88,7 +87,6 @@ def affected_vertices(
     distances: np.ndarray,
     changed: tuple[np.ndarray, np.ndarray, np.ndarray],
     source: int,
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Boolean mask of vertices whose cached distance lost its support.
 
@@ -103,9 +101,8 @@ def affected_vertices(
     the pre-mutation solution.  Support counting over the tight-edge DAG
     of the new graph (see module docstring); falls back to the
     conservative closure when zero-weight edges could close tight
-    cycles.  The source is never affected.  *edges* lets the caller pass
-    an already-materialized ``to_edges()`` triple so the O(E) export is
-    paid once per repair.
+    cycles.  The source is never affected.  The edge scan reads the
+    graph's own arrays (and its cached row-id expansion); it copies none.
     """
     n = graph.num_vertices
     d = distances
@@ -125,7 +122,7 @@ def affected_vertices(
 
     # the tight-edge DAG of the post-mutation graph (one O(E) pass); CSR
     # order keeps tsrc sorted, so the DAG is itself CSR-addressable
-    srcs, dsts, w = edges if edges is not None else graph.to_edges()
+    srcs, dsts, w = cached_row_ids(graph), graph.indices, graph.weights
     tight = np.isfinite(d[srcs]) & (d[dsts] == d[srcs] + w)
     tsrc, tdst = srcs[tight], dsts[tight]
     t_indptr = np.concatenate(
@@ -171,7 +168,6 @@ def repair_sssp(
     updates: AppliedUpdates,
     delta: float | None = None,
     validate: bool = False,
-    stepper: str | None = None,
     recorder=None,
 ) -> RepairResult:
     """Repair a cached distance vector after one applied update batch.
@@ -189,46 +185,30 @@ def repair_sssp(
     updates:
         The :class:`AppliedUpdates` record of the batch.
     delta:
-        Bucket width for the ``delta`` stepper's repair waves (``None``:
-        auto-chosen on the new graph); other steppers pick their own
-        knobs.  Any positive Δ yields the same distances.
+        Bucket width of the repair waves (``None``: auto-chosen on the
+        new graph).  Any positive Δ yields the same distances.
     validate:
         Also run the full recompute and raise ``RuntimeError`` on any
         mismatch (for tests and paranoid callers).
-    stepper:
-        The :data:`repro.stepping.STEPPERS` member whose
-        :meth:`~repro.stepping.Stepper.resolve` runs the repair waves —
-        any member whose ``supports_resolve`` is true (``"delta"``,
-        ``"rho"``, ``"radius"``, ``"delta-star"``, ``"sharded"``; specs
-        with params like ``"sharded(shards=4)"`` are accepted).
-        ``None`` means ``"delta"``, the fused solver's bucket loop, run
-        at this repair's *delta*.  The seeded state is identical for
-        every stepper; only the re-relaxation schedule changes, so the
-        repaired distances do not.
     recorder:
         A truthy :class:`repro.obs.Recorder` wraps the repair in a
         ``repair`` span (mode, affected, seeds, phases as args),
-        observes the wall time into a ``repair.ms`` histogram, and
-        forwards into the stepper's resolve path.  Recording never
-        changes the repaired distances.
+        observes the wall time into a ``repair.ms`` histogram and counts
+        ``repair.runs``.  It is not handed to the waves, which stay on
+        the compiled loop; recording never changes the repaired
+        distances.
 
     Returns a :class:`RepairResult` whose ``distances`` are bit-identical
     to ``fused_delta_stepping(graph, source, delta).distances``.
     """
     if not recorder:
-        return _repair_sssp(
-            graph, source, distances, updates,
-            delta=delta, validate=validate, stepper=stepper,
-        )
+        return _repair_sssp(graph, source, distances, updates, delta, validate)
     t0 = time.perf_counter()
     # first touch fixes the buckets: repairs are ms-scale, so pin the
     # sub-ms "latency-ms" preset before the first observe
     recorder.metrics.histogram("repair.ms", buckets="latency-ms")
     with recorder.span("repair", source=int(source)) as sp:
-        result = _repair_sssp(
-            graph, source, distances, updates,
-            delta=delta, validate=validate, stepper=stepper, recorder=recorder,
-        )
+        result = _repair_sssp(graph, source, distances, updates, delta, validate)
         sp.set(
             mode=result.mode, affected=result.affected,
             seeds=result.seeds, phases=result.phases,
@@ -243,10 +223,8 @@ def _repair_sssp(
     source: int,
     distances: np.ndarray,
     updates: AppliedUpdates,
-    delta: float | None = None,
-    validate: bool = False,
-    stepper: str | None = None,
-    recorder=None,
+    delta: float | None,
+    validate: bool,
 ) -> RepairResult:
     """:func:`repair_sssp` body (the public wrapper adds the span)."""
     n = graph.num_vertices
@@ -264,7 +242,6 @@ def _repair_sssp(
     dirty = np.zeros(n, dtype=bool)
     mode = "noop"
     affected_count = 0
-    seed_count = 0
 
     # -- invalidation phase (deletes / increases) ---------------------------
     worsened = updates.worsening_edges()
@@ -278,14 +255,13 @@ def _repair_sssp(
             np.concatenate([worsened[1], dec_d]),
             np.concatenate([worsened[2], dec_wold]),
         )
-        edges = graph.to_edges()  # shared by affected set + boundary seeding
-        aff = affected_vertices(graph, d, changed, source, edges=edges)
+        aff = affected_vertices(graph, d, changed, source)
         affected_count = int(aff.sum())
         if affected_count:
             d[aff] = INF
             # boundary seeding: every edge from the intact region into the
-            # hole, in one vectorized pass
-            srcs, dsts, w = edges
+            # hole, in one vectorized pass over the graph's own arrays
+            srcs, dsts, w = cached_row_ids(graph), graph.indices, graph.weights
             into = aff[dsts] & ~aff[srcs] & np.isfinite(d[srcs])
             if into.any():
                 heads = dsts[into]
@@ -307,22 +283,12 @@ def _repair_sssp(
 
     seed_count = int(dirty.sum())
 
-    # -- repair waves: (d, dirty) is exactly a stepper's resolve() input --
-    if dirty.any():
-        algo, params = resolve_stepper_spec(stepper or "delta")
-        if not algo.supports_resolve:
-            raise ValueError(
-                f"stepper {stepper!r} cannot run seeded repair (no resolve support)"
-            )
-        if algo.name == "delta":  # the other steppers pick their own knobs
-            params = {"delta": delta, **params}
-        if recorder:
-            params = {**params, "recorder": recorder}
-        work = algo.resolve(graph, d, dirty, **params)
+    # -- repair waves: one run of the Δ-bucket loop from the dirty set ------
+    if seed_count:
+        seeds = np.flatnonzero(dirty & np.isfinite(d))
+        work = run_buckets(cached_split(graph, delta), d, seeds, delta)
 
     if validate:
-        from ..sssp.fused import fused_delta_stepping
-
         oracle = fused_delta_stepping(graph, source, delta).distances
         if not np.array_equal(d, oracle):
             bad = int(np.nonzero(d != oracle)[0][0])

@@ -11,8 +11,7 @@ evaluator:
   optional availability objective ("99.9% of requests complete under
   500 ms") with the error budget that implies.
 - :func:`load_slo_path` — specs from a TOML file (``slo.toml``), via
-  :mod:`tomllib` on Python ≥ 3.11 and a minimal built-in subset parser
-  before that (the repo adds no dependencies).
+  the standard library's :mod:`tomllib` (the repo adds no dependencies).
 - :func:`evaluate` — one-shot, bucket-exact evaluation over a live
   registry.  Results carry per-check verdicts and remaining error
   budget; ``repro slo-check`` turns them into an exit code.
@@ -35,17 +34,13 @@ the ``mypy --strict`` typing gate.
 from __future__ import annotations
 
 import os
+import tomllib
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isnan, nan
 from typing import Any, Iterable, Mapping
 
 from .metrics import Histogram, MetricsRegistry
-
-try:  # Python >= 3.11
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on 3.10 CI
-    tomllib = None  # type: ignore[assignment]
 
 __all__ = [
     "LatencyTarget",
@@ -156,76 +151,6 @@ class SLOResult:
 # -- TOML loading -------------------------------------------------------------
 
 
-def _parse_toml_value(text: str) -> Any:
-    text = text.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in ("'", '"'):
-        return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_toml_value(part) for part in inner.split(",")]
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def _descend(node: dict[str, Any], path: list[str]) -> dict[str, Any]:
-    for part in path:
-        nxt = node.get(part)
-        if isinstance(nxt, list):
-            nxt = nxt[-1]
-        if nxt is None:
-            nxt = node[part] = {}
-        if not isinstance(nxt, dict):
-            raise ValueError(f"TOML path component {part!r} is not a table")
-        node = nxt
-    return node
-
-
-def _parse_minimal_toml(text: str) -> dict[str, Any]:
-    """A TOML subset (tables, arrays of tables, scalar/array values) for
-    Python < 3.11 where :mod:`tomllib` does not exist.  Enough for
-    ``slo.toml``; not a general parser."""
-    root: dict[str, Any] = {}
-    current = root
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[["):
-            end = line.find("]]")
-            if end < 0:
-                raise ValueError(f"slo.toml line {lineno}: unterminated [[table]]")
-            path = [p.strip() for p in line[2:end].split(".")]
-            parent = _descend(root, path[:-1])
-            arr = parent.setdefault(path[-1], [])
-            if not isinstance(arr, list):
-                raise ValueError(f"slo.toml line {lineno}: {path[-1]!r} is not an array")
-            current = {}
-            arr.append(current)
-        elif line.startswith("["):
-            end = line.find("]")
-            if end < 0:
-                raise ValueError(f"slo.toml line {lineno}: unterminated [table]")
-            path = [p.strip() for p in line[1:end].split(".")]
-            parent = _descend(root, path[:-1])
-            current = parent.setdefault(path[-1], {})
-            if not isinstance(current, dict):
-                raise ValueError(f"slo.toml line {lineno}: {path[-1]!r} is not a table")
-        else:
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"slo.toml line {lineno}: expected key = value")
-            current[key.strip()] = _parse_toml_value(value)
-    return root
-
-
 def parse_slo_data(data: Mapping[str, Any]) -> list[SLOSpec]:
     """Parsed-TOML dict → specs.  Expects ``[[slo]]`` entries with
     ``name``/``metric``, optional ``[[slo.latency]]`` targets and an
@@ -265,16 +190,9 @@ def parse_slo_data(data: Mapping[str, Any]) -> list[SLOSpec]:
 
 
 def load_slo_path(path: "str | os.PathLike[str]") -> list[SLOSpec]:
-    """Load SLO specs from a TOML file (tomllib when available, the
-    built-in subset parser on Python < 3.11)."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    data: Mapping[str, Any]
-    if tomllib is not None:
-        data = tomllib.loads(text)
-    else:  # pragma: no cover - exercised on 3.10 CI
-        data = _parse_minimal_toml(text)
-    return parse_slo_data(data)
+    """Load SLO specs from a TOML file."""
+    with open(path, "rb") as fh:
+        return parse_slo_data(tomllib.load(fh))
 
 
 # -- evaluation ---------------------------------------------------------------

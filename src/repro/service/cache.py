@@ -3,9 +3,10 @@
 One SSSP run answers *every* point query from its source, so the natural
 cache unit is the whole distance array.  Keys are ``(id(graph),
 graph.epoch, source, weight_mode)``: any edit bumps the epoch (the
-version of the graph's arrays), retiring every cache's rows at once; the
-weight mode is there because one catalog graph is routinely queried
-under both unit and distribution weights.
+version of the graph's arrays), retiring every cache's rows at once, and
+each cache frees a graph's older rows the next time it is asked about
+that graph; the weight mode is there because one catalog graph is
+routinely queried under both unit and distribution weights.
 
 Cached arrays are stored read-only: handing out a mutable view of a
 shared answer would let one caller corrupt every later hit.
@@ -55,7 +56,9 @@ class DistanceCache:
     Thread-safe (one lock around the ordered map — lookups are tiny next
     to the SSSP runs they save).  Graph identity is ``id(graph)`` paired
     with the graph's ``epoch``, which only grows: an entry of an earlier
-    epoch never matches again (:meth:`invalidate` frees them early).  A
+    epoch never matches again, so the first :meth:`get`, :meth:`put` or
+    :meth:`take_entries` that sees a graph at a newer epoch drops its
+    older rows (:meth:`invalidate` drops them all at once).  A
     weak reference per graph drops its entries when the graph is
     garbage-collected (which also protects against ``id`` reuse).  The
     cache holds those references, so they die with it: a long-lived
@@ -71,7 +74,8 @@ class DistanceCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._watches: dict[int, weakref.ref] = {}  # gid -> weak ref to the graph
+        # gid -> (weak ref to the graph, the newest epoch seen of it)
+        self._watches: dict[int, tuple[weakref.ref, int]] = {}
         self._dead_gids: deque[int] = deque()  # filled lock-free by their callbacks
         self._lock = threading.Lock()
         self._hits = 0
@@ -104,11 +108,21 @@ class DistanceCache:
     # -- graph identity ----------------------------------------------------
 
     def _graph_token(self, graph: Graph) -> tuple[int, int]:
-        gid = id(graph)
-        if gid not in self._watches:
+        """``(id, epoch)`` of *graph*, watched from its first sight; at a
+        newer epoch than last seen, its older rows are dropped (called
+        under the lock)."""
+        gid, epoch = id(graph), graph.epoch
+        watch = self._watches.get(gid)
+        if watch is None:
             dead = self._dead_gids
-            self._watches[gid] = weakref.ref(graph, lambda _, gid=gid: dead.append(gid))
-        return gid, graph.epoch
+            ref = weakref.ref(graph, lambda _, gid=gid: dead.append(gid))
+            self._watches[gid] = (ref, epoch)
+        elif watch[1] != epoch:
+            for key in [k for k in self._entries if k[0] == gid and k[1] != epoch]:
+                del self._entries[key]
+            self._watches[gid] = (watch[0], epoch)
+            self._gauge_size()
+        return gid, epoch
 
     def _purge_dead(self) -> None:
         """Drop entries of collected graphs (called under the lock)."""
@@ -187,17 +201,17 @@ class DistanceCache:
         is not counted as an invalidation.  Only entries matching the
         graph's *current* token qualify: anything parked under an older
         epoch describes a graph that no longer exists and would poison a
-        repair if handed out as a baseline, so it is dropped here
-        instead.  The returned arrays are the stored read-only views.
+        repair if handed out as a baseline (:meth:`_graph_token` has
+        already dropped it).  The returned arrays are the stored
+        read-only views.
         """
         with self._lock:
             self._purge_dead()
             token = self._graph_token(graph)
-            taken: dict[tuple[int, str], np.ndarray] = {}
-            for key in [k for k in self._entries if k[0] == token[0]]:
-                entry = self._entries.pop(key)
-                if key[:2] == token:
-                    taken[(key[2], key[3])] = entry
+            taken = {
+                (key[2], key[3]): self._entries.pop(key)
+                for key in [k for k in self._entries if k[:2] == token]
+            }
             self._gauge_size()
             return taken
 

@@ -92,8 +92,8 @@ class MutationReport:
 
     ``repaired_entries`` cached distance vectors were patched in place by
     the incremental kernel and live on under the new epoch;
-    ``dropped_entries`` (other weight modes, or ``repair="drop"``) were
-    discarded and will re-solve on next miss.
+    ``dropped_entries`` (other weight modes) were discarded and will
+    re-solve on next miss.
     """
 
     applied: AppliedUpdates
@@ -560,7 +560,6 @@ class QueryService:
         inserts=None,
         deletes=None,
         reweights=None,
-        repair: str = "hot",
         strict: bool = True,
     ) -> MutationReport:
         """Apply one edge-update batch to the served graph.
@@ -568,14 +567,17 @@ class QueryService:
         The service's cached entries are harvested *before* the mutation,
         the batch is applied through
         :func:`repro.dynamic.apply_edge_updates` (bumping the epoch the
-        cache keys on), and then — under the default ``repair="hot"``
-        policy — every harvested entry of this service's weight mode is
-        repaired incrementally (:func:`repro.dynamic.repair_sssp`) and
+        cache keys on), and then every harvested entry of this service's
+        weight mode is repaired incrementally
+        (:func:`repro.dynamic.repair_sssp`, on the ``delta`` stepper's
+        Δ-bucket loop whatever stepper the service is pinned to) and
         re-inserted under the new epoch, so hot sources keep answering
-        from cache with zero recompute.  ``repair="drop"`` discards them
-        instead (they re-solve on next miss).  Entries of *other* weight
-        modes are always dropped: their weight arrays no longer describe
-        this graph.
+        from cache with zero recompute.  To re-solve them on next miss
+        instead, call ``svc.cache.invalidate(svc.graph)`` first.  Entries
+        of *other* weight modes are always dropped: their weight arrays
+        no longer describe this graph.  With a recorder bound, each
+        repair records its ``repair`` span but stays on the compiled
+        loop, as the service's batch solves do.
 
         The epoch bump alone makes the landmark index (if any) rebuild
         lazily on the next degraded answer and the auto-tuner probe again
@@ -604,10 +606,10 @@ class QueryService:
             )
         rec = self.recorder
         if rec is None:
-            return self._mutate(inserts, deletes, reweights, repair, strict)
+            return self._mutate(inserts, deletes, reweights, strict)
         t0 = time.perf_counter()
         with rec.span("service:mutate") as sp:
-            report = self._mutate(inserts, deletes, reweights, repair, strict)
+            report = self._mutate(inserts, deletes, reweights, strict)
             sp.set(
                 updates=report.applied.num_updates,
                 repaired=report.repaired_entries,
@@ -617,10 +619,8 @@ class QueryService:
         rec.inc("service.mutations")
         return report
 
-    def _mutate(self, inserts, deletes, reweights, repair, strict) -> MutationReport:
+    def _mutate(self, inserts, deletes, reweights, strict) -> MutationReport:
         """:meth:`mutate` body (the public wrapper adds span + histogram)."""
-        if repair not in ("hot", "drop"):
-            raise ValueError(f"unknown repair policy {repair!r}; known: hot, drop")
         harvested = self.cache.take_entries(self.graph)
         # weights are the one array mutations may edit in place (pure
         # reweights); indptr/indices are only ever replaced wholesale
@@ -646,7 +646,7 @@ class QueryService:
         repaired = 0
         try:
             for (source, wmode), dist in harvested.items():
-                if repair != "hot" or wmode != self.weight_mode:
+                if wmode != self.weight_mode:
                     continue
                 result = repair_sssp(
                     self.graph, source, dist, applied, delta=self.delta,

@@ -37,10 +37,11 @@ Entry points::
     res = solve_with("sharded", graph, 0, num_shards=4, partitioner="bfs")
     print(res.extra["entries_carried"])          # communication volume
 
-Because ``"sharded"`` is a registered stepper with full ``resolve``
-support, the service's batches (``batch_delta_stepping(..., method="sharded")``),
-incremental repair (``repair_sssp(..., stepper="sharded")``), the service
-planner, the auto-tuner, and the CLI all dispatch to it unchanged.
+Because ``"sharded"`` is a registered stepper, the service's batches
+(``batch_delta_stepping(..., method="sharded")``), the service planner,
+the auto-tuner, and the CLI all dispatch to it unchanged.  A service
+pinned to it still repairs cached rows after a mutation with the
+``delta`` stepper's Δ-bucket loop (:func:`repro.dynamic.repair_sssp`).
 """
 
 from __future__ import annotations

@@ -28,9 +28,10 @@ held across partition boundaries.  With one shard there is no
 boundary, and a superstep is exactly a Δ*-stepping step:
 ``sharded(shards=1)`` walks Δ*'s schedule, counter for counter.
 
-``resolve`` implements the full seeded contract, so incremental repair
-(:func:`repro.dynamic.repair_sssp`) and the service's batches dispatch
-to the sharded backend unchanged.
+``solve`` is ``resolve`` seeded with ``{source: 0}``; ``resolve`` runs
+the schedule from any seeded state, which is how the race checker
+(:mod:`repro.analysis.racecheck`) drives one sharded run.  The service's
+batches dispatch to the sharded backend unchanged.
 """
 
 from __future__ import annotations

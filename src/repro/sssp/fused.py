@@ -32,9 +32,9 @@ object from the hot loop.  The primitives themselves live in
   boundaries.)
 
 That loop, :func:`run_buckets`, is shared: the solve seeds ``{source}``
-and repair seeds a dirty set (through :func:`fused_resolve`); the
-service's batches are K solves.  It has two back ends with the same
-distances and the same four counters:
+and incremental repair (:func:`repro.dynamic.repair_sssp`) seeds the
+dirty set of an update batch; the service's batches are K solves.  It
+has two back ends with the same distances and the same four counters:
 
 - ``kernel="auto"`` (the default) runs it compiled, as the paper does:
   :mod:`repro.kernels.compiled` builds ``buckets.c`` with the system C
@@ -87,7 +87,6 @@ from .result import INF, SSSPResult
 __all__ = [
     "cached_split",
     "fused_delta_stepping",
-    "fused_resolve",
     "run_buckets",
     "split_csr_light_heavy",
     "build_light_csr",
@@ -168,18 +167,6 @@ def cached_split(graph: Graph, delta: float):
     return split
 
 
-def _solve_split(graph: Graph, delta: float, kernel: str, fuse_matrix_split: bool, recorder):
-    """Check Δ and *kernel*, and return the light/heavy split a solve runs
-    on: the epoch's cached split, or a fresh one for the ablation and
-    recorded runs, which time their own ``filter:*`` stages."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    check_kernel(kernel)
-    if fuse_matrix_split and not recorder:
-        return cached_split(graph, delta)
-    return split_csr_light_heavy(graph, delta, fused=fuse_matrix_split, recorder=recorder)
-
-
 def build_light_csr(graph: Graph, delta: float):
     """``A_L`` alone — one coarse task of the parallel decomposition."""
     return _compact_csr(graph, graph.weights <= delta)
@@ -216,7 +203,15 @@ def fused_delta_stepping(
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
-    split = _solve_split(graph, delta, kernel, fuse_matrix_split, recorder)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    check_kernel(kernel)
+    # the epoch's cached split, or a fresh one for the ablation and for
+    # recorded runs, which time their own ``filter:*`` stages
+    if fuse_matrix_split and not recorder:
+        split = cached_split(graph, delta)
+    else:
+        split = split_csr_light_heavy(graph, delta, fused=fuse_matrix_split, recorder=recorder)
     t = np.full(n, INF, dtype=np.float64)
     t[source] = 0.0
     c = run_buckets(
@@ -232,22 +227,6 @@ def fused_delta_stepping(
         phases=c["phases"],
         relaxations=c["relaxations"],
         updates=c["updates"],
-    )
-
-
-def fused_resolve(
-    graph: Graph, dist: np.ndarray, active: np.ndarray, delta: float = 1.0,
-    fuse_relax: bool = True, fuse_matrix_split: bool = True, kernel: str = "auto",
-    workspace: RelaxWorkspace | None = None, recorder=None,
-) -> dict[str, int]:
-    """The ``delta`` stepper's :meth:`~repro.stepping.Stepper.resolve`:
-    :func:`run_buckets` over *graph*'s light/heavy split, seeded with
-    every *active* vertex of finite *dist* (*active* is consumed)."""
-    split = _solve_split(graph, delta, kernel, fuse_matrix_split, recorder)
-    seeds = np.flatnonzero(active & np.isfinite(dist))
-    active[:] = False
-    return run_buckets(
-        split, dist, seeds, delta, kernel, workspace, fuse_relax=fuse_relax, recorder=recorder
     )
 
 

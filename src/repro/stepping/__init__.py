@@ -5,9 +5,11 @@ Bellman–Ford (Δ → ∞); this package generalizes that one dial into an
 algorithm *portfolio* behind a single step/relax contract, plus a tuner
 that picks per graph.  It is the repo's pluggable-algorithm surface:
 backends register here and every consumer — service planner, batch
-engine, dynamic repair, CLI, STEP bench — picks them up for free.  The
+engine, CLI, STEP bench — picks them up for free.  The
 partition-parallel sharded backend (:mod:`repro.shard`) registers as
 ``"sharded"``; GPU and multi-machine steppers are the next plug-ins.
+Incremental repair is not a consumer: it always re-relaxes with the
+``delta`` stepper's Δ-bucket loop (:mod:`repro.dynamic.incremental`).
 
 Module map
 ----------
@@ -50,7 +52,7 @@ The paper's five formulations are registered alongside the new steppers
 from __future__ import annotations
 
 from ..sssp.capi_sssp import capi_delta_stepping
-from ..sssp.fused import fused_delta_stepping, fused_resolve
+from ..sssp.fused import fused_delta_stepping
 from ..sssp.graphblas_sssp import graphblas_delta_stepping
 from ..sssp.meyer_sanders import meyer_sanders_delta_stepping
 from ..sssp.parallel import parallel_delta_stepping
@@ -124,7 +126,6 @@ register_stepper(FunctionStepper(
     defaults={"delta": None},
     kernel_capable=True,  # "delta(kernel=scatter)" pins the min-by-target kernel
     recorder_capable=True,  # emits per-bucket spans and its §VI.C stages
-    resolve=fused_resolve,  # the same bucket loop, seeded (incremental repair)
 ))
 register_stepper(FunctionStepper(
     "graphblas", graphblas_delta_stepping,

@@ -16,17 +16,19 @@ radius-stepping each hand it only a ``select(mask) -> (batch, bound)``
 rule, and every shard of the sharded stepper runs its inner half,
 :func:`relax_window`, on its own CSR slice.
 
-:class:`Stepper` pins the loop down as an interface.  The load-bearing
-method is :meth:`Stepper.resolve`: *run the schedule from an arbitrary
-seeded state* — tentative distances plus an active mask — to quiescence.
-``solve`` (fresh single-source run) is just ``resolve`` seeded with
-``{source: 0}``, and the dynamic layer's incremental repair is ``resolve``
-seeded with the dirty region, so one implementation serves both entry
-points.  The paper's five Δ-stepping formulations (Meyer–Sanders, the
-GraphBLAS form, its C-facade transliteration, the fused kernel, the
-task-parallel kernel) and the Dijkstra/Bellman–Ford baselines are wrapped
-as steppers too, so :data:`STEPPERS` is the repo's one solver registry
-and the auto-tuner (:mod:`repro.stepping.autotune`) can race any of it.
+:class:`Stepper` pins the loop down as an interface: :meth:`Stepper.solve`
+is a fresh single-source run.  The framework members (ρ, Δ*, radius and
+the sharded stepper) also implement :meth:`Stepper.resolve`, *run the
+schedule from an arbitrary seeded state* — tentative distances plus an
+active mask — to quiescence, and their ``solve`` is ``resolve`` seeded
+with ``{source: 0}``.  (Incremental repair does not go through this
+interface: it seeds the fused solver's Δ-bucket loop directly, see
+:mod:`repro.dynamic.incremental`.)  The paper's five Δ-stepping
+formulations (Meyer–Sanders, the GraphBLAS form, its C-facade
+transliteration, the fused kernel, the task-parallel kernel) and the
+Dijkstra/Bellman–Ford baselines are wrapped as steppers too, so
+:data:`STEPPERS` is the repo's one solver registry and the auto-tuner
+(:mod:`repro.stepping.autotune`) can race any of it.
 
 Discovery follows the ``DELTA_STRATEGIES`` idiom of
 :mod:`repro.sssp.delta`: one module-level registry (:data:`STEPPERS`),
@@ -265,13 +267,12 @@ class Stepper(ABC):
     name:
         Registry key (also the CLI / bench spelling).
     kind:
-        ``"stepping"`` for the generalized-framework solvers,
-        ``"legacy"`` for wrapped pre-framework implementations.
+        ``"stepping"`` for the generalized-framework solvers and
+        ``"sharded"`` for the partition-parallel one (both implement
+        :meth:`resolve`), ``"legacy"`` for wrapped pre-framework
+        implementations (which own their seeding).
     description:
         One-line summary for ``repro steppers --list``.
-    supports_resolve:
-        Whether :meth:`resolve` is implemented (the dynamic layer's
-        repair path requires it).
     kernel_capable:
         Whether ``solve``/``resolve`` accept a ``kernel=`` keyword
         selecting the :mod:`repro.kernels` per-target-min kernel
@@ -288,7 +289,6 @@ class Stepper(ABC):
     name: str = "?"
     kind: str = "stepping"
     description: str = ""
-    supports_resolve: bool = True
     kernel_capable: bool = True
     #: short spec-parameter spellings → the solve() keyword they set
     #: (``"sharded(shards=4)"`` → ``num_shards=4``); consulted by
@@ -359,14 +359,12 @@ class FunctionStepper(Stepper):
     paper's formulations, Dijkstra, Bellman–Ford …) so the auto-tuner
     and the CLI can treat the whole portfolio uniformly.  A ``delta`` of
     ``None`` (the default of every Δ-stepping formulation) resolves
-    through :func:`repro.sssp.delta.choose_delta`.  ``resolve`` needs
-    a *resolve* callable with the :meth:`Stepper.resolve` signature
-    (``delta`` passes :func:`repro.sssp.fused.fused_resolve`); without
-    one the wrapped implementation owns its seeding.
+    through :func:`repro.sssp.delta.choose_delta`.  The wrapped
+    implementation owns its seeding, so :meth:`resolve` is not
+    supported.
     """
 
     kind = "legacy"
-    supports_resolve = False
     kernel_capable = False
 
     def __init__(
@@ -377,13 +375,10 @@ class FunctionStepper(Stepper):
         defaults: dict[str, Any] | None = None,
         kernel_capable: bool = False,
         recorder_capable: bool = False,
-        resolve: Callable[..., dict[str, Any]] | None = None,
     ) -> None:
         self.name = name
         self.description = description
         self._fn = fn
-        self._resolve = resolve
-        self.supports_resolve = resolve is not None
         self._defaults = dict(defaults or {})
         self.kernel_capable = kernel_capable
         #: whether the wrapped fn takes ``recorder=`` itself (the fused and
@@ -391,29 +386,17 @@ class FunctionStepper(Stepper):
         #: either way a recording run gets one whole-solve span
         self.recorder_capable = recorder_capable
 
-    def _kwargs(self, graph: Graph, params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
-        """Call keywords (defaults, auto Δ, the recorder if capable) and the recorder."""
+    def solve(self, graph: Graph, source: int, **params: Any) -> SSSPResult:
         kw = {**self._defaults, **params}
         if "delta" in kw and kw["delta"] is None:
             kw["delta"] = choose_delta(graph)
         recorder = kw.pop("recorder", None)
         if recorder and self.recorder_capable:
             kw["recorder"] = recorder
-        return kw, recorder
-
-    def solve(self, graph: Graph, source: int, **params: Any) -> SSSPResult:
-        kw, recorder = self._kwargs(graph, params)
         if not recorder:
             return self._fn(graph, source, **kw)
         with recorder.span(f"solve:{self.name}", stepper=self.name, source=int(source)):
             return self._fn(graph, source, **kw)
-
-    def resolve(
-        self, graph: Graph, dist: NDArray[np.float64], active: NDArray[np.bool_], **params: Any
-    ) -> dict[str, Any]:
-        if self._resolve is None:
-            return super().resolve(graph, dist, active, **params)
-        return self._resolve(graph, dist, active, **self._kwargs(graph, params)[0])
 
     def default_params(self, graph: Graph) -> dict[str, Any]:
         return dict(self._defaults)

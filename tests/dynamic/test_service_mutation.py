@@ -60,14 +60,15 @@ class TestHotRepair:
         assert np.array_equal(again.distances, dijkstra(g, 0).distances)
 
     def test_drop_policy_discards(self):
+        """Dropping the hot rows instead of repairing them is an
+        invalidation of the service's cache before the mutation."""
         g = _graph()
         svc = QueryService(g)
         svc.query(0)
-        report = svc.mutate(
-            reweights=[(0, int(g.indices[g.indptr[0]]), 0.25)], repair="drop"
-        )
+        assert svc.cache.invalidate(g) == 1
+        report = svc.mutate(reweights=[(0, int(g.indices[g.indptr[0]]), 0.25)])
         assert report.repaired_entries == 0
-        assert report.dropped_entries == 1
+        assert report.dropped_entries == 0
         resp = svc.query(0)
         assert not resp.from_cache  # re-solved cold
         assert np.array_equal(resp.distances, dijkstra(g, 0).distances)
@@ -81,11 +82,6 @@ class TestHotRepair:
         report = svc.mutate(deletes=[(0, int(g.indices[g.indptr[0]]))])
         assert report.repaired_entries == 1  # the unit-mode entry
         assert report.dropped_entries == 1  # the uniform-mode entry
-
-    def test_unknown_repair_policy(self):
-        svc = QueryService(_graph())
-        with pytest.raises(ValueError, match="repair policy"):
-            svc.mutate(repair="magic")
 
     def test_rejected_batch_keeps_cache_intact(self):
         """Regression: a strict-mode ValueError left the cache emptied even

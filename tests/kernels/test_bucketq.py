@@ -34,24 +34,37 @@ def _solves_match_dijkstra(g, delta):
 
 def _repair_matches_dijkstra(g, delta, reweights):
     """The shared bucket loop's other caller, against Dijkstra: a repair
-    from source 0 after the *reweights* batch — under every kernel, with
-    the ``argsort`` run's counters."""
-    from repro.dynamic import apply_edge_updates, repair_sssp
+    from source 0 after the *reweights* batch, and the seeded state it
+    hands :func:`run_buckets` replayed under every kernel, with the
+    repair's counters.  Returns the number of seeds (0: nothing to
+    re-relax)."""
+    from repro.dynamic import apply_edge_updates, incremental, repair_sssp
+    from repro.sssp.fused import run_buckets, split_csr_light_heavy
     from repro.sssp.reference import dijkstra
 
     g = g.copy()
     d0 = dijkstra(g, 0).distances
     applied = apply_edge_updates(g, reweights=reweights)
     oracle = dijkstra(g, 0).distances
-    repairs = {
-        k: repair_sssp(g, 0, d0, applied, delta=delta, stepper=f"delta(kernel={k})")
-        for k in KERNELS
-    }
-    for kernel, rep in repairs.items():
-        assert np.array_equal(rep.distances, oracle), (delta, reweights, kernel)
-        work = (rep.buckets, rep.phases, rep.relaxations, rep.updates)
-        ref = repairs["argsort"]
-        assert work == (ref.buckets, ref.phases, ref.relaxations, ref.updates), kernel
+    seeded = []
+
+    def capture(split, t, seeds, width):
+        seeded.append((t.copy(), seeds.copy()))
+        return run_buckets(split, t, seeds, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incremental, "run_buckets", capture)
+        rep = repair_sssp(g, 0, d0, applied, delta=delta)
+    assert np.array_equal(rep.distances, oracle), (delta, reweights)
+    work = (rep.buckets, rep.phases, rep.relaxations, rep.updates)
+    split = split_csr_light_heavy(g, delta)
+    for t0, seeds in seeded:
+        for kernel in KERNELS:
+            t = t0.copy()
+            c = run_buckets(split, t, seeds, delta, kernel)
+            assert np.array_equal(t, oracle), (delta, reweights, kernel)
+            assert (c["steps"], c["phases"], c["relaxations"], c["updates"]) == work, kernel
+    return sum(len(seeds) for _, seeds in seeded)
 
 
 class TestBasics:
@@ -204,6 +217,7 @@ class TestUlpBoundaryRegression:
 
         rng = np.random.default_rng(5)
         pick_rng = np.random.default_rng(6)  # its own stream: rng draws the same 25 graphs
+        seeds = []
         for _ in range(25):
             m = 150
             g = Graph.from_edges(
@@ -215,7 +229,8 @@ class TestUlpBoundaryRegression:
             tails = g.row_sources()
             pick = pick_rng.choice(g.num_edges, size=3, replace=False)
             reweights = (tails[pick], g.indices[pick], pick_rng.uniform(0.0, 16.0, size=3))
-            _repair_matches_dijkstra(g, delta, reweights)
+            seeds.append(_repair_matches_dijkstra(g, delta, reweights))
+        assert max(seeds) > 1  # some replays run the loop from several seeds
 
 
 class TestBoundaryPlacement:

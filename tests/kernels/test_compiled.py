@@ -91,6 +91,38 @@ def test_recorded_service_batches_stay_compiled(monkeypatch):
     assert span["args"]["batch"] == 3 and span["args"]["relaxations"] > 0
 
 
+@needs_compiled
+def test_recorded_service_repair_stays_compiled(monkeypatch):
+    """A recorded :class:`~repro.service.QueryService` answers, mutates
+    and answers again from its repaired rows with the NumPy waves
+    unreachable: the recorder gets the ``repair`` spans but is not
+    handed to the repair waves, which run the compiled loop."""
+    from repro.obs import Recorder
+    from repro.service import QueryService
+
+    g = _graph()
+    sources = (0, 5, 9)
+    _numpy_waves_unreachable(monkeypatch)
+    rec = Recorder()
+    svc = QueryService(g, delta=0.7, recorder=rec)
+    for s in sources:
+        assert np.array_equal(svc.query(s).distances, dijkstra(g, s).distances)
+    tails = g.row_sources()
+    missing = next(v for v in range(1, g.num_vertices) if g.edge_weight(0, v) is None)
+    report = svc.mutate(
+        inserts=[(0, missing, 0.05)],
+        reweights=[(tails[k], g.indices[k], 9.0) for k in (0, 40, 80)],
+    )
+    assert report.repaired_entries == len(sources)
+    spans = rec.trace.spans("repair")
+    assert len(spans) == len(sources)
+    assert sum(sp["args"]["phases"] for sp in spans) > 0  # the waves ran
+    for s in sources:
+        resp = svc.query(s)
+        assert resp.from_cache
+        assert np.array_equal(resp.distances, dijkstra(g, s).distances)
+
+
 @pytest.mark.parametrize("kernel", ["argsort", "auto"])
 def test_overflow_guard_on_both_back_ends(kernel):
     """A distance/delta ratio of 2**62 or more raises OverflowError on

@@ -16,8 +16,6 @@ from repro.obs import (
     render_openmetrics,
     render_slo_text,
 )
-from repro.obs.slo import _parse_minimal_toml
-
 SLO_TOML = """\
 [[slo]]
 name = "query-latency"
@@ -81,18 +79,12 @@ class TestTomlLoading:
         assert q.availability == AvailabilityObjective(0.99, 100.0)
         assert specs[1].availability is None
 
-    def test_minimal_parser_matches_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert parse_slo_data(_parse_minimal_toml(SLO_TOML)) == parse_slo_data(
-            tomllib.loads(SLO_TOML)
-        )
-
     def test_committed_slo_toml_parses_both_ways(self):
         from pathlib import Path
 
         path = Path(__file__).resolve().parents[2] / "slo.toml"
-        specs = parse_slo_data(_parse_minimal_toml(path.read_text()))
-        assert load_slo_path(path) == specs
+        specs = load_slo_path(path)
+        assert specs
         assert any(s.availability is not None for s in specs)
 
     def test_no_entries_raises(self):

@@ -87,14 +87,14 @@ class TestInvalidation:
     def test_mutation_workflow(self):
         """The documented in-place mutation pattern: edit, bump the epoch,
         recompute — stale distances never come back, and
-        :meth:`invalidate` frees them early."""
+        :meth:`invalidate` frees them before any lookup would."""
         cache = DistanceCache()
         g = _graph()
         cache.put(g, 0, "unit", np.array([0.0, 1.0, 2.0, 3.0]))
         g.weights[:] = 5.0  # in-place mutation
         g.epoch += 1  # announced, as QueryService.invalidate does
-        assert cache.get(g, 0) is None
         assert cache.invalidate(g) == 1
+        assert cache.get(g, 0) is None
         cache.put(g, 0, "unit", np.array([0.0, 5.0, 10.0, 15.0]))
         assert cache.get(g, 0)[1] == 5.0
 
@@ -131,6 +131,36 @@ class TestInvalidation:
         assert cache.get(g, 0) is None
         cache.put(g, 0, "unit", np.ones(4))
         assert cache.get(g, 0)[0] == 1.0
+
+    def test_rows_of_older_epochs_dropped_on_next_touch(self):
+        """Rows another holder retired (a second service's ``invalidate``,
+        a direct update batch) are freed by this cache's next lookup of
+        the graph, not left to LRU eviction; ``put`` and
+        ``take_entries`` at a newer epoch free them too."""
+        from repro.dynamic import apply_edge_updates
+        from repro.graphs import generators
+        from repro.service import QueryService
+
+        g = generators.grid_2d(6, 6)
+        a, b = QueryService(g), QueryService(g)
+        for s in range(10):
+            b.query(s)
+        assert len(b.cache) == 10
+        a.invalidate()
+        assert len(b.cache) == 10  # nothing has asked b about g yet
+        b.query(10)
+        assert len(b.cache) == 1
+        apply_edge_updates(g, reweights=[(0, 1, 5.0)])
+        b.query(11)
+        assert len(b.cache) == 1
+        assert b.cache.get(g, 11) is not None
+        g.epoch += 1
+        b.cache.put(g, 12, "unit", np.zeros(g.num_vertices))
+        assert len(b.cache) == 1
+        g.epoch += 1
+        assert b.cache.take_entries(g) == {}
+        assert len(b.cache) == 0
+        assert b.cache.stats().invalidations == 0
 
     def test_stats_counters(self):
         cache = DistanceCache()

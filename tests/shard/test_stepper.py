@@ -1,6 +1,6 @@
 """ShardedDeltaStepper ≡ Dijkstra, across every partition/transport knob,
 plus the consumer integrations the registry promises (service batches,
-incremental repair, auto-tuner, view caching)."""
+a pinned service's repair, auto-tuner, view caching)."""
 
 import numpy as np
 import pytest
@@ -175,7 +175,6 @@ class TestRegistryIntegration:
     def test_registered_with_resolve_support(self):
         s = get_stepper("sharded")
         assert isinstance(s, ShardedDeltaStepper)
-        assert s.supports_resolve
         assert s.kind == "sharded"
         assert "sharded" in STEPPERS
 
@@ -218,24 +217,24 @@ class TestRegistryIntegration:
             assert np.array_equal(res.distances[k], dijkstra(g, s).distances)
 
     def test_repair_dispatch(self):
-        """repair_sssp(stepper="sharded") stays bit-identical through a
-        general (delete + insert) mutation batch."""
-        from repro.dynamic import apply_edge_updates, repair_sssp
+        """A service pinned to ``sharded(shards=3)`` repairs its cached row
+        (with the ``delta`` loop) bit-identically through a general
+        (delete + insert) mutation batch."""
+        from repro.service import QueryService
         from repro.sssp.fused import fused_delta_stepping
 
         g = gen.road_network(6, 6, seed=5)
-        before = fused_delta_stepping(g, 0, 1.0).distances
+        svc = QueryService(g, stepper="sharded(shards=3)")
+        svc.query(0)
         src, dst, w = g.to_edges()
-        applied = apply_edge_updates(
-            g,
+        report = svc.mutate(
             inserts=[(int(src[0]), (int(dst[0]) + 3) % g.num_vertices, 0.5)],
             deletes=[(int(src[1]), int(dst[1]))],
         )
-        rep = repair_sssp(
-            g, 0, before, applied, stepper="sharded(shards=3)", validate=True
-        )
-        oracle = fused_delta_stepping(g, 0, 1.0).distances
-        assert np.array_equal(rep.distances, oracle)
+        assert report.repaired_entries == 1
+        resp = svc.query(0)
+        assert resp.from_cache
+        assert np.array_equal(resp.distances, fused_delta_stepping(g, 0, 1.0).distances)
 
     def test_autotuner_races_sharded(self):
         from repro.stepping import AutoTuner

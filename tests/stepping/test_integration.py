@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.mutate_bench import build_update_batch
-from repro.dynamic import apply_edge_updates, repair_sssp
+from repro.dynamic import repair_sssp
 from repro.graphs import datasets, generators
 from repro.service import Query, QueryPlanner, QueryService, batch_delta_stepping
 from repro.sssp import dijkstra
@@ -181,30 +181,23 @@ class TestServiceStepping:
 class TestSteppedRepair:
     @pytest.mark.parametrize("stepper", ["rho", "radius", "delta-star", "delta"])
     def test_repair_on_stepper_bit_identical(self, stepper):
+        """A service pinned to any stepper repairs the row that stepper
+        solved with the ``delta`` loop, bit-identical to a recompute,
+        through a general (delete + insert + reweight) batch."""
         g = datasets.load("ci-ws", weights="uniform", seed=3).copy()
-        d0 = fused_delta_stepping(g, 0, 1.0).distances
+        svc = QueryService(g, stepper=stepper)
+        d0 = svc.query(0).distances
         rng = np.random.default_rng(11)
         inserts, deletes, reweights = build_update_batch(g, 0.02, rng)
-        applied = apply_edge_updates(
-            g, inserts=inserts, deletes=deletes, reweights=reweights
-        )
-        repaired = repair_sssp(g, 0, d0, applied, stepper=stepper)
-        oracle = fused_delta_stepping(g, 0, 1.0).distances
-        assert np.array_equal(repaired.distances, oracle)
-        if stepper == "delta":
-            # the default repair is the delta stepper's resolve, work and all
-            default = repair_sssp(g, 0, d0, applied, stepper=None)
-            assert np.array_equal(repaired.distances, default.distances)
-            work = ("delta", "mode", "affected", "seeds", "buckets", "phases",
-                    "relaxations", "updates")
-            assert [getattr(repaired, f) for f in work] == [getattr(default, f) for f in work]
-
-    def test_repair_rejects_resolve_free_stepper(self, diamond_graph):
-        g = diamond_graph.copy()
-        d0 = fused_delta_stepping(g, 0, 1.0).distances
-        applied = apply_edge_updates(g, reweights=[(0, 1, 1.0)])
-        with pytest.raises(ValueError, match="resolve"):
-            repair_sssp(g, 0, d0, applied, stepper="dijkstra")
+        report = svc.mutate(inserts=inserts, deletes=deletes, reweights=reweights)
+        assert report.repaired_entries == 1
+        resp = svc.query(0)
+        assert resp.from_cache
+        assert np.array_equal(resp.distances, fused_delta_stepping(g, 0, 1.0).distances)
+        # the batch lost shortest paths, so the repair had a hole to refill
+        rep = repair_sssp(g, 0, d0, report.applied, delta=svc.delta)
+        assert rep.mode == "general" and rep.affected > 0
+        assert np.array_equal(rep.distances, resp.distances)
 
 
 class TestStepBench:

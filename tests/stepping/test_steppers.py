@@ -204,10 +204,10 @@ class TestVertexRadii:
 
 class TestResolveContract:
     def test_resolve_from_seeded_state(self, diamond_graph):
-        """resolve() continues from arbitrary seeded state — the dynamic
-        repair entry point."""
+        """resolve() continues from arbitrary seeded state — the entry
+        point each framework stepper's solve seeds with its source."""
         n = diamond_graph.num_vertices
-        for name in (*NEW_STEPPERS, "delta"):
+        for name in NEW_STEPPERS:
             d = np.full(n, np.inf)
             d[0] = 0.0
             active = np.zeros(n, dtype=bool)
@@ -222,10 +222,10 @@ class TestResolveContract:
                 get_stepper(name).resolve(diamond_graph, np.zeros(4), np.zeros(5, dtype=bool))
 
     def test_legacy_steppers_reject_resolve(self, diamond_graph):
-        s = get_stepper("dijkstra")
-        assert not s.supports_resolve
-        with pytest.raises(NotImplementedError):
-            s.resolve(diamond_graph, np.zeros(4), np.zeros(4, dtype=bool))
+        # delta included: incremental repair seeds its bucket loop directly
+        for name in stepper_names("legacy"):
+            with pytest.raises(NotImplementedError):
+                get_stepper(name).resolve(diamond_graph, np.zeros(4), np.zeros(4, dtype=bool))
 
     def test_default_params_reported(self, grid_graph):
         assert "rho" in get_stepper("rho").default_params(grid_graph)

@@ -159,9 +159,11 @@ class TestCommands:
             assert name in out
         for name in ("auto", *DELTA_STRATEGIES):
             assert name in out
-        # delta's resolve is the seeded bucket loop incremental repair runs
+        # name, kind and description only: there is no resolve column
+        header = next(line.split() for line in out.splitlines() if line.startswith("name "))
+        assert header == ["name", "kind", "description"]
         row = next(line.split() for line in out.splitlines() if line.startswith("delta "))
-        assert row[:3] == ["delta", "legacy", "yes"]
+        assert row[:2] == ["delta", "legacy"]
 
     def test_run_pinned_stepper_beats_auto_flag(self, capsys):
         """--stepper with --auto: the pin wins and no tuned label is printed."""
